@@ -22,6 +22,12 @@
    proven-safe access compiles to a bare superinstruction. Parity is
    asserted against the interpreter on the same verified-sealed code.
 
+   Segments compile on first entry, so the table also prices what a
+   translation-cache miss costs each graft: [Jit.translate] alone, and
+   translate plus the first invocation (microseconds, best repetition,
+   and minor words per call). These columns are informational; nothing
+   gates them.
+
    Usage:
      wall.exe [--check]    --check exits 1 unless translation is >= 5x
                            faster than the interpreter on the encryption
@@ -252,6 +258,13 @@ type measurement = {
   interp_s : float;
   trans_s : float;
   trans_words : float;  (* minor words per translated invocation *)
+  (* What a translation cache miss costs: [Jit.translate] alone, then
+     translate plus the first invocation, which compiles every segment
+     that invocation enters. Seconds and minor words per call. *)
+  translate_s : float;
+  translate_words : float;
+  first_s : float;
+  first_words : float;
   blocks : int;
   fused : int;
   elided : int;
@@ -276,6 +289,19 @@ let minor_words_per_invocation run =
   done;
   let w1 = Gc.minor_words () in
   Float.max 0. (w1 -. w0 -. probe) /. float_of_int alloc_rounds
+
+(* Minor-heap words of one call of [run], after two warmup calls. A
+   fresh translation allocates the same words every time, so one call
+   is exact. *)
+let minor_words_per_call run =
+  run ();
+  run ();
+  let p0 = Gc.minor_words () in
+  let p1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  run ();
+  let w1 = Gc.minor_words () in
+  Float.max 0. (w1 -. w0 -. (p1 -. p0))
 
 let measure_code ~name ~code ~safe w =
   let trans = Jit.translate ?safe code in
@@ -308,6 +334,17 @@ let measure_code ~name ~code ~safe w =
   in
   let interp_s, trans_s = time_pair run_interp run_trans in
   let trans_words = minor_words_per_invocation run_trans in
+  (* Cold cost: every call translates afresh, so the first-run runner
+     pays each first-entry compile its invocation reaches. *)
+  let translate () = ignore (Jit.translate ?safe code : Jit.t) in
+  let translate_and_run () =
+    let fresh = Jit.translate ?safe code in
+    Cpu.reset tcpu;
+    w.setup tcpu;
+    Cpu.refuel tcpu fuel;
+    ignore (Jit.run env tcpu fresh : Cpu.outcome)
+  in
+  let translate_s, first_s = time_pair translate translate_and_run in
   {
     wname = name;
     interp_insns = si.insns;
@@ -315,6 +352,10 @@ let measure_code ~name ~code ~safe w =
     interp_s;
     trans_s;
     trans_words;
+    translate_s;
+    translate_words = minor_words_per_call translate;
+    first_s;
+    first_words = minor_words_per_call translate_and_run;
     blocks = Jit.block_count trans;
     fused = Jit.fused_pairs trans;
     elided = Jit.elided_accesses trans;
@@ -348,6 +389,7 @@ let measure_verified w verifier ~baseline =
       }
 
 let ns s = s *. 1e9
+let us s = s *. 1e6
 
 let row_json m =
   let mode_row ?words label secs insns =
@@ -367,7 +409,14 @@ let row_json m =
     let extra =
       match words with
       | None -> []
-      | Some w -> [ ("minor_words_per_invocation", Json.Float w) ]
+      | Some w ->
+          [
+            ("minor_words_per_invocation", Json.Float w);
+            ("translate_us", Json.Float (us m.translate_s));
+            ("translate_minor_words", Json.Float m.translate_words);
+            ("first_invocation_us", Json.Float (us m.first_s));
+            ("first_invocation_minor_words", Json.Float m.first_words);
+          ]
     in
     Json.Obj (base @ extra)
   in
@@ -381,18 +430,26 @@ let row_json m =
 let report ms =
   Printf.printf
     "== Wall-clock: interpreter vs. closure-threaded translation ==\n\
-     %-14s %12s %14s %14s %10s %10s %8s %6s %6s\n"
+     %-14s %12s %14s %14s %10s %10s %8s %6s %6s %8s %9s %8s %9s\n"
     "graft" "insns/invoc" "interp ns/insn" "trans ns/insn" "speedup"
-    "words/inv" "blocks" "fused" "bare";
+    "words/inv" "blocks" "fused" "bare" "xlate us" "xlate wd" "1st us"
+    "1st wd";
   List.iter
     (fun m ->
-      Printf.printf "%-14s %12d %14.2f %14.2f %9.2fx %10.3f %8d %6d %6d\n"
+      Printf.printf
+        "%-14s %12d %14.2f %14.2f %9.2fx %10.3f %8d %6d %6d %8.1f %9.0f \
+         %8.1f %9.0f\n"
         m.wname m.trans_insns
         (ns m.interp_s /. float_of_int m.interp_insns)
         (ns m.trans_s /. float_of_int m.trans_insns)
         (m.interp_s /. m.trans_s)
-        m.trans_words m.blocks m.fused m.elided)
+        m.trans_words m.blocks m.fused m.elided (us m.translate_s)
+        m.translate_words (us m.first_s) m.first_words)
     ms;
+  print_string
+    "(xlate: Jit.translate alone; 1st: translate plus the first \
+     invocation, which compiles the segments it enters; per call, \
+     ungated)\n";
   let j =
     Json.Obj
       [

@@ -151,9 +151,12 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
    with and without a certificate compiles differently, and a changed
    proof must never serve a stale compiled graft. The mutex makes the
    cache safe under concurrent loads from a domain pool ([Pool.map] /
-   [-j N]); OCaml's Hashtbl is not. Holding it across the translation
-   serialises same-kernel compiles, which is fine — translations are
-   pure and loads are not the hot path.
+   [-j N]); OCaml's Hashtbl is not. Holding it across [Jit.translate] is
+   cheap: translation builds only static tables and stubs. Segments
+   compile later, on first entry, outside the mutex and into the cached
+   translation every load of the same code shares; domains racing on a
+   first entry each compile an equivalent closure, which is benign (see
+   {!Vino_vm.Jit}).
 
    The cache is bounded: [jit_cache_cap] entries, LRU eviction. Evicting
    an entry never invalidates running grafts — {!Linker.load} stores the

@@ -2,7 +2,7 @@
 
    The interpreter ({!Cpu.run}) pays a constructor match, a cost-table
    lookup, a fuel check and a poll check on every instruction. Here all
-   of that is done once, at translation time:
+   of that is paid once per compiled segment:
 
    - the program is split into basic blocks (leaders: pc 0, every
      branch/jump/call target, every instruction after a terminator);
@@ -14,6 +14,13 @@
      MiSFIT access sequence — plus [Li]+[Alu(i)] and [Alu(i)]+[Br]);
    - the fuel and abort-poll checks run once per block, not once per
      instruction.
+
+   {!translate} does only the O(n) part, at link time: leaders, the
+   static cost/length tables and the per-instruction slow closures.
+   Every compiled segment starts as a one-shot stub that compiles the
+   segment on its first entry and writes the result over itself
+   ({!on_first_entry}), so a graft pays to compile only the code it
+   runs.
 
    Equivalence with the interpreter is maintained exactly; the argument
    (DESIGN.md §11) rests on two mechanisms:
@@ -68,15 +75,19 @@ let finish ctx o =
 type t = {
   source : Insn.t array;
   nblocks : int;
-  fused : int;
-  elided : int;
-  (* Accesses compiled as bare (non-flushing) superinstructions because a
-     carried proof marks them unable to fault. *)
+  (* What {!census} recompiles to count fusions on demand: the cost
+     table, the proof map and every block head with a compiled tail, as
+     [(start, stop)]. *)
+  costs : Costs.t;
+  safe_at : int -> bool;
+  heads : (int * int) list;
   (* Per-pc tails: [body_of_pc.(pc)] executes from [pc] to the end of
      its basic block, charging [cost_of_pc.(pc)] cycles over
-     [len_of_pc.(pc)] instructions. Compiling every suffix (not just
-     block heads) keeps execution on the fast path when a slice or an
-     abort poll resumes mid-block. *)
+     [len_of_pc.(pc)] instructions. Every suffix (not just block heads)
+     has a tail, which keeps execution on the fast path when a slice or
+     an abort poll resumes mid-block. Like every compiled slot below, a
+     tail holds a one-shot stub until its first entry
+     ({!on_first_entry}). *)
   body_of_pc : (ctx -> int) array;
   cost_of_pc : int array;
   len_of_pc : int array;
@@ -115,9 +126,6 @@ type t = {
 }
 
 let source t = t.source
-let block_count t = t.nblocks
-let fused_pairs t = t.fused
-let elided_accesses t = t.elided
 
 (* -------------------------------------------------------------------- *)
 (* Pre-resolved operators                                                *)
@@ -283,7 +291,7 @@ let confined_at prog ~safe_at ~stop pc : confined option =
    and its access count joins the pending accumulator. *)
 (* Fast bodies index the register file with compile-time register
    numbers that [translate] validates up front (a program that fails
-   validation gets slow stubs only — see [regs_ok] there), and the
+   validation gets slow closures only — see [regs_ok] there), and the
    program array with indices guarded by [stop <= Array.length prog],
    so indexing inside [compile_block] is unchecked: the [Array] shadow
    is scoped to this submodule. The slow path and everything else keep
@@ -1603,7 +1611,7 @@ let compile_slow ~costs pc (i : Insn.t) : ctx -> int =
 
 (* Cross-block fusion cap: a fused segment longer than the poll interval
    could never pass the fast-entry poll condition, so extending past it
-   only costs translation time. *)
+   only costs compile time. *)
 let xblock_cap = 32
 
 (* Prefix-ladder levels: lengths 2^0 .. 2^5; 32 covers a full default
@@ -1613,6 +1621,22 @@ let grade_levels = 6
 (* The abort-poll interval {!Cpu.run} defaults to; unrolled self-loop
    tails are sized so a whole window's worth of iterations fits. *)
 let default_poll_every = 32
+
+(* A compiled slot starts as this one-shot stub. Its first call compiles
+   the slot ([compile a b]), writes the result over itself and
+   tail-calls it; from then on the driver reads the compiled closure
+   straight from the slot, so the warm path is the one an eager
+   translation would run. No compiled closure reads a slot, so a stub is
+   never captured and re-run. Two domains racing on a first entry each
+   compile an equivalent closure and each store theirs: under OCaml 5's
+   memory model a reader sees the stub or a fully initialised closure,
+   and either is correct, so no lock is needed. *)
+let on_first_entry (slots : (ctx -> int) array) i compile a b =
+  slots.(i) <-
+    (fun ctx ->
+      let f = compile a b in
+      slots.(i) <- f;
+      f ctx)
 
 let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   let source = Array.copy prog in
@@ -1629,7 +1653,7 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   (* Unchecked register indexing in fast bodies is licensed by this scan;
      a program with an out-of-range register number (impossible through
      the assembler, but [translate] is a public API) runs entirely on
-     slow stubs, whose checked accesses raise exactly what the
+     slow closures, whose checked accesses raise exactly what the
      interpreter would. *)
   let regs_ok =
     Array.for_all
@@ -1654,9 +1678,23 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       | Br _ -> ()
       | i -> if terminates i && pc + 1 < n then leader.(pc + 1) <- true)
     prog;
-  let fused = ref 0 in
-  let elided = ref 0 in
+  let sum_cost lo hi =
+    let cost = ref 0 in
+    for m = lo to hi - 1 do
+      cost := !cost + Costs.insn costs prog.(m)
+    done;
+    !cost
+  in
+  (* What a tail or ladder slot compiles on its first entry. The fusion
+     counts land in [scrap], which nothing reads ({!census} recounts the
+     block heads), so domains racing on it are harmless. *)
+  let scrap = ref 0 in
+  let compile_range start stop =
+    compile_block ~costs ~safe_at prog ~start ~stop ~fused:scrap
+      ~elided:scrap
+  in
   let nblocks = ref 0 in
+  let heads = ref [] in
   let slow = Array.mapi (fun k i -> compile_slow ~costs k i) prog in
   let body_of_pc = Array.make n (fun ctx -> finish ctx Cpu.Halted) in
   let cost_of_pc = Array.make n 0 in
@@ -1669,12 +1707,13 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   let grade_len = Array.init grade_levels (fun _ -> Array.make n 0) in
   let exact_body = Array.make n [||] in
   let exact_cost = Array.make n [||] in
-  (* Compiling a tail for every suffix of a block is quadratic in block
-     length; past this cap a pc keeps its slow closure as a
-     one-instruction tail (same semantics, and the fast-entry conditions
-     stay trivially exact), bounding translation to [tail_cap * n]
-     closures. Suffixes longer than the poll interval could never pass
-     the fast-entry poll condition anyway. *)
+  (* Compiling a tail for every suffix of a block would be quadratic in
+     block length; tails compile on first entry, so only suffixes a run
+     enters are compiled, and this cap bounds each one. Past it a pc
+     keeps its slow closure as a one-instruction tail (same semantics,
+     and the fast-entry conditions stay trivially exact). Suffixes
+     longer than the poll interval could never pass the fast-entry poll
+     condition anyway. *)
   let tail_cap = 64 in
   let ends pc =
     match (prog.(pc) : Insn.t) with
@@ -1706,33 +1745,20 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       incr j
     done;
     let bstop = !j + 1 in
-    let scrap = ref 0 in
     for k = start to bstop - 1 do
       let stop = tail_stop k in
-      let sum_cost lo hi =
-        let cost = ref 0 in
-        for m = lo to hi - 1 do
-          cost := !cost + Costs.insn costs prog.(m)
-        done;
-        !cost
-      in
       if regs_ok && stop - k <= tail_cap then begin
-        let f = if k = start then fused else scrap in
-        let e = if k = start then elided else scrap in
-        body_of_pc.(k) <-
-          compile_block ~costs ~safe_at prog ~start:k ~stop ~fused:f
-            ~elided:e;
+        if k = start then heads := (k, stop) :: !heads;
+        on_first_entry body_of_pc k compile_range k stop;
         len_of_pc.(k) <- stop - k;
         cost_of_pc.(k) <- sum_cost k stop;
-        (* Prefix ladder: one compiled prefix per power-of-two length
-           strictly shorter than the full tail. *)
+        (* Prefix ladder: one prefix per power-of-two length strictly
+           shorter than the full tail. *)
         let flen = stop - k in
         for j = 0 to grade_levels - 1 do
           let gl = 1 lsl j in
           if gl < flen then begin
-            grade_body.(j).(k) <-
-              compile_block ~costs ~safe_at prog ~start:k ~stop:(k + gl)
-                ~fused:scrap ~elided:scrap;
+            on_first_entry grade_body.(j) k compile_range k (k + gl);
             grade_len.(j).(k) <- gl;
             grade_cost.(j).(k) <- sum_cost k (k + gl)
           end
@@ -1754,9 +1780,9 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     incr nblocks;
     pc := bstop
   done;
-  (* Unrolled self-loops, second pass (every tail is compiled by now). A
-     head [h] whose full tail ends with [Jmp h] is a straight-line loop
-     body. Every pc inside the loop gets one closure chain per possible
+  (* Unrolled self-loops, second pass (every tail's length is known by
+     now). A head [h] whose full tail ends with [Jmp h] is a straight-line
+     loop body. Every pc inside the loop gets one chain slot per possible
      remaining-window size, consuming exactly that many instructions:
      the rest of the current pass, whole copies of the body, and a
      prefix of the last pass cut at the window boundary — so a dispatch
@@ -1770,7 +1796,6 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
      within a single block). [extra_back] extends an early exit's
      not-run count over the chained copies, keeping the driver's poll
      arithmetic exact. *)
-  let scrap = ref 0 in
   for h = 0 to n - 1 do
     let flen = len_of_pc.(h) in
     let stop = h + flen in
@@ -1784,13 +1809,6 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       | Jmp target -> target = h
       | _ -> false
     then begin
-      let sum_cost lo hi =
-        let cost = ref 0 in
-        for m = lo to hi - 1 do
-          cost := !cost + Costs.insn costs prog.(m)
-        done;
-        !cost
-      in
       let lcost = cost_of_pc.(h) in
       (* [window start room pend]: a chain executing exactly [room]
          unrolled instructions from [start], entered with [pend]
@@ -1813,7 +1831,7 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
           let xb = Array.make (default_poll_every + 1) body_of_pc.(k) in
           let xc = Array.make (default_poll_every + 1) 0 in
           for room = 1 to default_poll_every do
-            xb.(room) <- window k room (0, 0, 0, 0);
+            on_first_entry xb room (window k) room (0, 0, 0, 0);
             xc.(room) <-
               (if room < p then sum_cost k (k + room)
                else
@@ -1829,8 +1847,9 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   {
     source;
     nblocks = !nblocks;
-    fused = !fused;
-    elided = !elided;
+    costs;
+    safe_at;
+    heads = !heads;
     body_of_pc;
     cost_of_pc;
     len_of_pc;
@@ -1841,6 +1860,28 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     exact_cost;
     slow;
   }
+
+let block_count t = t.nblocks
+
+(* Fusion statistics, counted on demand by compiling every block-head
+   tail afresh into local counters: the same compilation a head's first
+   entry runs, so the figures describe what executes. Translation itself
+   compiles nothing and no counter is shared, so concurrent callers
+   cannot race; every caller ([vino inspect], the cache listing, the
+   wall bench) is cold. *)
+let census t =
+  let fused = ref 0 and elided = ref 0 in
+  List.iter
+    (fun (start, stop) ->
+      ignore
+        (compile_block ~costs:t.costs ~safe_at:t.safe_at t.source ~start
+           ~stop ~fused ~elided
+          : ctx -> int))
+    t.heads;
+  (!fused, !elided)
+
+let fused_pairs t = fst (census t)
+let elided_accesses t = snd (census t)
 
 (* -------------------------------------------------------------------- *)
 (* Driver                                                                *)

@@ -2,11 +2,22 @@
 
     {!Cpu.run} is a switch-dispatch interpreter: every instruction
     re-matches its constructor, re-looks-up its cycle cost and re-checks
-    fuel and the abort poll. [translate] does all of that once, at link
-    time: the program is decomposed into basic blocks, each instruction
-    becomes a pre-resolved OCaml closure (direct threading), hot
-    superinstruction pairs are fused, and the fuel/poll checks are hoisted
-    to block boundaries.
+    fuel and the abort poll. Translation does all of that once per
+    compiled segment: the program is decomposed into basic blocks, each
+    instruction becomes a pre-resolved OCaml closure (direct threading),
+    hot superinstruction pairs are fused, and the fuel/poll checks are
+    hoisted to block boundaries.
+
+    Segments compile on first entry. At link time [translate] builds
+    only the O(n) static tables (block leaders, per-pc cycle and length
+    sums, the per-instruction slow closures) and a one-shot stub per
+    compiled segment. On its first call a stub compiles its segment,
+    writes the closure over itself and tail-calls it, so code a graft
+    never runs is never compiled, and from the second entry on the
+    driver runs exactly what an eager translation would. Two domains
+    entering the same uncompiled segment at once each compile an
+    equivalent closure; either store is correct, so one [t] is shared
+    across a domain pool without a lock.
 
     The translation is {b bit-identical} to the interpreter at every
     observable point: [cycles], [insns_executed], [mem_accesses],
@@ -21,8 +32,10 @@
     equivalence argument. *)
 
 type t
-(** A translated program. Immutable; safe to reuse across invocations and
-    to cache per kernel keyed by graft signature. *)
+(** A translated program. Observably immutable (its only mutation is a
+    stub replacing itself with the closure it compiled), so it is safe to
+    reuse across invocations and domains and to cache per kernel keyed by
+    graft signature. *)
 
 type mode = Interp | Translated
 
@@ -32,9 +45,11 @@ val default_mode : mode ref
 
 val translate :
   ?costs:Costs.t -> ?safe:bool array -> ?xblock:bool -> Insn.t array -> t
-(** Compile a validated program against a cost table. [costs] must equal
-    the table the executing {!Cpu.t} was created with, or cycle accounting
-    diverges from the interpreter.
+(** Translate a validated program against a cost table: the static
+    tables and first-entry stubs only (see above); no segment compiles
+    until a run enters it. [costs] must equal the table the executing
+    {!Cpu.t} was created with, or cycle accounting diverges from the
+    interpreter.
 
     [xblock] (default [true]) widens superinstruction fusion across
     basic-block boundaries: a block that ends only because its successor
@@ -74,7 +89,10 @@ val run : ?poll_every:int -> Cpu.env -> Cpu.t -> t -> Cpu.outcome
 val source : t -> Insn.t array
 (** The program the translation was built from. *)
 
-(* Translation statistics, for [vino inspect]. *)
+(* Translation statistics, for [vino inspect] and the cache listing.
+   [fused_pairs] and [elided_accesses] compile the block heads afresh
+   into local counters on every call (translation itself compiles
+   nothing), so they are for cold callers. *)
 
 val block_count : t -> int
 val fused_pairs : t -> int

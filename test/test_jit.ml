@@ -17,6 +17,12 @@
      [Checkcall] predicate ran, under several poll intervals including
      poll-every-instruction and an abort that fires mid-run.
 
+   Segments compile on first entry, so each (seed, variant) is
+   translated once and that one translation runs under every config:
+   segments first compiled under one fuel/poll/abort config are
+   re-entered under the next. One case runs a single translation from
+   four domains at once.
+
    A final golden test renders Tables 3-7 to JSON under both execution
    modes and requires the bytes to be identical. *)
 
@@ -242,27 +248,26 @@ let run_mode ~init_regs ~init_mem cfg step_of code =
              (Array.map string_of_int (Mem.blit_out mem 0 mem_words)))));
   Buffer.contents buf
 
-let interp_step env cpu code ~poll_every () = Cpu.run ~poll_every env cpu code
+let render_interp ~init_regs ~init_mem cfg code =
+  run_mode ~init_regs ~init_mem cfg
+    (fun env cpu code () -> Cpu.run ~poll_every:cfg.poll_every env cpu code)
+    code
 
-let trans_step trans env cpu _code ~poll_every () =
-  Jit.run ~poll_every env cpu trans
+let render_trans ~init_regs ~init_mem cfg trans =
+  run_mode ~init_regs ~init_mem cfg
+    (fun env cpu _ () -> Jit.run ~poll_every:cfg.poll_every env cpu trans)
+    (Jit.source trans)
 
-let differential ~seed ~vname ~cfg ~init_regs ~init_mem ?safe code =
-  let a =
-    run_mode ~init_regs ~init_mem cfg
-      (fun env cpu code () -> interp_step env cpu code ~poll_every:cfg.poll_every ())
-      code
-  in
+(* One translation per (seed, variant), shared by every config. *)
+let differential ~seed ~vname ~init_regs ~init_mem ?safe code =
   let trans = Jit.translate ?safe code in
-  let b =
-    run_mode ~init_regs ~init_mem cfg
-      (fun env cpu code () ->
-        trans_step trans env cpu code ~poll_every:cfg.poll_every ())
-      code
-  in
-  Alcotest.(check string)
-    (Printf.sprintf "seed=%d %s %s" seed vname cfg.cname)
-    a b
+  List.iter
+    (fun cfg ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed=%d %s %s" seed vname cfg.cname)
+        (render_interp ~init_regs ~init_mem cfg code)
+        (render_trans ~init_regs ~init_mem cfg trans))
+    configs
 
 (* ------------------------------------------------------------------ *)
 (* The corpus                                                          *)
@@ -313,18 +318,19 @@ let variant_enabled =
       let names = String.split_on_char ',' s in
       fun v -> List.mem v names
 
-let run_seed seed =
+let corpus_case seed =
   let st = Random.State.make [| 0xD1FF; seed |] in
   let source = gen_program st in
   let vs = variants st source in
   let init_regs, init_mem = init_for st in
+  (vs, init_regs, init_mem)
+
+let run_seed seed =
+  let vs, init_regs, init_mem = corpus_case seed in
   List.iter
     (fun (vname, code, safe) ->
       if variant_enabled vname then
-        List.iter
-          (fun cfg ->
-            differential ~seed ~vname ~cfg ~init_regs ~init_mem ?safe code)
-          configs)
+        differential ~seed ~vname ~init_regs ~init_mem ?safe code)
     vs;
   (* how many variants actually carried a proof (before filtering), so
      the corpus test can assert the proof-carrying path is exercised,
@@ -338,32 +344,23 @@ let run_seed seed =
    closures the program compiles to. This pins the widened fusion
    (access groups, mega loop passes, exact-window unrolling) to the
    unfused translation over the whole corpus. *)
-let differential_xblock ~seed ~vname ~cfg ~init_regs ~init_mem ?safe code =
-  let run trans =
-    run_mode ~init_regs ~init_mem cfg
-      (fun env cpu code () ->
-        trans_step trans env cpu code ~poll_every:cfg.poll_every ())
-      code
-  in
-  let fused = run (Jit.translate ?safe ~xblock:true code) in
-  let unfused = run (Jit.translate ?safe ~xblock:false code) in
-  Alcotest.(check string)
-    (Printf.sprintf "seed=%d %s %s fused-xblock" seed vname cfg.cname)
-    fused unfused
+let differential_xblock ~seed ~vname ~init_regs ~init_mem ?safe code =
+  let fused = Jit.translate ?safe ~xblock:true code in
+  let unfused = Jit.translate ?safe ~xblock:false code in
+  List.iter
+    (fun cfg ->
+      let render = render_trans ~init_regs ~init_mem cfg in
+      Alcotest.(check string)
+        (Printf.sprintf "seed=%d %s %s fused-xblock" seed vname cfg.cname)
+        (render fused) (render unfused))
+    configs
 
 let run_seed_xblock seed =
-  let st = Random.State.make [| 0xD1FF; seed |] in
-  let source = gen_program st in
-  let vs = variants st source in
-  let init_regs, init_mem = init_for st in
+  let vs, init_regs, init_mem = corpus_case seed in
   List.iter
     (fun (vname, code, safe) ->
       if variant_enabled vname then
-        List.iter
-          (fun cfg ->
-            differential_xblock ~seed ~vname ~cfg ~init_regs ~init_mem ?safe
-              code)
-          configs)
+        differential_xblock ~seed ~vname ~init_regs ~init_mem ?safe code)
     vs;
   0
 
@@ -396,13 +393,68 @@ let test_corpus_xblock () =
   in
   ignore (results : int list)
 
+(* A single translation entered from four domains at once: every
+   segment's first entry races, so a domain may run a stub, the closure
+   it just compiled, or one another domain stored. Every rendering must
+   still equal the interpreter's. The corpus seeds are joined by the
+   MiSFIT-rewritten encryption loop, whose exact-window slots random
+   programs rarely reach. *)
+let crypt_source = Vino_stream.Grafts.xor_encrypt_source ~key:0x5EC2E7
+
+let crypt_case () =
+  let code =
+    match Rewrite.process (Asm.assemble_exn crypt_source).Asm.code with
+    | Ok code -> code
+    | Error e -> Alcotest.fail e
+  in
+  let init_regs =
+    Array.init Insn.num_regs (fun k ->
+        match k with
+        | 1 -> seg_base
+        | 2 -> seg_base + (seg_size / 2)
+        | 3 -> seg_size / 2
+        | _ when k = Insn.sp -> seg_base + seg_size
+        | _ -> 0)
+  in
+  ([ ("rewritten", code, None) ], init_regs, Array.init mem_words Fun.id)
+
+let test_shared_across_domains () =
+  let pool = Vino_par.Pool.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Vino_par.Pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (label, (vs, init_regs, init_mem)) ->
+          List.iter
+            (fun (vname, code, safe) ->
+              if variant_enabled vname then begin
+                let trans = Jit.translate ?safe code in
+                let jobs = List.concat (List.init 4 (fun _ -> configs)) in
+                let renders =
+                  Vino_par.Pool.map ~pool
+                    (fun cfg -> render_trans ~init_regs ~init_mem cfg trans)
+                    jobs
+                in
+                List.iter2
+                  (fun cfg got ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s %s %s, one translation on 4 domains"
+                         label vname cfg.cname)
+                      (render_interp ~init_regs ~init_mem cfg code)
+                      got)
+                  jobs renders
+              end)
+            vs)
+        (("crypt", crypt_case ())
+        :: List.init 8 (fun k ->
+               (Printf.sprintf "seed=%d" (k + 1), corpus_case (k + 1)))))
+
 (* ------------------------------------------------------------------ *)
 (* Edge cases                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_empty_program () =
-  let cfg = List.hd configs in
-  differential ~seed:0 ~vname:"empty" ~cfg
+  differential ~seed:0 ~vname:"empty"
     ~init_regs:(Array.make Insn.num_regs 0)
     ~init_mem:(Array.make mem_words 0) [||]
 
@@ -434,21 +486,90 @@ let test_checked_fallback () =
   Alcotest.(check int) "same cycles (incl. check charges)" ci ct;
   Alcotest.(check int) "same memory" mi mt
 
-let test_translation_shape () =
-  (* The encryption loop translates to a handful of blocks with the
-     MiSFIT access triples fused; sanity-check the stats are exposed. *)
-  let code =
-    (Asm.assemble_exn (Vino_stream.Grafts.xor_encrypt_source ~key:1)).Asm.code
-  in
-  match Rewrite.process code with
+(* The paper grafts sealed as bench/wall.exe seals them: the MiSFIT safe
+   path with imports patched to a stub id, and the encryption graft
+   sealed proof-carrying under its entry facts (a 16K-word segment, 2048
+   words each side). *)
+let wall_seg_words = 1 lsl 14
+
+let crypt_verifier =
+  Vino_verify.Verify.config
+    ~entry:
+      [
+        (1, Vino_verify.Verify.seg_window ());
+        (2, Vino_verify.Verify.seg_window ~off:2048 ());
+        (3, Vino_verify.Verify.arg_at_most 2048);
+      ]
+    ~words:wall_seg_words ()
+
+let wall_sealed ?verifier source =
+  match
+    Vino_misfit.Image.seal ?verifier ~key:"test" (Asm.assemble_exn source)
+  with
   | Error e -> Alcotest.fail e
-  | Ok rewritten ->
-      let t = Jit.translate rewritten in
-      Alcotest.(check bool) "has blocks" true (Jit.block_count t > 0);
-      Alcotest.(check bool) "fused the access sequences" true
-        (Jit.fused_pairs t >= 2);
-      Alcotest.(check int) "keeps the source" (Array.length rewritten)
-        (Array.length (Jit.source t))
+  | Ok image ->
+      let code = Array.copy image.Vino_misfit.Image.code in
+      List.iter
+        (fun r -> code.(r.Asm.index) <- Insn.Kcall 1)
+        image.Vino_misfit.Image.relocs;
+      (code, Option.map Vino_verify.Proof.safe image.Vino_misfit.Image.proof)
+
+let stats t = (Jit.block_count t, Jit.fused_pairs t, Jit.elided_accesses t)
+
+(* Pinned: [vino inspect], [Kernel.translation_stats] and the wall
+   columns print these, and they are recounted from the block heads on
+   demand, since translation compiles nothing. *)
+let test_translation_shape () =
+  List.iter
+    (fun (name, (code, safe), expect) ->
+      let t = Jit.translate ?safe code in
+      Alcotest.(check (triple int int int))
+        (name ^ ": blocks/fused/bare") expect (stats t);
+      Alcotest.(check int) (name ^ ": keeps the source") (Array.length code)
+        (Array.length (Jit.source t)))
+    [
+      ( "readahead",
+        wall_sealed
+          (Vino_fs.Readahead.app_directed_source ~lock_kcall:"ra.lock"),
+        (3, 5, 0) );
+      ( "evict",
+        wall_sealed (Vino_vmem.Grafts.protect_hot_pages_source ()),
+        (10, 15, 0) );
+      ( "sched",
+        wall_sealed (Vino_sched.Grafts.scan_and_return_self_source ()),
+        (6, 7, 0) );
+      ("crypt", wall_sealed crypt_source, (3, 22, 0));
+      ( "crypt-verified",
+        wall_sealed ~verifier:crypt_verifier crypt_source,
+        (3, 14, 4) );
+    ]
+
+(* Translation builds only static tables and first-entry stubs, and the
+   first run compiles only the segments it enters, so translating the
+   encryption graft and running it once stays within a small fixed
+   allocation budget. Allocation counts are exact, so the bound holds on
+   any machine. *)
+let test_first_entry_alloc () =
+  let code, _ = wall_sealed crypt_source in
+  let base = wall_seg_words in
+  let mem = Mem.create (2 * wall_seg_words) in
+  for k = 0 to 2047 do
+    Mem.store mem (base + k) k
+  done;
+  let cpu = Cpu.make ~mem ~seg:(Mem.segment ~base ~size:wall_seg_words) () in
+  Cpu.set_reg cpu 1 base;
+  Cpu.set_reg cpu 2 (base + 2048);
+  Cpu.set_reg cpu 3 2048;
+  let w0 = Gc.minor_words () in
+  let t = Jit.translate code in
+  let outcome = Jit.run Cpu.env_trusted cpu t in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "halts" true (outcome = Cpu.Halted);
+  Alcotest.(check bool)
+    (Printf.sprintf "translate + first run: %.0f minor words <= 15600" words)
+    true (words <= 15_600.);
+  Alcotest.(check (triple int int int))
+    "statistics unchanged by running" (3, 22, 0) (stats t)
 
 (* ------------------------------------------------------------------ *)
 (* Golden test: Tables 3-7 under both modes                            *)
@@ -596,10 +717,14 @@ let suite =
         Alcotest.test_case "differential fuzz corpus" `Quick test_corpus;
         Alcotest.test_case "fused-xblock differential over corpus" `Quick
           test_corpus_xblock;
+        Alcotest.test_case "one translation shared by 4 domains" `Quick
+          test_shared_across_domains;
         Alcotest.test_case "empty program" `Quick test_empty_program;
         Alcotest.test_case "checked-mode fallback" `Quick
           test_checked_fallback;
         Alcotest.test_case "translation shape" `Quick test_translation_shape;
+        Alcotest.test_case "translate + first run allocation" `Quick
+          test_first_entry_alloc;
         Alcotest.test_case "tables 3-7 golden across modes" `Quick
           test_tables_golden;
         Alcotest.test_case "cache keyed by digest + proof hash" `Quick
