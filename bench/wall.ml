@@ -5,7 +5,8 @@
    measures the one thing that is allowed to differ — how long the host
    takes to execute a graft — on the four paper grafts, MiSFIT-rewritten
    (the safe path), run to completion under a permissive stub
-   environment.
+   environment, and on the disaster rig's runaway graft ([spin: Jmp
+   spin]), run until the rig's per-invocation cycle budget is spent.
 
    The timed loops recycle one cpu per (graft, mode): each invocation is
    [Cpu.reset] + argument registers + [Cpu.refuel] + run, with no
@@ -13,8 +14,9 @@
    performs zero minor-heap allocations (measured and gated below).
    Memory images are initialised once. Before timing, both modes run
    once on a fresh cpu and every architectural observable (outcome,
-   cycles, instruction/access counters, registers) is asserted equal, so
-   the numbers compare the same computation.
+   cycles, instruction/access counters, registers) is asserted equal,
+   and the outcome is asserted to be the row's expected one, so the
+   numbers compare the same computation.
 
    The encryption graft is additionally measured proof-carrying
    ("crypt-verified"): sealed under the static verifier with the graft
@@ -31,10 +33,10 @@
    Usage:
      wall.exe [--check]    --check exits 1 unless translation is >= 5x
                            faster than the interpreter on the encryption
-                           graft and >= 6x on its proof-carrying variant,
-                           and every translated graft allocates 0 minor
-                           words per invocation (the ISSUE acceptance
-                           bars)
+                           graft, >= 6x on its proof-carrying variant and
+                           >= 10x on the runaway spin, and every
+                           translated graft allocates 0 minor words per
+                           invocation
 
    Writes BENCH_wall.json (schema vino-bench-v1; table name "wall").
    The gate skips it: host time is machine-dependent, informational
@@ -58,6 +60,8 @@ type workload = {
   source : Asm.item list;
   init : Mem.t -> unit;  (* one-time memory image *)
   setup : Cpu.t -> unit;  (* per-invocation argument registers *)
+  fuel : int;  (* per-invocation cycle budget *)
+  expect : Cpu.outcome;  (* how every invocation must end *)
 }
 
 (* Stub kernel environment: every kernel call succeeds without touching
@@ -74,13 +78,22 @@ let workloads =
   [
     (* one-instruction graft: the whole invocation is entry dispatch, so
        this row is the pure per-invocation overhead of each mode *)
-    { name = "nop"; source = [ Asm.Halt ]; init = ignore; setup = ignore };
+    {
+      name = "nop";
+      source = [ Asm.Halt ];
+      init = ignore;
+      setup = ignore;
+      fuel;
+      expect = Cpu.Halted;
+    };
     (* app-directed read-ahead (Table 3): dispatch-dominated *)
     {
       name = "readahead";
       source = Vino_fs.Readahead.app_directed_source ~lock_kcall:"ra.lock";
       init = (fun mem -> Mem.store mem (seg_base + Vino_fs.Readahead.pattern_slot) 17);
       setup = (fun cpu -> Cpu.set_reg cpu 4 seg_base);
+      fuel;
+      expect = Cpu.Halted;
     };
     (* protect-hot-pages eviction (Table 4): scan-heavy *)
     {
@@ -104,6 +117,8 @@ let workloads =
           Cpu.set_reg cpu 2 (seg_base + 128);
           Cpu.set_reg cpu 3 64;
           Cpu.set_reg cpu 4 seg_base);
+      fuel;
+      expect = Cpu.Halted;
     };
     (* scan-process-list delegate (Table 5): call-heavy *)
     {
@@ -119,6 +134,8 @@ let workloads =
           Cpu.set_reg cpu 1 7;
           Cpu.set_reg cpu 2 seg_base;
           Cpu.set_reg cpu 3 128);
+      fuel;
+      expect = Cpu.Halted;
     };
     (* xor encryption of 2048 words (Table 6): the SFI worst case and
        the acceptance workload for the >= 3x speedup bar *)
@@ -135,6 +152,19 @@ let workloads =
           Cpu.set_reg cpu 1 seg_base;
           Cpu.set_reg cpu 2 (seg_base + 2048);
           Cpu.set_reg cpu 3 2048);
+      fuel;
+      expect = Cpu.Halted;
+    };
+    (* the disaster rig's runaway graft (Mutate.diverge), spinning until
+       its per-invocation budget runs out: the cost the rig pays for
+       every infinite-loop, lock-hog and spinning nested-fault trial *)
+    {
+      name = "spin";
+      source = Vino_vm.Mutate.diverge;
+      init = ignore;
+      setup = ignore;
+      fuel = Vino_disaster.Site.graft_budget;
+      expect = Cpu.Out_of_fuel;
     };
   ]
 
@@ -177,10 +207,10 @@ type sample = {
   regs : int array;
 }
 
-let invoke ~mem ~seg ~setup step =
+let invoke ~mem ~seg w step =
   let cpu = Cpu.make ~mem ~seg () in
-  setup cpu;
-  Cpu.refuel cpu fuel;
+  w.setup cpu;
+  Cpu.refuel cpu w.fuel;
   let outcome = step cpu in
   {
     outcome;
@@ -190,7 +220,7 @@ let invoke ~mem ~seg ~setup step =
     regs = Array.copy (cpu : Cpu.t).regs;
   }
 
-let assert_parity name (a : sample) (b : sample) =
+let assert_parity name ~expect (a : sample) (b : sample) =
   if
     a.outcome <> b.outcome
     || a.cycles <> b.cycles
@@ -206,12 +236,11 @@ let assert_parity name (a : sample) (b : sample) =
       Cpu.pp_outcome b.outcome b.cycles b.insns b.accesses;
     exit 2
   end;
-  match a.outcome with
-  | Cpu.Halted -> ()
-  | o ->
-      Format.eprintf "wall: %s: unexpected outcome %a\n" name Cpu.pp_outcome
-        o;
-      exit 2
+  if a.outcome <> expect then begin
+    Format.eprintf "wall: %s: unexpected outcome %a (expected %a)\n" name
+      Cpu.pp_outcome a.outcome Cpu.pp_outcome expect;
+    exit 2
+  end
 
 (* Host timing is noisy (scheduling, frequency scaling), so the two
    modes are timed in alternating repetitions and each reports its best
@@ -309,11 +338,9 @@ let measure_code ~name ~code ~safe w =
   let seg = Mem.segment ~base:seg_base ~size:seg_size in
   w.init mem;
   (* parity on the one-shot harness, outside the timed loops *)
-  let si = invoke ~mem ~seg ~setup:w.setup (fun cpu -> Cpu.run env cpu code) in
-  let st =
-    invoke ~mem ~seg ~setup:w.setup (fun cpu -> Jit.run env cpu trans)
-  in
-  assert_parity name si st;
+  let si = invoke ~mem ~seg w (fun cpu -> Cpu.run env cpu code) in
+  let st = invoke ~mem ~seg w (fun cpu -> Jit.run env cpu trans) in
+  assert_parity name ~expect:w.expect si st;
   (* Timed invocations recycle one cpu per mode. Nothing on this path
      takes an optional argument ([Some] boxes two words), so the
      translated runner is allocation-free in steady state — asserted by
@@ -323,13 +350,13 @@ let measure_code ~name ~code ~safe w =
   let run_interp () =
     Cpu.reset icpu;
     w.setup icpu;
-    Cpu.refuel icpu fuel;
+    Cpu.refuel icpu w.fuel;
     ignore (Cpu.run env icpu code : Cpu.outcome)
   in
   let run_trans () =
     Cpu.reset tcpu;
     w.setup tcpu;
-    Cpu.refuel tcpu fuel;
+    Cpu.refuel tcpu w.fuel;
     ignore (Jit.run env tcpu trans : Cpu.outcome)
   in
   let interp_s, trans_s = time_pair run_interp run_trans in
@@ -341,7 +368,7 @@ let measure_code ~name ~code ~safe w =
     let fresh = Jit.translate ?safe code in
     Cpu.reset tcpu;
     w.setup tcpu;
-    Cpu.refuel tcpu fuel;
+    Cpu.refuel tcpu w.fuel;
     ignore (Jit.run env tcpu fresh : Cpu.outcome)
   in
   let translate_s, first_s = time_pair translate translate_and_run in
@@ -516,5 +543,6 @@ let () =
   if check then begin
     check_bar ms "crypt" 5.0;
     check_bar ms "crypt-verified" 6.0;
+    check_bar ms "spin" 10.0;
     check_alloc ms
   end

@@ -70,10 +70,11 @@ let fingerprint (site : Site.t) ~note ~observed =
    engine — so the kernel snapshot taken right after creation is valid and
    restoring it is byte-equivalent to building a fresh site (the only
    divergence is process-global name counters, which no fingerprint
-   reads). Creation is a large share of a fresh trial's host time but
-   not most of it: on one thread forking makes a campaign roughly 1.3-2x
-   faster (the [wall: forked speedup over fresh] row of
-   [bench/main.exe disaster]); the trial's own work remains. *)
+   reads). Creation is about half of a fresh trial's host time (the
+   per-injector split is in EXPERIMENTS.md): on one thread forking makes
+   a campaign about 1.6-2.2x faster (the [wall: forked speedup over
+   fresh] row of [bench/main.exe disaster]); the trial's own work
+   remains. *)
 let warmed : (Site.family, Site.t * Kernel.snap) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 

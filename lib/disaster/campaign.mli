@@ -14,7 +14,8 @@
     ({!Vino_core.Kernel.snapshot}), and restores that snapshot before
     every trial instead of rebuilding the world. The restored site is
     byte-equivalent to a fresh one — same fingerprints, same report —
-    while skipping the dominant site-construction cost. *)
+    while skipping site construction, about half of a fresh trial's
+    host time. *)
 
 type record = {
   index : int;

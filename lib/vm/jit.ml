@@ -119,7 +119,9 @@ type t = {
      under-fuelled window degrades to the graded path, which meters
      fuel per hop). A zero-length array marks a non-loop pc; an early
      exit reports its not-run remainder through [ctx.back] like any
-     inline branch. *)
+     inline branch. One-instruction loops ([spin: Jmp spin]) are
+     included: a runaway graft spends its whole budget in one, and a
+     window turns its one dispatch per jump into one per poll. *)
   exact_body : (ctx -> int) array array;
   exact_cost : int array array;
   slow : (ctx -> int) array;
@@ -291,7 +293,8 @@ let confined_at prog ~safe_at ~stop pc : confined option =
    and its access count joins the pending accumulator. *)
 (* Fast bodies index the register file with compile-time register
    numbers that [translate] validates up front (a program that fails
-   validation gets slow closures only — see [regs_ok] there), and the
+   validation gets slow closures, bar the exact windows of a lone
+   self-jump, which names no register — see [regs_ok] there), and the
    program array with indices guarded by [stop <= Array.length prog],
    so indexing inside [compile_block] is unchecked: the [Array] shadow
    is scoped to this submodule. The slow path and everything else keep
@@ -1652,9 +1655,10 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   in
   (* Unchecked register indexing in fast bodies is licensed by this scan;
      a program with an out-of-range register number (impossible through
-     the assembler, but [translate] is a public API) runs entirely on
-     slow closures, whose checked accesses raise exactly what the
-     interpreter would. *)
+     the assembler, but [translate] is a public API) runs on slow
+     closures, whose checked accesses raise exactly what the interpreter
+     would; only a lone self-jump, which names no register, still gets
+     its exact windows. *)
   let regs_ok =
     Array.for_all
       (fun i ->
@@ -1795,13 +1799,12 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
      cuts it short, which flushes the carried pends first exactly as
      within a single block). [extra_back] extends an early exit's
      not-run count over the chained copies, keeping the driver's poll
-     arithmetic exact. *)
+     arithmetic exact. A lone [Jmp h] is a loop body too. *)
   for h = 0 to n - 1 do
     let flen = len_of_pc.(h) in
     let stop = h + flen in
     if
-      flen > 1
-      && flen <= default_poll_every
+      flen <= default_poll_every
       && Array.length exact_body.(h) = 0
       && stop <= n
       &&

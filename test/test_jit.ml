@@ -15,7 +15,8 @@
      observes the cpu);
    - how many times the abort flag was polled and how many times the
      [Checkcall] predicate ran, under several poll intervals including
-     poll-every-instruction and an abort that fires mid-run.
+     poll-every-instruction, the disaster rig's own slice and poll
+     cadence, and aborts that fire mid-run.
 
    Segments compile on first entry, so each (seed, variant) is
    translated once and that one translation runs under every config:
@@ -141,6 +142,9 @@ let variants st source =
       ( "diverge",
         asm (Mutate.splice_prelude ~prelude:Mutate.diverge source),
         None );
+      ( "diverge-returns",
+        asm (Mutate.before_returns ~payload:Mutate.diverge source),
+        None );
     ]
   in
   let muts =
@@ -173,6 +177,14 @@ let configs =
       abort_after = Some 7 };
     { cname = "poll-per-insn"; slice = 257; max_slices = 8; poll_every = 1;
       abort_after = None };
+    (* The disaster rig's cadence for a runaway graft: the wrapper's
+       10,000-cycle slices, a poll every 32 instructions. A one-cycle
+       [Jmp] spin runs 10,001 instructions per slice, so every slice ends
+       on the fuel edge 16 instructions (10,000 mod 32) into a window,
+       and the abort appears at the poll halfway through slice 2. *)
+    { cname = "wrapper-slice"; slice = Vino_core.Wrapper.default_slice;
+      max_slices = 3; poll_every = 32;
+      abort_after = Some (3 * Vino_core.Wrapper.default_slice / 2 / 32) };
   ]
 
 (* The kernel-call dispatcher observes the cpu (so translated mode must
@@ -258,12 +270,23 @@ let render_trans ~init_regs ~init_mem cfg trans =
     (fun env cpu _ () -> Jit.run ~poll_every:cfg.poll_every env cpu trans)
     (Jit.source trans)
 
+(* Differential runs return only the renderings that differ, as
+   (label, expected, got). Corpus seeds run on worker domains, so the
+   checks happen in [check_renders] on the test's own domain: Alcotest
+   formats every check through one shared [Format] formatter, which is
+   not safe to use from several domains at once. *)
+let mismatch label want got =
+  if String.equal want got then None else Some (label, want, got)
+
+let check_renders =
+  List.iter (fun (label, want, got) -> Alcotest.(check string) label want got)
+
 (* One translation per (seed, variant), shared by every config. *)
 let differential ~seed ~vname ~init_regs ~init_mem ?safe code =
   let trans = Jit.translate ?safe code in
-  List.iter
+  List.filter_map
     (fun cfg ->
-      Alcotest.(check string)
+      mismatch
         (Printf.sprintf "seed=%d %s %s" seed vname cfg.cname)
         (render_interp ~init_regs ~init_mem cfg code)
         (render_trans ~init_regs ~init_mem cfg trans))
@@ -306,8 +329,8 @@ let init_for st =
 (* One corpus seed is fully self-contained: the generator state, program,
    variants and initial machine state all derive from the seed, so seeds
    shard across domains (VINO_TEST_DOMAINS=N) with no shared state. A
-   failing differential raises out of its domain and Pool.map re-raises
-   the lowest-index failure in the runner. *)
+   worker returns its seed's differing renderings; the runner checks
+   them on its own domain, in seed order. *)
 (* VINO_JIT_VARIANTS narrows the corpus to a comma-separated set of
    variant names ("all" or unset runs everything) — the CI matrix uses
    it to give the proof-carrying variant its own visible job. *)
@@ -327,16 +350,19 @@ let corpus_case seed =
 
 let run_seed seed =
   let vs, init_regs, init_mem = corpus_case seed in
-  List.iter
-    (fun (vname, code, safe) ->
-      if variant_enabled vname then
-        differential ~seed ~vname ~init_regs ~init_mem ?safe code)
-    vs;
+  let diffs =
+    List.concat_map
+      (fun (vname, code, safe) ->
+        if variant_enabled vname then
+          differential ~seed ~vname ~init_regs ~init_mem ?safe code
+        else [])
+      vs
+  in
   (* how many variants actually carried a proof (before filtering), so
      the corpus test can assert the proof-carrying path is exercised,
      not silently skipped *)
-  List.length
-    (List.filter (fun (_, _, safe) -> Option.is_some safe) vs)
+  (List.length (List.filter (fun (_, _, safe) -> Option.is_some safe) vs),
+   diffs)
 
 (* The fused-xblock mode: cross-block fusion on versus off, both
    translated. Fusion must be invisible to every observable — same
@@ -347,51 +373,45 @@ let run_seed seed =
 let differential_xblock ~seed ~vname ~init_regs ~init_mem ?safe code =
   let fused = Jit.translate ?safe ~xblock:true code in
   let unfused = Jit.translate ?safe ~xblock:false code in
-  List.iter
+  List.filter_map
     (fun cfg ->
       let render = render_trans ~init_regs ~init_mem cfg in
-      Alcotest.(check string)
+      mismatch
         (Printf.sprintf "seed=%d %s %s fused-xblock" seed vname cfg.cname)
         (render fused) (render unfused))
     configs
 
 let run_seed_xblock seed =
   let vs, init_regs, init_mem = corpus_case seed in
-  List.iter
+  List.concat_map
     (fun (vname, code, safe) ->
       if variant_enabled vname then
-        differential_xblock ~seed ~vname ~init_regs ~init_mem ?safe code)
-    vs;
-  0
+        differential_xblock ~seed ~vname ~init_regs ~init_mem ?safe code
+      else [])
+    vs
 
 let test_domains =
   match Sys.getenv_opt "VINO_TEST_DOMAINS" with
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
   | None -> 1
 
+let map_seeds f =
+  if test_domains <= 1 then List.map f corpus_seeds
+  else
+    let pool = Vino_par.Pool.create ~domains:test_domains () in
+    Fun.protect
+      ~finally:(fun () -> Vino_par.Pool.shutdown pool)
+      (fun () -> Vino_par.Pool.map ~pool f corpus_seeds)
+
 let test_corpus () =
-  let proved =
-    if test_domains <= 1 then List.map run_seed corpus_seeds
-    else
-      let pool = Vino_par.Pool.create ~domains:test_domains () in
-      Fun.protect
-        ~finally:(fun () -> Vino_par.Pool.shutdown pool)
-        (fun () -> Vino_par.Pool.map ~pool run_seed corpus_seeds)
-  in
+  let results = map_seeds run_seed in
+  List.iter (fun (_, diffs) -> check_renders diffs) results;
   Alcotest.(check bool)
     "corpus exercises the proof-carrying variant" true
-    (List.fold_left ( + ) 0 proved > 0)
+    (List.exists (fun (proved, _) -> proved > 0) results)
 
 let test_corpus_xblock () =
-  let results =
-    if test_domains <= 1 then List.map run_seed_xblock corpus_seeds
-    else
-      let pool = Vino_par.Pool.create ~domains:test_domains () in
-      Fun.protect
-        ~finally:(fun () -> Vino_par.Pool.shutdown pool)
-        (fun () -> Vino_par.Pool.map ~pool run_seed_xblock corpus_seeds)
-  in
-  ignore (results : int list)
+  List.iter check_renders (map_seeds run_seed_xblock)
 
 (* A single translation entered from four domains at once: every
    segment's first entry races, so a domain may run a stub, the closure
@@ -454,9 +474,10 @@ let test_shared_across_domains () =
 (* ------------------------------------------------------------------ *)
 
 let test_empty_program () =
-  differential ~seed:0 ~vname:"empty"
-    ~init_regs:(Array.make Insn.num_regs 0)
-    ~init_mem:(Array.make mem_words 0) [||]
+  check_renders
+    (differential ~seed:0 ~vname:"empty"
+       ~init_regs:(Array.make Insn.num_regs 0)
+       ~init_mem:(Array.make mem_words 0) [||])
 
 (* Checked mode is the interpreted-extension measurement model;
    {!Jit.run} must fall back to interpretation and agree exactly. *)
