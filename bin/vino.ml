@@ -490,6 +490,10 @@ let all_tables =
 
 (* ------------------------------ disaster ------------------------------ *)
 
+(* A JSON string literal. OCaml's [%S] is not one: it writes control
+   bytes as decimal [\ddd] escapes. *)
+let json_str s = "\"" ^ Vino_trace.Json.escape s ^ "\""
+
 (* Hand-rolled, field-ordered JSON: the snapshot-determinism CI job diffs
    forked (-j 1 and -j 4) and fresh campaign reports byte-for-byte, so the
    encoding must be a pure function of the report — in particular it must
@@ -505,20 +509,21 @@ let disaster_json (r : Vino_disaster.Campaign.report) =
   List.iteri
     (fun k (rc : C.record) ->
       if k > 0 then f ",";
-      f "\n    {\"index\": %d, \"family\": %S, \"kind\": %S, \"note\": %S, "
+      f "\n    {\"index\": %d, \"family\": %s, \"kind\": %s, \"note\": %s, "
         rc.C.index
-        (Vino_disaster.Site.family_name rc.C.family)
-        (Vino_disaster.Injector.name rc.C.kind)
-        rc.C.note;
-      f "\"expect\": %S, \"observed\": %S, \"vtime\": %d, "
-        (Vino_disaster.Injector.expectation_name rc.C.expect)
-        (Vino_disaster.Injector.expectation_name rc.C.observed)
+        (json_str (Vino_disaster.Site.family_name rc.C.family))
+        (json_str (Vino_disaster.Injector.name rc.C.kind))
+        (json_str rc.C.note);
+      f "\"expect\": %s, \"observed\": %s, \"vtime\": %d, "
+        (json_str (Vino_disaster.Injector.expectation_name rc.C.expect))
+        (json_str (Vino_disaster.Injector.expectation_name rc.C.observed))
         rc.C.vtime;
-      f "\"fingerprint\": %S, \"violations\": [" rc.C.fingerprint;
+      f "\"fingerprint\": %s, \"violations\": ["
+        (json_str rc.C.fingerprint);
       List.iteri
         (fun j v ->
           if j > 0 then f ", ";
-          f "%S" v)
+          f "%s" (json_str v))
         rc.C.violations;
       f "]}")
     r.C.records;
@@ -569,12 +574,12 @@ let serve_json r =
   f
     "  \"config\": {\"tenants\": %d, \"requests\": %d, \"interval\": %d, \
      \"pause\": %d, \"max_inflight\": %d, \"jit_cache_cap\": %d, \
-     \"reinstall_every\": %d, \"shards\": %d, \"path\": %S, \"seed\": %d, \
+     \"reinstall_every\": %d, \"shards\": %d, \"path\": %s, \"seed\": %d, \
      \"runaway\": %s, \"net_quota\": %d},\n"
     cfg.Serve.tenants cfg.Serve.requests cfg.Serve.interval cfg.Serve.pause
     cfg.Serve.max_inflight cfg.Serve.jit_cache_cap cfg.Serve.reinstall_every
     cfg.Serve.shards
-    (Serve.path_name cfg.Serve.path)
+    (json_str (Serve.path_name cfg.Serve.path))
     cfg.Serve.seed
     (match cfg.Serve.runaway with
     | None -> "null"
@@ -600,8 +605,8 @@ let serve_json r =
   List.iteri
     (fun k (t, fam, served, rejected) ->
       if k > 0 then f ", ";
-      f "{\"tenant\": %d, \"family\": %S, \"served\": %d, \"rejected\": %d}" t
-        fam served rejected)
+      f "{\"tenant\": %d, \"family\": %s, \"served\": %d, \"rejected\": %d}" t
+        (json_str fam) served rejected)
     r.Serve.per_tenant;
   f "],\n";
   f "  \"samples\": [";

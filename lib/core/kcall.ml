@@ -45,14 +45,48 @@ let callable_ids r =
 
 let names r = List.rev_map (fun f -> f.name) r.fns
 
+(* Bring the name and id tables from the current registration list to
+   [fns]. Each function is consed on exactly once, so the two lists share
+   a tail from the newest function they have in common; walk both down to
+   it by id, dropping what only the current list registered, then
+   re-adding what only [fns] has. O(registrations since), and nothing in a
+   trial, which registers no kcall. *)
+let rewind r fns =
+  let rec split cur cap drop add =
+    if cur == cap then (drop, add)
+    else
+      match (cur, cap) with
+      | c :: cur', k :: cap' ->
+          if c.id > k.id then split cur' cap (c :: drop) add
+          else if k.id > c.id then split cur cap' drop (k :: add)
+          else split cur' cap' (c :: drop) (k :: add)
+      | c :: cur', [] -> split cur' [] (c :: drop) add
+      | [], k :: cap' -> split [] cap' drop (k :: add)
+      | [], [] -> (drop, add)
+  in
+  if r.fns != fns then begin
+    let drop, add = split r.fns fns [] [] in
+    List.iter
+      (fun f ->
+        Hashtbl.remove r.by_name f.name;
+        Hashtbl.remove r.by_id f.id)
+      drop;
+    List.iter
+      (fun f ->
+        Hashtbl.replace r.by_name f.name f;
+        Hashtbl.replace r.by_id f.id f)
+      add;
+    r.fns <- fns
+  end
+
 (* Trials toggle callable flags (graft install/remove) but never register
-   new kcalls; still capture the registration lists for safety. *)
+   new kcalls; registrations since the capture are still undone. *)
 let saver r () =
   let fns = r.fns
   and next_id = r.next_id
   and flags = List.map (fun f -> (f, f.callable)) r.fns in
   fun () ->
-    r.fns <- fns;
+    rewind r fns;
     r.next_id <- next_id;
     List.iter (fun (f, callable) -> f.callable <- callable) flags
 let arg cpu k = Cpu.reg cpu (1 + k)

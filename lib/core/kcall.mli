@@ -56,8 +56,10 @@ val names : registry -> string list
 
 val saver : registry -> unit -> unit -> unit
 (** [saver r ()] captures the registration lists and every function's
-    [callable] flag; the returned thunk restores them (re-runnable).
-    For kernel snapshots. *)
+    [callable] flag; the returned thunk restores them (re-runnable):
+    functions registered since the capture no longer resolve by name or
+    id, their names may be registered again, and ids are reassigned from
+    the captured {!id_limit}. For kernel snapshots. *)
 
 (* Argument/result register conventions. *)
 

@@ -98,23 +98,25 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
     let s = Engine.snapshot t.engine in
     fun () -> Engine.restore t.engine s
   in
-  (* Graft memory restores in O(dirty): only chunks the segment allocator
-     ever handed out can be non-zero (all graft stores are sandboxed into
-     allocated segments and [Mem.create] zeroes). Capture their images;
-     on restore zero every *currently* touched chunk (the cumulative
-     journal guarantees captured ⊆ current — read it before the allocator
-     tables are rewound), then lay the captured images back in. *)
+  (* Graft memory restores in O(what the trial touched): only chunks the
+     segment allocator ever handed out can be non-zero (all graft stores
+     are sandboxed into allocated segments and [Mem.create] zeroes), and
+     the allocator's fresh-block list covers exactly those chunks. Image
+     the listed blocks; on restore zero each block listed since the
+     capture (read before the allocator is rewound), then lay the
+     captured images back in — they also re-cover any captured chunk a
+     newer block overlapped. *)
   let seg_mem_saver () =
     let seg = Segalloc.snapshot t.segalloc in
     let images =
       List.map
-        (fun addr -> (addr, Vino_vm.Mem.blit_out t.mem addr Segalloc.chunk_words))
-        (Segalloc.touched_chunks t.segalloc)
+        (fun (b : Vino_vm.Mem.segment) ->
+          (b.base, Vino_vm.Mem.blit_out t.mem b.base b.size))
+        (Segalloc.fresh_blocks t.segalloc)
     in
     fun () ->
-      List.iter
-        (fun addr -> Vino_vm.Mem.fill t.mem addr Segalloc.chunk_words 0)
-        (Segalloc.touched_chunks t.segalloc);
+      Segalloc.iter_fresh_since t.segalloc seg (fun b ->
+          Vino_vm.Mem.fill t.mem b.base b.size 0);
       Segalloc.restore t.segalloc seg;
       List.iter (fun (addr, img) -> Vino_vm.Mem.blit_in t.mem addr img) images
   in

@@ -186,9 +186,11 @@ val make_lock :
 
 type snap
 (** A captured kernel: every registered saver's state, taken together.
-    O(dirty), not O(world) — graft memory saves only the segment
-    allocator's touched chunks, and subsystem savers copy counters and
-    small tables. *)
+    O(dirty), not O(world) — graft memory images only the blocks the
+    segment allocator has handed out, a restore zeroes only the blocks
+    allocated since the capture and re-copies only the audit-trail slots
+    written since, and subsystem savers copy counters and small
+    tables. *)
 
 val on_snapshot : t -> (unit -> unit -> unit) -> unit
 (** [on_snapshot t saver] enrolls a component: at {!snapshot} time

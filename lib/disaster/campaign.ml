@@ -71,10 +71,10 @@ let fingerprint (site : Site.t) ~note ~observed =
    restoring it is byte-equivalent to building a fresh site (the only
    divergence is process-global name counters, which no fingerprint
    reads). Creation is about half of a fresh trial's host time (the
-   per-injector split is in EXPERIMENTS.md): on one thread forking makes
-   a campaign about 1.6-2.2x faster (the [wall: forked speedup over
-   fresh] row of [bench/main.exe disaster]); the trial's own work
-   remains. *)
+   per-injector split is in EXPERIMENTS.md), and a restore costs only
+   what the previous trial changed: on one thread forking makes a
+   campaign about 3-5x faster (the [wall: forked speedup over fresh] row
+   of [bench/main.exe disaster]); the trial's own work remains. *)
 let warmed : (Site.family, Site.t * Kernel.snap) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 

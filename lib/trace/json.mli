@@ -12,6 +12,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val escape : string -> string
+(** The body of a JSON string literal, without the surrounding quotes:
+    double quotes and backslashes get a backslash, newline, carriage
+    return and tab their two-character escapes, other bytes below 0x20 a
+    six-character [\u00XX] escape, and every other byte is copied. *)
+
 val to_string : t -> string
 (** Multi-line, two-space indent, stable key order as given. *)
 

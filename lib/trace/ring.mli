@@ -45,4 +45,9 @@ val clear : 'a t -> unit
 
 val saver : 'a t -> unit -> unit -> unit
 (** [saver t ()] captures the buffer and accounting; the returned thunk
-    restores them in place (re-runnable). For kernel snapshots. *)
+    restores them in place (re-runnable). For kernel snapshots. A
+    restore re-copies only the slots written since the buffer last
+    matched this capture, so it costs O(pushes since), not O(capacity);
+    it copies the whole buffer on the capture's first restore, after a
+    restore of another capture, and after [capacity] or more writes
+    ({!clear} counts as [capacity]). *)

@@ -8,6 +8,11 @@ module Txn = Vino_txn.Txn
 module Asm = Vino_vm.Asm
 module Site = Vino_disaster.Site
 module Campaign = Vino_disaster.Campaign
+module Injector = Vino_disaster.Injector
+module Seed = Vino_disaster.Seed
+module Kcall = Vino_core.Kcall
+module Audit = Vino_core.Audit
+module Mem = Vino_vm.Mem
 
 let contains msg needle =
   let n = String.length needle and m = String.length msg in
@@ -112,6 +117,153 @@ let test_double_restore () =
   Alcotest.(check bool) "first restore replays fresh" true (first = expected);
   Alcotest.(check bool) "second restore replays fresh" true (second = expected)
 
+(* ------------------------ whole-state equality ------------------------ *)
+
+(* One trial through the campaign's public steps: derive the variant,
+   pin its witness, seal and install it, drive the workload (with a
+   contender when the variant wants one), remove the graft and check the
+   default path. *)
+let trial (site : Site.t) ~kind ~seed ~index =
+  let rng = Seed.derive ~seed index in
+  let variant =
+    Injector.apply kind ~rng ~rig:site.Site.rig site.Site.healthy
+  in
+  Option.iter (Site.pin_flow_witness site) variant.Injector.flow_witness;
+  let installed =
+    match Asm.assemble variant.Injector.source with
+    | Error e -> Error e
+    | Ok obj -> (
+        match Kernel.seal site.Site.kernel obj with
+        | Error e -> Error e
+        | Ok image -> site.Site.install image)
+  in
+  site.Site.drive ();
+  if Result.is_ok installed && variant.Injector.wants_contender then
+    Site.spawn_contender site ~delay:(4_000 + Seed.int rng 4_000);
+  Kernel.run site.Site.kernel;
+  site.Site.force_remove ();
+  ignore (site.Site.check_default ())
+
+(* Everything a restore must put back that fingerprints never read: every
+   word of memory, graft segments included, and the audit trail. *)
+let memory_and_audit (site : Site.t) =
+  let k = site.Site.kernel in
+  ( Mem.blit_out k.Kernel.mem 0 (Mem.size k.Kernel.mem),
+    Audit.entries k.Kernel.audit,
+    Audit.total k.Kernel.audit,
+    Audit.dropped k.Kernel.audit )
+
+let first_difference a b =
+  let n = min (Array.length a) (Array.length b) in
+  let rec go i =
+    if i >= n then None else if a.(i) <> b.(i) then Some i else go (i + 1)
+  in
+  go 0
+
+(* Every family x injector kind, each trial on its family's one site and
+   followed by a restore (so all but the first restore of each capture
+   take the incremental paths): memory and the audit trail must equal what
+   was captured right after the snapshot. *)
+let test_restore_whole_state () =
+  let sites =
+    List.map
+      (fun family ->
+        let site = Site.create family in
+        let snap = Kernel.snapshot site.Site.kernel in
+        (family, (site, snap, memory_and_audit site)))
+      Site.all_families
+  in
+  let product = List.length Site.all_families * List.length Injector.all in
+  for index = 0 to product - 1 do
+    let family, kind = Campaign.combo index in
+    let site, snap, (mem0, audit0, total0, dropped0) =
+      List.assoc family sites
+    in
+    trial site ~kind ~seed:5 ~index;
+    let dirty, _, total1, _ = memory_and_audit site in
+    Kernel.restore site.Site.kernel snap;
+    let mem, audit, total, dropped = memory_and_audit site in
+    let label =
+      Printf.sprintf "%s/%s" (Site.family_name family) (Injector.name kind)
+    in
+    (match first_difference mem0 mem with
+    | None -> ()
+    | Some addr ->
+        Alcotest.failf "%s: word %d is %d after restore, %d captured" label
+          addr mem.(addr) mem0.(addr));
+    Alcotest.(check bool) (label ^ ": audit entries") true (audit = audit0);
+    Alcotest.(check int) (label ^ ": audit total") total0 total;
+    Alcotest.(check int) (label ^ ": audit dropped") dropped0 dropped;
+    (* the trial must have changed something for the checks to bite *)
+    Alcotest.(check bool)
+      (label ^ ": the trial dirtied memory or the trail")
+      true
+      (first_difference mem0 dirty <> None || total1 <> total0)
+  done
+
+(* ------------------------ kcall registrations ------------------------- *)
+
+let nop_kcall (_ : Kcall.ctx) = Kcall.ok
+
+let test_restore_drops_new_kcalls () =
+  let k = Kernel.create ~mem_words:(1 lsl 12) () in
+  let limit = Kcall.id_limit k.Kernel.registry in
+  let snap = Kernel.snapshot k in
+  let x = Kernel.register_kcall k ~name:"x" nop_kcall in
+  Kernel.restore k snap;
+  let registry = k.Kernel.registry in
+  Alcotest.(check bool)
+    "x no longer resolves by name" true
+    (Kcall.find_by_name registry "x" = None);
+  Alcotest.(check bool)
+    "x no longer resolves by id" true
+    (Kcall.find registry x.Kcall.id = None);
+  Alcotest.(check int) "id limit rewound" limit (Kcall.id_limit registry);
+  let y = Kernel.register_kcall k ~name:"y" nop_kcall in
+  Alcotest.(check int) "y reuses x's id" x.Kcall.id y.Kcall.id;
+  Alcotest.(check bool)
+    "that id resolves to y" true
+    (match Kcall.find registry y.Kcall.id with
+    | Some f -> f == y
+    | None -> false);
+  Alcotest.(check bool)
+    "x still gone" true
+    (Kcall.find_by_name registry "x" = None);
+  Kernel.restore k snap;
+  let x' = Kernel.register_kcall k ~name:"x" nop_kcall in
+  Alcotest.(check int) "x registers again" x.Kcall.id x'.Kcall.id
+
+(* Two captures: B holds a registration A lacks. Restoring B after A (and
+   after a registration A's branch made) must bring B's table back. *)
+let test_restore_kcalls_two_captures () =
+  let k = Kernel.create ~mem_words:(1 lsl 12) () in
+  let registry = k.Kernel.registry in
+  let snap_a = Kernel.snapshot k in
+  let x = Kernel.register_kcall k ~name:"x" nop_kcall in
+  let snap_b = Kernel.snapshot k in
+  Kernel.restore k snap_a;
+  let y = Kernel.register_kcall k ~name:"y" nop_kcall in
+  Kernel.restore k snap_b;
+  let resolves name fn =
+    match Kcall.find_by_name registry name with
+    | Some f -> f == fn
+    | None -> false
+  in
+  Alcotest.(check bool) "x back by name" true (resolves "x" x);
+  Alcotest.(check bool)
+    "x back by id" true
+    (match Kcall.find registry x.Kcall.id with
+    | Some f -> f == x
+    | None -> false);
+  Alcotest.(check bool)
+    "y gone" true
+    (Kcall.find_by_name registry "y" = None);
+  Kernel.restore k snap_a;
+  Alcotest.(check bool)
+    "x gone again" true
+    (Kcall.find_by_name registry "x" = None);
+  Alcotest.(check bool) "y still gone" false (resolves "y" y)
+
 (* --------------- force_remove clears the pinned flow table ------------ *)
 
 let test_force_remove_clears_flow_pin () =
@@ -183,6 +335,12 @@ let suite =
           test_restore_after_force_remove;
         Alcotest.test_case "double restore replays fresh twice" `Quick
           test_double_restore;
+        Alcotest.test_case "restore: memory and audit trail equal the capture"
+          `Quick test_restore_whole_state;
+        Alcotest.test_case "restore drops kcalls registered since" `Quick
+          test_restore_drops_new_kcalls;
+        Alcotest.test_case "restore kcalls across two captures" `Quick
+          test_restore_kcalls_two_captures;
         Alcotest.test_case "force_remove clears the pinned flow table" `Quick
           test_force_remove_clears_flow_pin;
         QCheck_alcotest.to_alcotest prop_forked_campaign_equals_fresh;

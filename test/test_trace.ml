@@ -33,6 +33,102 @@ let ring_partial () =
     (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
       ignore (Ring.create ~capacity:0))
 
+(* Ring.saver: a restore must reproduce the captured ring exactly, on the
+   partial path (only slots pushed since the last restore of the same
+   capture) and on each full-copy case. Capacity 4 throughout. *)
+let check_ring_state msg (items, length, total, dropped) r =
+  Alcotest.(check (list int)) (msg ^ ": entries") items (Ring.to_list r);
+  Alcotest.(check int) (msg ^ ": length") length (Ring.length r);
+  Alcotest.(check int) (msg ^ ": total") total (Ring.total r);
+  Alcotest.(check int) (msg ^ ": dropped") dropped (Ring.dropped r)
+
+let ring_restore_partial_fill () =
+  let r = Ring.create ~capacity:4 in
+  List.iter (Ring.push r) [ 1; 2 ];
+  let restore = Ring.saver r () in
+  Ring.push r 3;
+  restore ();
+  check_ring_state "first restore (full copy)" ([ 1; 2 ], 2, 2, 0) r;
+  Ring.push r 8;
+  restore ();
+  check_ring_state "one push since" ([ 1; 2 ], 2, 2, 0) r;
+  Ring.push r 8;
+  Ring.push r 9;
+  Ring.push r 10;
+  restore ();
+  check_ring_state "three pushes since, filling the ring"
+    ([ 1; 2 ], 2, 2, 0)
+    r
+
+let ring_restore_after_wrap () =
+  let r = Ring.create ~capacity:4 in
+  List.iter (Ring.push r) [ 1; 2; 3 ];
+  let restore = Ring.saver r () in
+  restore ();
+  List.iter (Ring.push r) [ 4; 5 ];
+  check_ring_state "wrapped before restore" ([ 2; 3; 4; 5 ], 4, 5, 1) r;
+  restore ();
+  check_ring_state "two pushes across the end" ([ 1; 2; 3 ], 3, 3, 0) r;
+  List.iter (Ring.push r) [ 6; 7; 8; 9; 10 ];
+  restore ();
+  check_ring_state "more pushes than capacity" ([ 1; 2; 3 ], 3, 3, 0) r;
+  (* a capture of a wrapped ring, whose head is mid-buffer *)
+  List.iter (Ring.push r) [ 4; 5; 6; 7 ];
+  let restore_wrapped = Ring.saver r () in
+  restore_wrapped ();
+  List.iter (Ring.push r) [ 8; 9; 10 ];
+  restore_wrapped ();
+  check_ring_state "wrapped capture" ([ 4; 5; 6; 7 ], 4, 7, 3) r
+
+let ring_restore_after_clear () =
+  let r = Ring.create ~capacity:4 in
+  List.iter (Ring.push r) [ 1; 2; 3 ];
+  let restore = Ring.saver r () in
+  restore ();
+  Ring.clear r;
+  restore ();
+  check_ring_state "clear rewrites every slot" ([ 1; 2; 3 ], 3, 3, 0) r;
+  Ring.clear r;
+  Ring.push r 9;
+  restore ();
+  check_ring_state "clear then push" ([ 1; 2; 3 ], 3, 3, 0) r
+
+let ring_restore_twice () =
+  let r = Ring.create ~capacity:4 in
+  List.iter (Ring.push r) [ 1; 2 ];
+  let restore = Ring.saver r () in
+  Ring.push r 3;
+  restore ();
+  restore ();
+  check_ring_state "back-to-back restores" ([ 1; 2 ], 2, 2, 0) r;
+  Ring.push r 4;
+  restore ();
+  restore ();
+  check_ring_state "push, then two restores" ([ 1; 2 ], 2, 2, 0) r
+
+(* Two captures of one ring: restoring B after restoring A must copy the
+   whole buffer. A write-count delta alone would see B's total again and
+   copy nothing, leaving A's later push in B's slot. *)
+let ring_restore_two_captures () =
+  let r = Ring.create ~capacity:4 in
+  List.iter (Ring.push r) [ 1; 2 ];
+  let restore_a = Ring.saver r () in
+  Ring.push r 3;
+  let restore_b = Ring.saver r () in
+  restore_a ();
+  check_ring_state "A" ([ 1; 2 ], 2, 2, 0) r;
+  Ring.push r 9;
+  restore_b ();
+  check_ring_state "B after A and a push" ([ 1; 2; 3 ], 3, 3, 0) r;
+  Ring.push r 4;
+  restore_a ();
+  check_ring_state "A after B and a push" ([ 1; 2 ], 2, 2, 0) r;
+  Ring.push r 5;
+  restore_a ();
+  check_ring_state "A again" ([ 1; 2 ], 2, 2, 0) r;
+  restore_b ();
+  check_ring_state "B again" ([ 1; 2; 3 ], 3, 3, 0) r
+
 let span_ring_drops () =
   let sink = Trace.create ~span_capacity:8 () in
   Trace.with_t sink (fun () ->
@@ -216,6 +312,27 @@ let json_roundtrip () =
       | Some v -> Alcotest.(check (option int)) "int" (Some (-42)) (Json.int_value v)
       | None -> Alcotest.fail "missing n")
 
+(* Every byte below 0x80 survives escape + parse, the escaped text holds
+   no raw control byte, and for printable ASCII (plus the newline, tab and
+   carriage return) it is byte-identical to OCaml's [%S] — the encoding
+   the CLI's JSON writers used before. *)
+let json_escape_control_bytes () =
+  let all = String.init 128 Char.chr in
+  let escaped = Json.escape all in
+  Alcotest.(check bool)
+    "no raw control byte" true
+    (String.for_all (fun c -> Char.code c >= 0x20) escaped);
+  (match Json.of_string ("\"" ^ escaped ^ "\"") with
+  | Ok (Json.String s) -> Alcotest.(check string) "round-trip" all s
+  | Ok _ -> Alcotest.fail "not a string"
+  | Error e -> Alcotest.failf "parse failed: %s" e);
+  let printable =
+    String.init 95 (fun k -> Char.chr (0x20 + k)) ^ "\n\t\r"
+  in
+  Alcotest.(check string)
+    "printable ASCII matches %S" (Printf.sprintf "%S" printable)
+    ("\"" ^ Json.escape printable ^ "\"")
+
 let report_json_shape () =
   let sink = Trace.create () in
   Trace.with_t sink (fun () ->
@@ -257,5 +374,17 @@ let suite =
         Alcotest.test_case "json: emit/parse roundtrip" `Quick json_roundtrip;
         Alcotest.test_case "trace report json re-parses" `Quick
           report_json_shape;
+        Alcotest.test_case "ring restore: fewer pushes than capacity" `Quick
+          ring_restore_partial_fill;
+        Alcotest.test_case "ring restore: after a wrap" `Quick
+          ring_restore_after_wrap;
+        Alcotest.test_case "ring restore: after clear" `Quick
+          ring_restore_after_clear;
+        Alcotest.test_case "ring restore: twice in a row" `Quick
+          ring_restore_twice;
+        Alcotest.test_case "ring restore: two captures alternately" `Quick
+          ring_restore_two_captures;
+        Alcotest.test_case "json: control bytes round-trip through escape"
+          `Quick json_escape_control_bytes;
       ] );
   ]
