@@ -25,10 +25,10 @@
    asserted against the interpreter on the same verified-sealed code.
 
    Segments compile on first entry, so the table also prices what a
-   translation-cache miss costs each graft: [Jit.translate] alone, and
-   translate plus the first invocation (microseconds, best repetition,
-   and minor words per call). These columns are informational; nothing
-   gates them.
+   translation-cache miss costs each graft: the linker's load-time
+   [Verify.analyse], [Jit.translate] alone, and translate plus the first
+   invocation (microseconds, best repetition, and minor words per
+   call). These columns are informational; nothing gates them.
 
    Usage:
      wall.exe [--check]    --check exits 1 unless translation is >= 5x
@@ -183,6 +183,15 @@ let crypt_verifier =
       ]
     ~words:seg_size ()
 
+(* The configuration the linker's load-time check analyses post-link
+   code under ([Vino_core.Linker.check_config]): no entry facts, the
+   rewritten stage and the segment size, with every id callable as under
+   [env]. *)
+let link_verifier =
+  Vino_verify.Verify.config ~words:seg_size
+    ~callable:(fun _ -> true)
+    ~stage:`Rewritten ()
+
 (* Seal through MiSFIT (the safe path) and patch relocations to a stub
    id, exactly as the linker would. Patching replaces the placeholder in
    place, so the proof's per-pc safe map stays aligned. *)
@@ -280,6 +289,15 @@ let time_pair runa runb =
   done;
   (!besta, !bestb)
 
+(* Seconds per invocation of one runner, best repetition. *)
+let time_one run =
+  let batch = batch_for run in
+  let best = ref infinity in
+  for _ = 1 to reps do
+    best := Float.min !best (timed batch run)
+  done;
+  !best
+
 type measurement = {
   wname : string;
   interp_insns : int;
@@ -287,9 +305,12 @@ type measurement = {
   interp_s : float;
   trans_s : float;
   trans_words : float;  (* minor words per translated invocation *)
-  (* What a translation cache miss costs: [Jit.translate] alone, then
-     translate plus the first invocation, which compiles every segment
-     that invocation enters. Seconds and minor words per call. *)
+  (* What a translation cache miss costs: the linker's static check,
+     [Jit.translate] alone, then translate plus the first invocation,
+     which compiles every segment that invocation enters. Seconds and
+     minor words per call. *)
+  verify_s : float;
+  verify_words : float;
   translate_s : float;
   translate_words : float;
   first_s : float;
@@ -372,6 +393,11 @@ let measure_code ~name ~code ~safe w =
     ignore (Jit.run env tcpu fresh : Cpu.outcome)
   in
   let translate_s, first_s = time_pair translate translate_and_run in
+  let verify () =
+    ignore
+      (Vino_verify.Verify.analyse link_verifier code : Vino_verify.Report.t)
+  in
+  let verify_s = time_one verify in
   {
     wname = name;
     interp_insns = si.insns;
@@ -379,6 +405,8 @@ let measure_code ~name ~code ~safe w =
     interp_s;
     trans_s;
     trans_words;
+    verify_s;
+    verify_words = minor_words_per_call verify;
     translate_s;
     translate_words = minor_words_per_call translate;
     first_s;
@@ -439,6 +467,8 @@ let row_json m =
       | Some w ->
           [
             ("minor_words_per_invocation", Json.Float w);
+            ("verify_us", Json.Float (us m.verify_s));
+            ("verify_minor_words", Json.Float m.verify_words);
             ("translate_us", Json.Float (us m.translate_s));
             ("translate_minor_words", Json.Float m.translate_words);
             ("first_invocation_us", Json.Float (us m.first_s));
@@ -457,26 +487,28 @@ let row_json m =
 let report ms =
   Printf.printf
     "== Wall-clock: interpreter vs. closure-threaded translation ==\n\
-     %-14s %12s %14s %14s %10s %10s %8s %6s %6s %8s %9s %8s %9s\n"
+     %-14s %12s %14s %14s %10s %10s %8s %6s %6s %8s %9s %8s %9s %8s \
+     %9s\n"
     "graft" "insns/invoc" "interp ns/insn" "trans ns/insn" "speedup"
-    "words/inv" "blocks" "fused" "bare" "xlate us" "xlate wd" "1st us"
-    "1st wd";
+    "words/inv" "blocks" "fused" "bare" "check us" "check wd" "xlate us"
+    "xlate wd" "1st us" "1st wd";
   List.iter
     (fun m ->
       Printf.printf
         "%-14s %12d %14.2f %14.2f %9.2fx %10.3f %8d %6d %6d %8.1f %9.0f \
-         %8.1f %9.0f\n"
+         %8.1f %9.0f %8.1f %9.0f\n"
         m.wname m.trans_insns
         (ns m.interp_s /. float_of_int m.interp_insns)
         (ns m.trans_s /. float_of_int m.trans_insns)
         (m.interp_s /. m.trans_s)
-        m.trans_words m.blocks m.fused m.elided (us m.translate_s)
-        m.translate_words (us m.first_s) m.first_words)
+        m.trans_words m.blocks m.fused m.elided (us m.verify_s)
+        m.verify_words (us m.translate_s) m.translate_words (us m.first_s)
+        m.first_words)
     ms;
   print_string
-    "(xlate: Jit.translate alone; 1st: translate plus the first \
-     invocation, which compiles the segments it enters; per call, \
-     ungated)\n";
+    "(check: the linker's Verify.analyse; xlate: Jit.translate alone; \
+     1st: translate plus the first invocation, which compiles the \
+     segments it enters; per call, ungated)\n";
   let j =
     Json.Obj
       [

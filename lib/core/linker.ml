@@ -15,6 +15,19 @@ let resolve_reloc kernel (r : Vino_vm.Asm.reloc) =
       Error (Printf.sprintf "function %S is not graft-callable" r.name)
   | Some fn -> Ok fn.Kcall.id
 
+let patched kernel code relocs =
+  let code = Array.copy code in
+  let rec patch = function
+    | [] -> Ok code
+    | r :: rest -> (
+        match resolve_reloc kernel r with
+        | Error _ as e -> e
+        | Ok id ->
+            code.(r.Vino_vm.Asm.index) <- Insn.Kcall id;
+            patch rest)
+  in
+  patch relocs
+
 let check_direct_ids kernel code =
   let bad = ref None in
   Array.iter
@@ -38,16 +51,16 @@ let check_direct_ids kernel code =
    seal-time proof), so it can only flag hard errors every execution would
    hit: provably out-of-bounds accesses, indirect calls through a provably
    bad id, malformed code, fall-through off the end. *)
+let check_config kernel ~words =
+  Vino_verify.Verify.config ~words:(max 1 words)
+    ~callable:(fun id ->
+      match Kcall.find kernel.Kernel.registry id with
+      | Some fn -> fn.Kcall.callable
+      | None -> false)
+    ~stage:`Rewritten ()
+
 let static_check kernel ~words code =
-  let conf =
-    Vino_verify.Verify.config ~words:(max 1 words)
-      ~callable:(fun id ->
-        match Kcall.find kernel.Kernel.registry id with
-        | Some fn -> fn.Kcall.callable
-        | None -> false)
-      ~stage:`Rewritten ()
-  in
-  let report = Vino_verify.Verify.analyse conf code in
+  let report = Vino_verify.Verify.analyse (check_config kernel ~words) code in
   if Vino_verify.Report.ok report then Ok ()
   else
     Error
@@ -104,17 +117,7 @@ let load kernel ~words (image : Image.t) =
   if not (Image.verify ~key:kernel.Kernel.key image) then
     Error "signature verification failed: code was not processed by MiSFIT"
   else
-    let code = Array.copy image.code in
-    let rec patch = function
-      | [] -> Ok ()
-      | r :: rest -> (
-          match resolve_reloc kernel r with
-          | Error _ as e -> e
-          | Ok id ->
-              code.(r.Vino_vm.Asm.index) <- Insn.Kcall id;
-              patch rest)
-    in
-    Result.bind (patch image.relocs) @@ fun () ->
+    Result.bind (patched kernel image.code image.relocs) @@ fun code ->
     Result.bind (check_direct_ids kernel code) @@ fun () ->
     Result.bind (static_check kernel ~words code) @@ fun () ->
     Result.bind (check_proof kernel ~words image) @@ fun () ->
@@ -137,17 +140,7 @@ let load kernel ~words (image : Image.t) =
           }
 
 let flow_of_obj kernel (obj : Vino_vm.Asm.obj) =
-  let code = Array.copy obj.code in
-  let rec patch = function
-    | [] -> Ok ()
-    | r :: rest -> (
-        match resolve_reloc kernel r with
-        | Error _ as e -> e
-        | Ok id ->
-            code.(r.Vino_vm.Asm.index) <- Insn.Kcall id;
-            patch rest)
-  in
-  Result.bind (patch obj.relocs) @@ fun () ->
+  Result.bind (patched kernel obj.code obj.relocs) @@ fun code ->
   Ok
     (Vino_verify.Kflow.of_program
        ~nfuncs:(Kcall.id_limit kernel.Kernel.registry)

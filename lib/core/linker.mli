@@ -45,6 +45,20 @@ val load :
   Kernel.t -> words:int -> Vino_misfit.Image.t -> (loaded, string) result
 (** [words] is the requested segment size (rounded up to a power of two). *)
 
+val patched :
+  Kernel.t ->
+  Vino_vm.Insn.t array ->
+  Vino_vm.Asm.reloc list ->
+  (Vino_vm.Insn.t array, string) result
+(** A copy of [code] with every named kernel-call relocation resolved to
+    its registry id, as {!load} patches an image before checking it.
+    Fails on a missing or non-graft-callable target. *)
+
+val check_config : Kernel.t -> words:int -> Vino_verify.Verify.config
+(** The configuration {!load}'s static check analyses post-link code
+    under: no entry facts, the [`Rewritten] stage, the requested segment
+    size and the registry's graft-callable set. *)
+
 val unload : Kernel.t -> loaded -> unit
 (** Return the graft's segment to the allocator. *)
 

@@ -16,7 +16,16 @@ type event = { mutable cancelled : bool; mutable thunk : unit -> unit }
 type t = {
   mutable clock : int;
   queue : event Pqueue.t;
+  (* Spawned processes, newest first; only [blocked] reads them. A spawn
+     that finds the list at [sweep_at] entries ([nprocs] is its length)
+     first drops the dead ones and resets the threshold to twice the
+     survivors, at least [min_sweep]. Each sweep is paid for by the
+     spawns since the last one: amortised O(1) per spawn, and a long
+     run that finishes one process per served request keeps at most
+     twice the processes live at the last sweep, or [min_sweep]. *)
   mutable procs : proc list;
+  mutable nprocs : int;
+  mutable sweep_at : int;
   mutable failures : (string * exn) list;
   mutable next_id : int;
   mutable has_run : bool;
@@ -30,11 +39,15 @@ type _ Effect.t +=
   | Yield : unit Effect.t
   | Self : proc Effect.t
 
+let min_sweep = 64
+
 let create () =
   {
     clock = 0;
     queue = Pqueue.create ();
     procs = [];
+    nprocs = 0;
+    sweep_at = min_sweep;
     failures = [];
     next_id = 0;
     has_run = false;
@@ -152,7 +165,13 @@ let spawn t ?name body =
   let p =
     { id; name; dead = false; kill_requested = false; interrupt = None }
   in
+  if t.nprocs >= t.sweep_at then begin
+    t.procs <- List.filter alive t.procs;
+    t.nprocs <- List.length t.procs;
+    t.sweep_at <- max min_sweep (2 * t.nprocs)
+  end;
   t.procs <- p :: t.procs;
+  t.nprocs <- t.nprocs + 1;
   Trace.incr "sim.procs_spawned";
   schedule t t.clock (fun () -> start t p body);
   p
@@ -213,6 +232,8 @@ type snap = {
   s_next_id : int;
   s_failures : (string * exn) list;
   s_procs : proc list;
+  s_nprocs : int;
+  s_sweep_at : int;
   s_events : (int * bool * (unit -> unit)) list;
 }
 
@@ -224,6 +245,8 @@ let snapshot t =
     s_next_id = t.next_id;
     s_failures = t.failures;
     s_procs = t.procs;
+    s_nprocs = t.nprocs;
+    s_sweep_at = t.sweep_at;
     s_events =
       List.map
         (fun (key, ev) -> (key, ev.cancelled, ev.thunk))
@@ -235,6 +258,8 @@ let restore t s =
   t.next_id <- s.s_next_id;
   t.failures <- s.s_failures;
   t.procs <- s.s_procs;
+  t.nprocs <- s.s_nprocs;
+  t.sweep_at <- s.s_sweep_at;
   List.iter
     (fun p ->
       p.dead <- false;

@@ -46,7 +46,13 @@ type t =
   | InSeg
   | Top
 
-let equal a b = a = b
+let equal a b =
+  match (a, b) with
+  | Bot, Bot | InSeg, InSeg | Top, Top -> true
+  | Num i, Num j | Seg i, Seg j | Stk i, Stk j -> i.lo = j.lo && i.hi = j.hi
+  | Cid c, Cid d -> c = d
+  | (Bot | Num _ | Cid _ | Seg _ | Stk _ | InSeg | Top), _ -> false
+
 let num c = Num (const_itv c)
 
 (* Interval view of the comparable kinds: numbers compare with numbers,
@@ -64,12 +70,13 @@ let kinded = function
 
 let rebuild k i = match k with KNum -> Num i | KSeg -> Seg i | KStk -> Stk i
 
+(* [join] and [widen] hand back their first argument when the two are
+   equal, so a merge that moves no register allocates nothing. *)
 let join a b =
   match (a, b) with
+  | _ when equal a b -> a
   | Bot, x | x, Bot -> x
   | Top, _ | _, Top -> Top
-  | Cid c, Cid d when c = d -> Cid c
-  | InSeg, InSeg -> InSeg
   | _ -> (
       match (kinded a, kinded b) with
       | Some (ka, ia), Some (kb, ib) when ka = kb -> rebuild ka (itv_hull ia ib)
@@ -77,9 +84,8 @@ let join a b =
 
 let widen old next =
   match (old, next) with
+  | _ when equal old next -> old
   | Bot, x | x, Bot -> x
-  | Cid c, Cid d when c = d -> Cid c
-  | InSeg, InSeg -> InSeg
   | _ -> (
       match (kinded old, kinded next) with
       | Some (ka, ia), Some (kb, ib) when ka = kb ->
@@ -101,8 +107,10 @@ let num_top = Num top_itv
 
 let is_zero v = match as_num v with Some i -> is_const i = Some 0 | None -> false
 
+let is_bot = function Bot -> true | _ -> false
+
 let alu (op : Insn.alu) a b =
-  if a = Bot || b = Bot then Bot
+  if is_bot a || is_bot b then Bot
   else
     let const2 =
       match (as_num a, as_num b) with
@@ -189,7 +197,7 @@ let negate_cond : Insn.cond -> Insn.cond = function
   | Ge -> Lt
 
 let refine (c : Insn.cond) a b =
-  if a = Bot || b = Bot then Error `Infeasible
+  if is_bot a || is_bot b then Error `Infeasible
   else
     match (kinded a, kinded b) with
     | Some (ka, ia), Some (kb, ib) when ka = kb -> (

@@ -38,11 +38,13 @@ type t =
 val equal : t -> t -> bool
 
 val join : t -> t -> t
-(** Least upper bound. Mixed pointer/number kinds go to [Top]. *)
+(** Least upper bound. Mixed pointer/number kinds go to [Top]. Equal
+    arguments return the first one itself. *)
 
 val widen : t -> t -> t
 (** [widen old next]: like {!join} but growing interval bounds jump to
-    infinity, guaranteeing fixpoint termination. *)
+    infinity, guaranteeing fixpoint termination. Returns [old] itself
+    when [next] equals it. *)
 
 val num : int -> t
 (** Constant as a plain number. *)

@@ -50,23 +50,25 @@ let havoc_state () =
   }
 
 (* merge [next] into the recorded in-state of a block; widen once the block
-   has changed often enough (a loop head) so the fixpoint terminates *)
+   has changed often enough (a loop head) so the fixpoint terminates. The
+   state is copied only when some register actually changes, so a merge
+   that changes nothing allocates nothing. *)
 let merge_into ~widen old next =
-  let op = if widen then Absval.widen else Absval.join in
-  let changed = ref false in
-  let regs =
-    Array.init Insn.num_regs (fun r ->
-        let v = op old.regs.(r) next.regs.(r) in
-        if not (Absval.equal v old.regs.(r)) then changed := true;
-        v)
-  in
-  let written =
-    Array.init Insn.num_regs (fun r ->
-        let w = old.written.(r) && next.written.(r) in
-        if w <> old.written.(r) then changed := true;
-        w)
-  in
-  ({ regs; written }, !changed)
+  let st = ref old in
+  for r = 0 to Insn.num_regs - 1 do
+    let o = old.regs.(r) in
+    let v =
+      if widen then Absval.widen o next.regs.(r)
+      else Absval.join o next.regs.(r)
+    in
+    let w = old.written.(r) && next.written.(r) in
+    if w <> old.written.(r) || not (Absval.equal v o) then begin
+      if !st == old then st := copy_state old;
+      !st.regs.(r) <- v;
+      !st.written.(r) <- w
+    end
+  done;
+  (!st, !st != old)
 
 (* ------------------------------ transfer ------------------------------ *)
 
@@ -100,65 +102,72 @@ type sinks = {
 let quiet_sinks =
   { cls = (fun _ _ -> ()); diag = (fun _ -> ()); lint_read = (fun _ _ -> ()) }
 
+(* The per-step helpers of [exec_insn]: top-level, so stepping an
+   instruction builds no closures. *)
+let read sinks st k r =
+  if not st.written.(r) then sinks.lint_read k r;
+  st.regs.(r)
+
+let set st r v =
+  st.regs.(r) <- v;
+  st.written.(r) <- true
+
+let kcall_clobber st = set st 0 Absval.Top
+
+let access conf sinks k ~what addr =
+  let c = classify_access conf addr in
+  sinks.cls k (Report.Access c);
+  if c = Report.Access_oob then
+    sinks.diag
+      (Report.error ~index:k
+         (Format.asprintf "%s address %a is provably outside the graft \
+                           segment"
+            what Absval.pp addr))
+
+let div_check sinks k (op : Insn.alu) divisor =
+  match op with
+  | Div | Rem ->
+      (* a warning, not an error: a provable run-time fault is still
+         survivable (the transaction machinery undoes it), unlike a
+         memory-safety violation *)
+      if Absval.equal divisor (Absval.num 0) then
+        sinks.diag
+          (Report.warning ~index:k "division by a provably-zero divisor")
+  | _ -> ()
+
 let exec_insn conf sinks st k (i : Insn.t) =
-  let read r =
-    if not st.written.(r) then sinks.lint_read k r;
-    st.regs.(r)
-  in
-  let set r v =
-    st.regs.(r) <- v;
-    st.written.(r) <- true
-  in
-  let kcall_clobber () = set 0 Absval.Top in
-  let access ~what addr =
-    let c = classify_access conf addr in
-    sinks.cls k (Report.Access c);
-    if c = Report.Access_oob then
-      sinks.diag
-        (Report.error ~index:k
-           (Format.asprintf "%s address %a is provably outside the graft \
-                             segment"
-              what Absval.pp addr))
-  in
-  let div_check op divisor =
-    match (op : Insn.alu) with
-    | Div | Rem ->
-        (* a warning, not an error: a provable run-time fault is still
-           survivable (the transaction machinery undoes it), unlike a
-           memory-safety violation *)
-        if Absval.equal divisor (Absval.num 0) then
-          sinks.diag
-            (Report.warning ~index:k "division by a provably-zero divisor")
-    | _ -> ()
-  in
   match i with
   | Li (rd, v) ->
-      set rd (if v >= 0 && is_callable conf v then Absval.Cid v else Absval.num v)
-  | Mov (rd, rs) -> set rd (read rs)
+      set st rd
+        (if v >= 0 && is_callable conf v then Absval.Cid v else Absval.num v)
+  | Mov (rd, rs) -> set st rd (read sinks st k rs)
   | Alu (op, rd, ra, rb) ->
-      let a = read ra and b = read rb in
-      div_check op b;
-      set rd (Absval.alu op a b)
+      let a = read sinks st k ra in
+      let b = read sinks st k rb in
+      div_check sinks k op b;
+      set st rd (Absval.alu op a b)
   | Alui (op, rd, ra, imm) ->
-      let a = read ra in
-      div_check op (Absval.num imm);
-      set rd (Absval.alu op a (Absval.num imm))
+      let a = read sinks st k ra in
+      div_check sinks k op (Absval.num imm);
+      set st rd (Absval.alu op a (Absval.num imm))
   | Ld (rd, rb, off) ->
-      access ~what:"load" (Absval.alu Add (read rb) (Absval.num off));
-      set rd Absval.Top (* memory contents are not tracked *)
+      access conf sinks k ~what:"load"
+        (Absval.alu Add (read sinks st k rb) (Absval.num off));
+      set st rd Absval.Top (* memory contents are not tracked *)
   | St (rv, rb, off) ->
-      ignore (read rv);
-      access ~what:"store" (Absval.alu Add (read rb) (Absval.num off))
+      ignore (read sinks st k rv);
+      access conf sinks k ~what:"store"
+        (Absval.alu Add (read sinks st k rb) (Absval.num off))
   | Push rv ->
-      ignore (read rv);
-      let sp' = Absval.alu Sub (read Insn.sp) (Absval.num 1) in
-      set Insn.sp sp';
-      access ~what:"push" sp'
+      ignore (read sinks st k rv);
+      let sp' = Absval.alu Sub (read sinks st k Insn.sp) (Absval.num 1) in
+      set st Insn.sp sp';
+      access conf sinks k ~what:"push" sp'
   | Pop rd ->
-      let sp = read Insn.sp in
-      access ~what:"pop" sp;
-      set rd Absval.Top;
-      set Insn.sp (Absval.alu Add sp (Absval.num 1))
+      let sp = read sinks st k Insn.sp in
+      access conf sinks k ~what:"pop" sp;
+      set st rd Absval.Top;
+      set st Insn.sp (Absval.alu Add sp (Absval.num 1))
   | Kcall id ->
       (* id < 0 is an unresolved relocation placeholder for the linker *)
       (match conf.callable with
@@ -168,10 +177,10 @@ let exec_insn conf sinks st k (i : Insn.t) =
                (Printf.sprintf "kernel function id %d is not graft-callable"
                   id))
       | _ -> ());
-      kcall_clobber ()
+      kcall_clobber st
   | Kcallr r ->
       let c =
-        match read r with
+        match read sinks st k r with
         | Absval.Cid id -> Report.Call_safe id
         | Absval.Num i -> (
             match (Absval.is_const i, conf.callable) with
@@ -190,15 +199,15 @@ let exec_insn conf sinks st k (i : Insn.t) =
                    graft-callable"
                   id))
       | _ -> ());
-      kcall_clobber ()
+      kcall_clobber st
   | Sandbox r ->
-      ignore (read r);
-      set r Absval.InSeg
-  | Checkcall r -> ignore (read r)
+      ignore (read sinks st k r);
+      set st r Absval.InSeg
+  | Checkcall r -> ignore (read sinks st k r)
   | Br (_, ra, rb, _) ->
-      ignore (read ra);
-      ignore (read rb)
-  | Callr r -> ignore (read r)
+      ignore (read sinks st k ra);
+      ignore (read sinks st k rb)
+  | Callr r -> ignore (read sinks st k r)
   | Jmp _ | Call _ | Ret | Halt -> ()
 
 (* Run one block from its in-state; returns the successor edges with their

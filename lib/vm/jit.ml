@@ -17,10 +17,10 @@
 
    {!translate} does only the O(n) part, at link time: leaders, the
    static cost/length tables and the per-instruction slow closures.
-   Every compiled segment starts as a one-shot stub that compiles the
-   segment on its first entry and writes the result over itself
-   ({!on_first_entry}), so a graft pays to compile only the code it
-   runs.
+   Every compiled segment's slot starts as the shared {!uncompiled}
+   sentinel; {!drive} compiles a slot the first time it dispatches
+   through it and stores the result, so a graft pays to compile only
+   the code it runs.
 
    Equivalence with the interpreter is maintained exactly; the argument
    (DESIGN.md §11) rests on two mechanisms:
@@ -86,14 +86,17 @@ type t = {
      [len_of_pc.(pc)] instructions. Every suffix (not just block heads)
      has a tail, which keeps execution on the fast path when a slice or
      an abort poll resumes mid-block. Like every compiled slot below, a
-     tail holds a one-shot stub until its first entry
-     ({!on_first_entry}). *)
+     tail holds {!uncompiled} until {!drive} first dispatches through
+     it. *)
   body_of_pc : (ctx -> int) array;
   cost_of_pc : int array;
   len_of_pc : int array;
+  (* Cycle cost of instructions [0, pc): a straight run [lo, hi) costs
+     [cost_prefix.(hi) - cost_prefix.(lo)]. *)
+  cost_prefix : int array;
   (* Power-of-two compiled prefixes of the same tails: [grade_body.(j)]
-     holds the prefix of length [2^j] (when strictly shorter than the
-     full tail), with its cost and length beside it (length 0 = absent).
+     holds the prefix of length [2^j], present when strictly shorter
+     than the full tail ([len_of_pc]) and costed from [cost_prefix].
      When the full tail cannot fit the remaining poll window or fuel,
      the driver takes the longest grade that fits; because every length
      down to one instruction is available, any remainder decomposes
@@ -101,8 +104,6 @@ type t = {
      grid never falls back to slow stepping, it just lands on the poll
      point through a couple of shorter compiled hops. *)
   grade_body : (ctx -> int) array array;
-  grade_cost : int array array;
-  grade_len : int array array;
   (* Unrolled self-loops: when the tail at [pc] ends with a [Jmp] back
      to a head [h <= pc] whose own tail is the full loop body (a
      straight-line loop), [exact_body.(pc).(room)] consumes the
@@ -115,13 +116,14 @@ type t = {
      window flushes once, at its end. One driver dispatch per poll
      window, from any loop phase, with no division and no
      remainder hops. [exact_cost.(pc).(room)] is the cycle charge of
-     that chain, checked against the fuel budget before dispatch (an
-     under-fuelled window degrades to the graded path, which meters
-     fuel per hop). A zero-length array marks a non-loop pc; an early
-     exit reports its not-run remainder through [ctx.back] like any
-     inline branch. One-instruction loops ([spin: Jmp spin]) are
-     included: a runaway graft spends its whole budget in one, and a
-     window turns its one dispatch per jump into one per poll. *)
+     that chain (from [cost_prefix]), checked against the fuel budget
+     before dispatch (an under-fuelled window degrades to the graded
+     path, which meters fuel per hop). A zero-length array marks a
+     non-loop pc; an early exit reports its not-run remainder through
+     [ctx.back] like any inline branch. One-instruction loops ([spin:
+     Jmp spin]) are included: a runaway graft spends its whole budget in
+     one, and a window turns its one dispatch per jump into one per
+     poll. *)
   exact_body : (ctx -> int) array array;
   exact_cost : int array array;
   slow : (ctx -> int) array;
@@ -1625,21 +1627,59 @@ let grade_levels = 6
    tails are sized so a whole window's worth of iterations fits. *)
 let default_poll_every = 32
 
-(* A compiled slot starts as this one-shot stub. Its first call compiles
-   the slot ([compile a b]), writes the result over itself and
-   tail-calls it; from then on the driver reads the compiled closure
-   straight from the slot, so the warm path is the one an eager
-   translation would run. No compiled closure reads a slot, so a stub is
-   never captured and re-run. Two domains racing on a first entry each
-   compile an equivalent closure and each store theirs: under OCaml 5's
-   memory model a reader sees the stub or a fully initialised closure,
-   and either is correct, so no lock is needed. *)
-let on_first_entry (slots : (ctx -> int) array) i compile a b =
-  slots.(i) <-
-    (fun ctx ->
-      let f = compile a b in
-      slots.(i) <- f;
-      f ctx)
+(* Every compiled slot (tail, ladder rung, exact window) starts as this
+   one shared sentinel, which is never called: {!drive} tests a slot
+   against it with [==] and on a match compiles the slot and stores the
+   result, so from the second dispatch on it runs what an eager
+   translation would. No compiled closure reads a slot. Domains racing
+   on a first dispatch each compile and store an equivalent closure;
+   under OCaml 5's memory model a reader sees the sentinel or a fully
+   initialised closure, either is correct, so no lock is needed. The
+   fusion counts of these compiles land in [scrap], which nothing reads
+   ({!census} recounts the block heads). *)
+let uncompiled : ctx -> int = fun _ -> invalid_arg "Jit: uncompiled slot"
+let scrap = ref 0
+
+let compile_range ?chain ?extra_back ?pend0 t start stop =
+  compile_block ~costs:t.costs ~safe_at:t.safe_at ?chain ?extra_back ?pend0
+    t.source ~start ~stop ~fused:scrap ~elided:scrap
+
+let compile_tail t pc =
+  let f = compile_range t pc (pc + t.len_of_pc.(pc)) in
+  t.body_of_pc.(pc) <- f;
+  f
+
+let compile_grade t j pc =
+  let f = compile_range t pc (pc + (1 lsl j)) in
+  t.grade_body.(j).(pc) <- f;
+  f
+
+(* The exact window at [pc] for [room] instructions, of the loop whose
+   closing [Jmp h] ends [pc]'s tail. The copies are compiled
+   back-to-front through the [chain] continuation, threading the
+   pending accumulators across copy boundaries: each chained
+   loop-closing jump dissolves into the next copy at compile time, and
+   the whole window flushes once, at its end (or at whatever observable
+   event — a taken guard, a fault — cuts it short, which flushes the
+   carried pends first exactly as within a single block). [extra_back]
+   extends an early exit's not-run count over the chained copies,
+   keeping the poll arithmetic of {!drive} exact. *)
+let compile_window t pc room =
+  let stop = pc + t.len_of_pc.(pc) in
+  let h =
+    match t.source.(stop - 1) with Insn.Jmp h -> h | _ -> assert false
+  in
+  let rec window start room pend =
+    let p = stop - start in
+    if room <= p then compile_range ~pend0:pend t start (start + room)
+    else
+      compile_range ~pend0:pend ~extra_back:(room - p)
+        ~chain:(fun c i a s -> window h (room - p) (c, i, a, s))
+        t start stop
+  in
+  let f = window pc room (0, 0, 0, 0) in
+  t.exact_body.(pc).(room) <- f;
+  f
 
 let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
   let source = Array.copy prog in
@@ -1682,33 +1722,20 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       | Br _ -> ()
       | i -> if terminates i && pc + 1 < n then leader.(pc + 1) <- true)
     prog;
-  let sum_cost lo hi =
-    let cost = ref 0 in
-    for m = lo to hi - 1 do
-      cost := !cost + Costs.insn costs prog.(m)
-    done;
-    !cost
-  in
-  (* What a tail or ladder slot compiles on its first entry. The fusion
-     counts land in [scrap], which nothing reads ({!census} recounts the
-     block heads), so domains racing on it are harmless. *)
-  let scrap = ref 0 in
-  let compile_range start stop =
-    compile_block ~costs ~safe_at prog ~start ~stop ~fused:scrap
-      ~elided:scrap
-  in
+  let cost_prefix = Array.make (n + 1) 0 in
+  for m = 0 to n - 1 do
+    cost_prefix.(m + 1) <- cost_prefix.(m) + Costs.insn costs prog.(m)
+  done;
+  let sum_cost lo hi = cost_prefix.(hi) - cost_prefix.(lo) in
   let nblocks = ref 0 in
   let heads = ref [] in
   let slow = Array.mapi (fun k i -> compile_slow ~costs k i) prog in
-  let body_of_pc = Array.make n (fun ctx -> finish ctx Cpu.Halted) in
+  let body_of_pc = Array.make n uncompiled in
   let cost_of_pc = Array.make n 0 in
   let len_of_pc = Array.make n 0 in
   let grade_body =
-    Array.init grade_levels (fun _ ->
-        Array.make n (fun ctx -> finish ctx Cpu.Halted))
+    Array.init grade_levels (fun _ -> Array.make n uncompiled)
   in
-  let grade_cost = Array.init grade_levels (fun _ -> Array.make n 0) in
-  let grade_len = Array.init grade_levels (fun _ -> Array.make n 0) in
   let exact_body = Array.make n [||] in
   let exact_cost = Array.make n [||] in
   (* Compiling a tail for every suffix of a block would be quadratic in
@@ -1753,20 +1780,8 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       let stop = tail_stop k in
       if regs_ok && stop - k <= tail_cap then begin
         if k = start then heads := (k, stop) :: !heads;
-        on_first_entry body_of_pc k compile_range k stop;
         len_of_pc.(k) <- stop - k;
-        cost_of_pc.(k) <- sum_cost k stop;
-        (* Prefix ladder: one prefix per power-of-two length strictly
-           shorter than the full tail. *)
-        let flen = stop - k in
-        for j = 0 to grade_levels - 1 do
-          let gl = 1 lsl j in
-          if gl < flen then begin
-            on_first_entry grade_body.(j) k compile_range k (k + gl);
-            grade_len.(j).(k) <- gl;
-            grade_cost.(j).(k) <- sum_cost k (k + gl)
-          end
-        done
+        cost_of_pc.(k) <- sum_cost k stop
       end
       else begin
         (* Slow closures expect [cpu.pc] to be current (the slow driver
@@ -1790,16 +1805,8 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
      remaining-window size, consuming exactly that many instructions:
      the rest of the current pass, whole copies of the body, and a
      prefix of the last pass cut at the window boundary — so a dispatch
-     from any loop phase consumes its entire poll window in one hop.
-     The copies are compiled back-to-front through the [chain]
-     continuation, threading the pending accumulators across copy
-     boundaries: each chained loop-closing jump dissolves into the next
-     copy at compile time, and the whole window flushes once, at its
-     end (or at whatever observable event — a taken guard, a fault —
-     cuts it short, which flushes the carried pends first exactly as
-     within a single block). [extra_back] extends an early exit's
-     not-run count over the chained copies, keeping the driver's poll
-     arithmetic exact. A lone [Jmp h] is a loop body too. *)
+     from any loop phase consumes its entire poll window in one hop
+     ({!compile_window}). A lone [Jmp h] is a loop body too. *)
   for h = 0 to n - 1 do
     let flen = len_of_pc.(h) in
     let stop = h + flen in
@@ -1813,35 +1820,19 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
       | _ -> false
     then begin
       let lcost = cost_of_pc.(h) in
-      (* [window start room pend]: a chain executing exactly [room]
-         unrolled instructions from [start], entered with [pend]
-         already accumulated. *)
-      let rec window start room pend =
-        let p = stop - start in
-        if room <= p then
-          compile_block ~costs ~safe_at ~pend0:pend prog ~start
-            ~stop:(start + room) ~fused:scrap ~elided:scrap
-        else
-          compile_block ~costs ~safe_at ~pend0:pend
-            ~chain:(fun c i a s -> window h (room - p) (c, i, a, s))
-            ~extra_back:(room - p) prog ~start ~stop ~fused:scrap
-            ~elided:scrap
-      in
       for k = h to stop - 1 do
         let p = stop - k in
         if len_of_pc.(k) = p && Array.length exact_body.(k) = 0 then begin
           let pcost = sum_cost k stop in
-          let xb = Array.make (default_poll_every + 1) body_of_pc.(k) in
           let xc = Array.make (default_poll_every + 1) 0 in
           for room = 1 to default_poll_every do
-            on_first_entry xb room (window k) room (0, 0, 0, 0);
             xc.(room) <-
               (if room < p then sum_cost k (k + room)
                else
                  let rest = room - p in
                  pcost + (rest / flen * lcost) + sum_cost h (h + (rest mod flen)))
           done;
-          exact_body.(k) <- xb;
+          exact_body.(k) <- Array.make (default_poll_every + 1) uncompiled;
           exact_cost.(k) <- xc
         end
       done
@@ -1856,9 +1847,8 @@ let translate ?(costs = Costs.default) ?safe ?(xblock = true) prog =
     body_of_pc;
     cost_of_pc;
     len_of_pc;
+    cost_prefix;
     grade_body;
-    grade_cost;
-    grade_len;
     exact_body;
     exact_cost;
     slow;
@@ -1948,7 +1938,9 @@ let rec drive t ctx len poll_every pc since_poll =
         cpu.cycles + Array.unsafe_get (Array.unsafe_get t.exact_cost pc) ri
         <= cpu.fuel
       then begin
-        let pc' = Array.unsafe_get xb ri ctx in
+        let f = Array.unsafe_get xb ri in
+        let f = if f == uncompiled then compile_window t pc ri else f in
+        let pc' = f ctx in
         let walked = since_poll + ri in
         if ctx.fin then ctx.out
         else if ctx.back = 0 then drive t ctx len poll_every pc' walked
@@ -1967,7 +1959,9 @@ let rec drive t ctx len poll_every pc since_poll =
       walked <= poll_every
       && cpu.cycles + Array.unsafe_get t.cost_of_pc pc <= cpu.fuel
     then
-      let pc' = Array.unsafe_get t.body_of_pc pc ctx in
+      let f = Array.unsafe_get t.body_of_pc pc in
+      let f = if f == uncompiled then compile_tail t pc else f in
+      let pc' = f ctx in
       if ctx.fin then ctx.out
       else if ctx.back = 0 then drive t ctx len poll_every pc' walked
       else begin
@@ -1980,7 +1974,7 @@ let rec drive t ctx len poll_every pc since_poll =
     else begin
       (* The full tail cannot fit the remaining window (or fuel): take
          the longest power-of-two prefix that does. Every length down to
-         one instruction is compiled, so the remainder decomposes into
+         one instruction has a slot, so the remainder decomposes into
          compiled segments exactly; the slow step remains only for the
          fuel edge (where the interpreter executes an instruction whose
          charge overshoots the budget) and for programs without fast
@@ -2010,13 +2004,18 @@ and graded t ctx len poll_every pc since_poll room j =
     else drive t ctx len poll_every pc2 (since_poll + 1)
   end
   else
-    let gl = Array.unsafe_get (Array.unsafe_get t.grade_len j) pc in
+    let gl = 1 lsl j in
     if
-      gl > 0 && gl <= room
-      && cpu.cycles + Array.unsafe_get (Array.unsafe_get t.grade_cost j) pc
+      gl < Array.unsafe_get t.len_of_pc pc
+      && gl <= room
+      && cpu.cycles
+         + Array.unsafe_get t.cost_prefix (pc + gl)
+         - Array.unsafe_get t.cost_prefix pc
          <= cpu.fuel
     then
-      let pc2 = Array.unsafe_get (Array.unsafe_get t.grade_body j) pc ctx in
+      let f = Array.unsafe_get (Array.unsafe_get t.grade_body j) pc in
+      let f = if f == uncompiled then compile_grade t j pc else f in
+      let pc2 = f ctx in
       let gwalked = since_poll + gl in
       if ctx.fin then ctx.out
       else if ctx.back = 0 then drive t ctx len poll_every pc2 gwalked

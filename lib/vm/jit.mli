@@ -9,15 +9,16 @@
     hoisted to block boundaries.
 
     Segments compile on first entry. At link time [translate] builds
-    only the O(n) static tables (block leaders, per-pc cycle and length
-    sums, the per-instruction slow closures) and a one-shot stub per
-    compiled segment. On its first call a stub compiles its segment,
-    writes the closure over itself and tail-calls it, so code a graft
-    never runs is never compiled, and from the second entry on the
-    driver runs exactly what an eager translation would. Two domains
-    entering the same uncompiled segment at once each compile an
-    equivalent closure; either store is correct, so one [t] is shared
-    across a domain pool without a lock.
+    only the O(n) static tables (block leaders, per-pc tail lengths and
+    costs, one cycle-cost prefix sum, the per-instruction slow
+    closures); every compiled-segment slot starts as one shared
+    "uncompiled" sentinel. {!run} compiles a slot the first time it
+    dispatches through it and stores the closure, so code a graft never
+    runs is never compiled, and from the second entry on a run executes
+    exactly what an eager translation would. Two domains entering
+    the same uncompiled segment at once each compile an equivalent
+    closure; either store is correct, so one [t] is shared across a
+    domain pool without a lock.
 
     The translation is {b bit-identical} to the interpreter at every
     observable point: [cycles], [insns_executed], [mem_accesses],
@@ -32,10 +33,10 @@
     equivalence argument. *)
 
 type t
-(** A translated program. Observably immutable (its only mutation is a
-    stub replacing itself with the closure it compiled), so it is safe to
-    reuse across invocations and domains and to cache per kernel keyed by
-    graft signature. *)
+(** A translated program. Observably immutable (its only mutation is
+    {!run} storing a segment's closure over the sentinel on first
+    entry), so it is safe to reuse across invocations and domains and to
+    cache per kernel keyed by graft signature. *)
 
 type mode = Interp | Translated
 
@@ -46,8 +47,8 @@ val default_mode : mode ref
 val translate :
   ?costs:Costs.t -> ?safe:bool array -> ?xblock:bool -> Insn.t array -> t
 (** Translate a validated program against a cost table: the static
-    tables and first-entry stubs only (see above); no segment compiles
-    until a run enters it. [costs] must equal the table the executing
+    tables only, every segment slot left uncompiled (see above); no
+    segment compiles until a run enters it. [costs] must equal the table the executing
     {!Cpu.t} was created with, or cycle accounting diverges from the
     interpreter.
 

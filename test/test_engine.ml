@@ -154,6 +154,36 @@ let test_blocked_detection () =
   Alcotest.(check (list string)) "deadlocked process listed" [ "stuck" ]
     (Engine.blocked e)
 
+(* An engine serves one process per request (event points spawn one per
+   delivered event), so a long run must not keep every finished process.
+   100,000 short requests run in batches of 100; the engine's reachable
+   heap stays bounded. Beside them, processes blocked before, during and
+   after the requests are still reported by [blocked], oldest first. *)
+let test_finished_procs_dropped () =
+  let e = Engine.create () in
+  let q = Waitq.create e in
+  let stuck name = ignore (Engine.spawn e ~name (fun () -> Waitq.wait q)) in
+  stuck "stuck-a";
+  for batch = 1 to 1_000 do
+    for _ = 1 to 100 do
+      ignore (Engine.spawn e ~name:"request" (fun () -> Engine.delay 10))
+    done;
+    if batch = 500 then stuck "stuck-b";
+    Engine.run e
+  done;
+  stuck "stuck-c";
+  Engine.run e;
+  Alcotest.(check (list string))
+    "blocked processes, oldest first"
+    [ "stuck-a"; "stuck-b"; "stuck-c" ]
+    (Engine.blocked e);
+  ignore (Waitq.broadcast q : int);
+  Engine.run e;
+  let words = Obj.reachable_words (Obj.repr e) in
+  Alcotest.(check bool)
+    (Printf.sprintf "engine holds %d words <= 10000" words)
+    true (words <= 10_000)
+
 let test_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
@@ -269,5 +299,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_timer_discipline;
         Alcotest.test_case "stats trims 10% outliers" `Quick
           test_stats_trimming;
+        Alcotest.test_case "finished processes are dropped" `Quick
+          test_finished_procs_dropped;
       ] );
   ]

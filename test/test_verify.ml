@@ -483,6 +483,158 @@ let prop_differential_straight_line =
           o_s = Cpu.Halted && o_v = Cpu.Halted && m_s = m_v && c_v <= c_s
       | _ -> false)
 
+(* --------------------- golden: analyser output pinned ------------------ *)
+
+(* Every report the analyser produces over a fixed corpus, rendered in
+   full (per-instruction classes, diagnostics in order, the degraded
+   flag) and reduced to one fixed digest, so any change to a verdict, a
+   diagnostic, its text or its order fails here: seal-time proofs and
+   [vino verify] listings derive from exactly these reports.
+
+   Corpus: the disaster campaign's 5 x 8 family x injector variants at a
+   fixed seed, sealed with the site kernel's key and relocation-patched
+   as {!Linker.load} patches them, analysed under the linker's own
+   configuration and segment size; plus every shipped example graft at
+   the [`Source] stage, without entry facts and with the stream graft
+   point's (r1/r2 windows, r3 a count). *)
+let render_report b (r : Report.t) =
+  let call = function
+    | Report.Call_safe id -> Printf.sprintf "call-safe %d" id
+    | Report.Call_check -> "call-check"
+    | Report.Call_bad id -> Printf.sprintf "call-bad %d" id
+  in
+  Array.iteri
+    (fun k c ->
+      Printf.bprintf b "%d %s\n" k
+        (match c with
+        | Report.Plain -> "plain"
+        | Report.Access Report.Access_safe -> "safe"
+        | Report.Access Report.Access_sandbox -> "sandbox"
+        | Report.Access Report.Access_oob -> "oob"
+        | Report.Icall c -> call c
+        | Report.Unreachable -> "unreachable"))
+    r.Report.classes;
+  List.iter
+    (fun (d : Report.diag) ->
+      Printf.bprintf b "%s@%s %s\n"
+        (match d.severity with Report.Error -> "E" | Report.Warning -> "W")
+        (match d.index with Some k -> string_of_int k | None -> "-")
+        d.message)
+    r.Report.diags;
+  Printf.bprintf b "degraded=%b\n" r.Report.degraded
+
+(* The segment each site family requests from {!Linker.load}: shared +
+   heap + the 256-word stack, as [Site] installs them. *)
+let site_words = function
+  | Vino_disaster.Site.Fs_readahead -> 16 + 64 + 256
+  | Vino_disaster.Site.Vmem_evict -> 64 + 256 + 256
+  | Vino_disaster.Site.Sched_delegate -> 4 + 32 + 256
+  | Vino_disaster.Site.Stream_copy -> (2 * 64) + 1024 + 256
+  | Vino_disaster.Site.Net_handler -> 2048 + 1024 + 256
+
+let examples_dir =
+  List.find Sys.file_exists [ "../examples/grafts"; "examples/grafts" ]
+
+let golden_corpus () =
+  let module Site = Vino_disaster.Site in
+  let module Injector = Vino_disaster.Injector in
+  let b = Buffer.create 65536 in
+  let rejected = ref 0 in
+  let sites = List.map (fun f -> (f, Site.create f)) Site.all_families in
+  for index = 0 to 39 do
+    let family, kind = Vino_disaster.Campaign.combo index in
+    let site = List.assoc family sites in
+    let variant =
+      Injector.apply kind
+        ~rng:(Vino_disaster.Seed.derive ~seed:60013 index)
+        ~rig:site.Site.rig site.Site.healthy
+    in
+    Printf.bprintf b "== %s/%s\n" (Site.family_name family)
+      (Injector.name kind);
+    match Asm.assemble variant.Injector.source with
+    | Error e -> Printf.bprintf b "assemble: %s\n" e
+    | Ok obj -> (
+        match Kernel.seal site.Site.kernel obj with
+        | Error e -> Printf.bprintf b "seal: %s\n" e
+        | Ok image -> (
+            let kernel = site.Site.kernel in
+            match
+              Linker.patched kernel image.Vino_misfit.Image.code
+                image.Vino_misfit.Image.relocs
+            with
+            | Error e -> Printf.bprintf b "link: %s\n" e
+            | Ok code ->
+                let r =
+                  Verify.analyse
+                    (Linker.check_config kernel ~words:(site_words family))
+                    code
+                in
+                if
+                  List.exists
+                    (fun (d : Report.diag) ->
+                      contains d.message "provably not graft-callable")
+                    (Report.errors r)
+                then incr rejected;
+                render_report b r))
+  done;
+  let facts =
+    [
+      (1, Verify.seg_window ());
+      (2, Verify.seg_window ~off:2048 ());
+      (3, Verify.arg_at_most 2048);
+    ]
+  in
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".gasm")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         match Vino_vm.Parse.parse_file (Filename.concat examples_dir f) with
+         | Error e -> Alcotest.fail (f ^ ": " ^ e)
+         | Ok items ->
+             let code = (Asm.assemble_exn items).Asm.code in
+             List.iter
+               (fun (label, entry) ->
+                 Printf.bprintf b "== %s %s\n" f label;
+                 render_report b (analyse ~entry ~words:4096 code))
+               [ ("bare", []); ("facts", facts) ]);
+  (Buffer.contents b, !rejected)
+
+let test_golden_reports () =
+  let text, rejected = golden_corpus () in
+  Alcotest.(check bool) "corpus holds a linker-rejected Kcallr" true
+    (rejected > 0);
+  Alcotest.(check string) "analyser output digest"
+    "b115c04b56e0c40555624af66fea1db1" (Digest.to_hex (Digest.string text))
+
+(* The link-time check on a looping graft: the encryption graft sealed
+   and patched as the linker sees it, analysed under the linker's
+   configuration. Stepping builds no closures and a merge that changes
+   nothing copies no state (4,051 words when written; 8,408 before). *)
+let test_link_check_alloc () =
+  let kernel = Kernel.create ~mem_words:(1 lsl 16) () in
+  let obj =
+    Asm.assemble_exn (Vino_stream.Grafts.xor_encrypt_source ~key:0x5EC2E7)
+  in
+  let image =
+    match Kernel.seal kernel obj with Ok i -> i | Error e -> Alcotest.fail e
+  in
+  let code =
+    match
+      Linker.patched kernel image.Vino_misfit.Image.code
+        image.Vino_misfit.Image.relocs
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let conf = Linker.check_config kernel ~words:(1 lsl 14) in
+  let words =
+    Test_jit.words_of_call (fun () ->
+        ignore (Verify.analyse conf code : Report.t))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "link-time analysis: %.0f minor words <= 5500" words)
+    true (words <= 5_500.)
+
 let suite =
   [
     ( "verify",
@@ -547,5 +699,9 @@ let suite =
         Alcotest.test_case "differential: wild store confined" `Quick
           test_differential_wild_store_still_confined;
         QCheck_alcotest.to_alcotest prop_differential_straight_line;
+        Alcotest.test_case "golden: analyser reports over a fixed corpus"
+          `Quick test_golden_reports;
+        Alcotest.test_case "link-time analysis allocation" `Quick
+          test_link_check_alloc;
       ] );
   ]
