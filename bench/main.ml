@@ -1,6 +1,5 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4) from the simulator, and measures wall-clock costs of the
-   same paths with Bechamel.
+   evaluation (§4) from the simulator.
 
    Usage:
      bench/main.exe                 -- everything (default iterations)
@@ -12,8 +11,7 @@
      bench/main.exe abortmodel      -- the §4.5 equation
      bench/main.exe lockfactor      -- Figures 4/5
      bench/main.exe costbenefit     -- §4.1/§4.2/§4.3 cost-benefit analyses
-     bench/main.exe ablations       -- design-choice ablations (DESIGN.md)
-     bench/main.exe bechamel        -- wall-clock Bechamel suite only *)
+     bench/main.exe ablations       -- design-choice ablations (DESIGN.md) *)
 
 open Vino_measure
 module Trace = Vino_trace.Trace
@@ -339,79 +337,6 @@ let ablations ~iterations () =
   ablation_elevator ();
   calibrate ()
 
-(* -------------------------------------------------------------------- *)
-(* Bechamel wall-clock suite: one group per table                        *)
-(* -------------------------------------------------------------------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let path_test measure path =
-    Test.make
-      ~name:(Path.name path)
-      (Staged.stage (fun () -> ignore (measure path : float)))
-  in
-  let per_table name measure =
-    Test.make_grouped ~name
-      (List.map (path_test measure) [ Path.Base; Path.Null; Path.Safe ])
-  in
-  let tests =
-    Test.make_grouped ~name:"vino"
-      [
-        per_table "table3-readahead" (Sc_readahead.measure ~iterations:2);
-        per_table "table4-evict" (Sc_evict.measure ~iterations:2);
-        per_table "table5-sched" (Sc_sched.measure ~iterations:2);
-        per_table "table6-crypt" (Sc_crypt.measure ~iterations:2);
-        Test.make_grouped ~name:"table7-abort"
-          [
-            Test.make ~name:"abort-0-locks"
-              (Staged.stage (fun () ->
-                   ignore
-                     (Abort_model.abort_cost ~iterations:2 ~locks:0 ~undo:0 ()
-                       : float)));
-            Test.make ~name:"abort-8-locks"
-              (Staged.stage (fun () ->
-                   ignore
-                     (Abort_model.abort_cost ~iterations:2 ~locks:8 ~undo:0 ()
-                       : float)));
-          ];
-        Test.make_grouped ~name:"substrate"
-          [
-            Test.make ~name:"misfit-rewrite-xor"
-              (Staged.stage (fun () ->
-                   let obj =
-                     Vino_vm.Asm.assemble_exn
-                       (Vino_stream.Grafts.xor_encrypt_source ~key:7)
-                   in
-                   ignore (Vino_misfit.Rewrite.process obj.Vino_vm.Asm.code)));
-            Test.make ~name:"image-seal"
-              (Staged.stage (fun () ->
-                   let obj =
-                     Vino_vm.Asm.assemble_exn
-                       (Vino_stream.Grafts.xor_encrypt_source ~key:7)
-                   in
-                   ignore (Vino_misfit.Image.seal ~key:"bench" obj)));
-          ];
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  print_endline "== Bechamel wall-clock suite (ns per run) ==";
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-45s %12.0f ns\n" name est
-         | Some _ | None -> Printf.printf "  %-45s %12s\n" name "-");
-  print_newline ()
-
 let all ~iterations ?pool () =
   fig3 ();
   table3 ~iterations ?pool ();
@@ -423,8 +348,7 @@ let all ~iterations ?pool () =
   abortmodel ~iterations ?pool ();
   lockfactor ~iterations ?pool ();
   costbenefit ~iterations ();
-  ablations ~iterations ();
-  bechamel_suite ()
+  ablations ~iterations ()
 
 let serve ?pool () =
   emit ~name:"serve"
@@ -487,7 +411,7 @@ let speedup ~jobs () =
 let usage () =
   prerr_endline
     "usage: main.exe [--json] [-j N] \
-     [quick|tables|table3|table4|table5|table6|table7|disaster|serve|abortmodel|lockfactor|costbenefit|ablations|calibrate|speedup|bechamel]";
+     [quick|tables|table3|table4|table5|table6|table7|disaster|serve|abortmodel|lockfactor|costbenefit|ablations|calibrate|speedup]";
   exit 1
 
 let () =
@@ -527,8 +451,8 @@ let () =
   match args with
   | [ _ ] -> with_pool (all ~iterations)
   | [ _; "quick" ] ->
-      (* --json quick only runs the gated tables: the ablations and the
-         wall-clock suite have no JSON form and would dominate the run *)
+      (* --json quick only runs the gated tables: the ablations have no
+         JSON form and would dominate the run *)
       if !json_mode then with_pool (tables ~iterations:60)
       else with_pool (all ~iterations:60)
   | [ _; "tables" ] -> with_pool (tables ~iterations)
@@ -551,5 +475,4 @@ let () =
         match jobs_opt with Some j -> max j 2 | None -> max 4 jobs
       in
       speedup ~jobs ()
-  | [ _; "bechamel" ] -> bechamel_suite ()
   | _ -> usage ()

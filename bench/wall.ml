@@ -24,7 +24,7 @@
    proven-safe access compiles to a bare superinstruction. Parity is
    asserted against the interpreter on the same verified-sealed code.
 
-   Segments compile on first entry, so the table also prices what a
+   Windows compile on first entry, so the table also prices what a
    translation-cache miss costs each graft: the linker's load-time
    [Verify.analyse], [Jit.translate] alone, and translate plus the first
    invocation (microseconds, best repetition, and minor words per
@@ -307,7 +307,7 @@ type measurement = {
   trans_words : float;  (* minor words per translated invocation *)
   (* What a translation cache miss costs: the linker's static check,
      [Jit.translate] alone, then translate plus the first invocation,
-     which compiles every segment that invocation enters. Seconds and
+     which compiles every window that invocation enters. Seconds and
      minor words per call. *)
   verify_s : float;
   verify_words : float;
@@ -508,7 +508,7 @@ let report ms =
   print_string
     "(check: the linker's Verify.analyse; xlate: Jit.translate alone; \
      1st: translate plus the first invocation, which compiles the \
-     segments it enters; per call, ungated)\n";
+     windows it enters; per call, ungated)\n";
   let j =
     Json.Obj
       [

@@ -154,11 +154,11 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
    proof must never serve a stale compiled graft. The mutex makes the
    cache safe under concurrent loads from a domain pool ([Pool.map] /
    [-j N]); OCaml's Hashtbl is not. Holding it across [Jit.translate] is
-   cheap: translation builds only static tables, with every segment slot
-   left uncompiled. Segments compile later, on first entry, outside the
-   mutex and into the cached translation every load of the same code
-   shares; domains racing on a first entry each compile an equivalent
-   closure, which is benign (see {!Vino_vm.Jit}).
+   cheap: translation builds only static tables, with every window left
+   uncompiled. Windows compile later, on first entry, outside the mutex
+   and into the cached translation every load of the same code shares;
+   domains racing on a first entry each compile an equivalent closure,
+   which is benign (see {!Vino_vm.Jit}).
 
    The cache is bounded: [jit_cache_cap] entries, LRU eviction. Evicting
    an entry never invalidates running grafts — {!Linker.load} stores the
