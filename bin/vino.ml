@@ -530,20 +530,12 @@ let disaster_json (r : Vino_disaster.Campaign.report) =
   f "\n  ]\n}\n";
   Buffer.contents b
 
-let disaster seed count costs jobs mode fork recheck strategy json =
+let disaster seed count costs jobs mode fork recheck json =
   set_mode mode;
-  let strategy =
-    match strategy with
-    | "txn" -> Vino_core.Kernel.Txn_undo
-    | "snapshot" -> Vino_core.Kernel.Snapshot_rollback
-    | other ->
-        Printf.eprintf "unknown strategy %S; try txn or snapshot\n" other;
-        exit 2
-  in
   with_pool jobs (fun pool ->
       let report =
-        Vino_disaster.Campaign.run ?pool ~fork ~recheck_every:recheck
-          ~strategy ~seed ~count ()
+        Vino_disaster.Campaign.run ?pool ~fork ~recheck_every:recheck ~seed
+          ~count ()
       in
       if json then print_string (disaster_json report)
       else Format.printf "%a@." Vino_disaster.Campaign.pp report;
@@ -1018,15 +1010,6 @@ let disaster_cmd =
              fingerprints as nondeterminism (default 1: every trial; 0 \
              disables).")
   in
-  let strategy =
-    Arg.(
-      value & opt string "txn"
-      & info [ "strategy" ]
-          ~doc:
-            "Recovery cost model: $(b,txn) (per-write undo log, the \
-             default) or $(b,snapshot) (whole-kernel checkpoint before \
-             dispatch, restore on fault).")
-  in
   let json =
     Arg.(
       value & flag
@@ -1040,7 +1023,7 @@ let disaster_cmd =
           (exit 1 on any violation)")
     Term.(
       const disaster $ seed $ count $ costs $ jobs_arg $ mode_arg $ fork
-      $ recheck $ strategy $ json)
+      $ recheck $ json)
 
 let serve_cmd =
   let d = Serve.default in

@@ -165,19 +165,6 @@ let invoke t kernel ~cred:_ arg =
          can abort without aborting its calling graft" (§3.1) *)
       let parent = Txn.current kernel.Kernel.txn_mgr in
       let txn = Txn.begin_ kernel.Kernel.txn_mgr ?parent ~name:t.gname () in
-      (* Snapshot_rollback: checkpoint the kernel's dirty set (the
-         segment allocator's touched words, bcopy-priced) before the
-         graft runs; the matching restore charge is levied in [abandon].
-         Under Txn_undo both charges are zero and per-undo-record costs
-         apply instead. *)
-      let rollback_charge cost_per_word =
-        match kernel.Kernel.strategy with
-        | Kernel.Txn_undo -> ()
-        | Kernel.Snapshot_rollback ->
-            Engine.delay
-              (Segalloc.touched_words kernel.Kernel.segalloc * cost_per_word)
-      in
-      rollback_charge kernel.Kernel.costs.Vino_txn.Tcosts.snap_word;
       let cancel_watchdog =
         match t.watchdog with
         | None -> fun () -> ()
@@ -196,7 +183,6 @@ let invoke t kernel ~cred:_ arg =
       in
       cancel_watchdog ();
       let abandon reason =
-        rollback_charge kernel.Kernel.costs.Vino_txn.Tcosts.restore_word;
         if Txn.is_active txn then Txn.abort txn ~reason;
         (* this invocation owns the frame outright: nothing below holds
            onto [txn], so its frame goes back to the manager's arena *)

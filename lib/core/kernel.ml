@@ -17,8 +17,6 @@ type jit_cache_stats = {
   jit_entries : int;
 }
 
-type strategy = Txn_undo | Snapshot_rollback
-
 type t = {
   engine : Engine.t;
   wheel : Tick.t;
@@ -41,7 +39,6 @@ type t = {
   mutable exec_mode : Vino_vm.Jit.mode;
   mutable flow_enforce : bool;
   mutable flow_pin : Vino_verify.Kflow.table option;
-  mutable strategy : strategy;
   mutable snap_savers : (unit -> unit -> unit) list; (* newest first *)
 }
 
@@ -83,7 +80,6 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
         | None -> !Vino_vm.Jit.default_mode);
       flow_enforce;
       flow_pin = None;
-      strategy = Txn_undo;
       snap_savers = [];
     }
   in
@@ -124,13 +120,11 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
     let exec_mode = t.exec_mode
     and flow_enforce = t.flow_enforce
     and flow_pin = t.flow_pin
-    and strategy = t.strategy
     and savers = t.snap_savers in
     fun () ->
       t.exec_mode <- exec_mode;
       t.flow_enforce <- flow_enforce;
       t.flow_pin <- flow_pin;
-      t.strategy <- strategy;
       t.snap_savers <- savers
   in
   t.snap_savers <-
@@ -280,11 +274,10 @@ let audit_event t event = Audit.record t.audit ~now_us:(now_us t) event
 
 let on_snapshot t f = t.snap_savers <- f :: t.snap_savers
 
-let set_strategy t s =
-  t.strategy <- s;
-  Vino_txn.Txn.set_charge_undo t.txn_mgr (s = Txn_undo)
+(* Kept only for [hostbench/workloads.ml]; see kernel.mli. *)
+type strategy = Txn_undo
 
-let strategy t = t.strategy
+let set_strategy (_ : t) Txn_undo = ()
 
 type snap = { owner : t; restores : (unit -> unit) list }
 

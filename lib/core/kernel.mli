@@ -18,17 +18,6 @@ type jit_cache_stats = {
   jit_entries : int;  (** live entries, [<= jit_cache_cap] *)
 }
 
-type strategy =
-  | Txn_undo
-      (** the paper's recovery: per-change undo records, replayed on
-          abort (default) *)
-  | Snapshot_rollback
-      (** checkpoint the kernel's dirty set before each graft dispatch
-          and restore it wholesale on fault: per-record undo charges are
-          suppressed and checkpoint/restore copy charges
-          ({!Vino_txn.Tcosts.t.snap_word}/[restore_word] over the
-          allocator's touched words) are levied at dispatch instead *)
-
 type t = {
   engine : Vino_sim.Engine.t;
   wheel : Vino_sim.Tick.t;
@@ -73,10 +62,6 @@ type t = {
           (SFIP-style) that the running code must honour. Disaster
           campaigns use it to pin a witness protocol and then install a
           hijacked variant. *)
-  mutable strategy : strategy;
-      (** recovery strategy charged at graft dispatch; set via
-          {!set_strategy} so the transaction manager's undo charging
-          stays in sync *)
   mutable snap_savers : (unit -> unit -> unit) list;
       (** snapshot registry, newest first: each saver captures one
           component's state and returns its restore thunk. Register via
@@ -216,12 +201,7 @@ val restore : t -> snap -> unit
     same snapshot (each restore copies from the capture).
     @raise Invalid_argument if [snap] was taken from a different kernel. *)
 
-val set_strategy : t -> strategy -> unit
-(** Select the recovery strategy charged at graft dispatch, keeping the
-    transaction manager's undo charging in sync: [Snapshot_rollback]
-    suppresses per-undo-record charges in favour of dispatch-time
-    checkpoint/restore copy charges. State recovery itself still runs
-    through the undo log either way — the strategy changes the cost
-    model, not the mechanism's correctness. *)
+type strategy = Txn_undo  (** the paper's undo-log recovery (§3.1) *)
 
-val strategy : t -> strategy
+val set_strategy : t -> strategy -> unit
+(** Does nothing; kept with {!strategy} only for [hostbench/workloads.ml]. *)

@@ -141,17 +141,14 @@ let run_injection ~seed ~index =
   let family, kind = combo index in
   inject (Site.create family) ~kind ~seed ~index
 
-let run_trial ~check_determinism ~fork ~recheck_every ~strategy ~seed index =
+let run_trial ~fork ~recheck_every ~seed index =
   let run_once () =
     let family, kind = combo index in
     let site = if fork then forked_site family else Site.create family in
-    Kernel.set_strategy site.Site.kernel strategy;
     inject site ~kind ~seed ~index
   in
   let r1 = run_once () in
-  let recheck =
-    check_determinism && recheck_every > 0 && index mod recheck_every = 0
-  in
+  let recheck = recheck_every > 0 && index mod recheck_every = 0 in
   if not recheck then r1
   else
     let r2 = run_once () in
@@ -171,11 +168,10 @@ let run_trial ~check_determinism ~fork ~recheck_every ~strategy ~seed index =
    its domain's warmed site to the post-creation snapshot, a fresh trial
    builds its own site; records come back in index order whatever the
    schedule. *)
-let run ?(check_determinism = true) ?(fork = true) ?(recheck_every = 1)
-    ?(strategy = Kernel.Txn_undo) ?pool ~seed ~count () =
+let run ?(fork = true) ?(recheck_every = 1) ?pool ~seed ~count () =
   let records =
     Vino_par.Pool.map_scoped ?pool
-      (run_trial ~check_determinism ~fork ~recheck_every ~strategy ~seed)
+      (run_trial ~fork ~recheck_every ~seed)
       (List.init count Fun.id)
   in
   { seed; count; records }

@@ -2,9 +2,9 @@
 
     A campaign of [count] injections walks the (family x injector) product
     — index [i] hits family [i mod 5] with injector [(i / 5) mod 8], so any
-    count >= 40 covers every combination — building a fresh {!Site} per
-    injection, deriving its misbehaving graft from the campaign seed,
-    running the workload, and checking every post-recovery invariant.
+    count >= 40 covers every combination — running each injection on a
+    {!Site} in its initial state, with a misbehaving graft derived from the
+    campaign seed, and checking every post-recovery invariant.
 
     Each injection is (by default) run twice with the same derived seed;
     differing fingerprints are reported as a determinism violation.
@@ -43,10 +43,8 @@ val run_injection : seed:int -> index:int -> record
 (** One injection of campaign [seed] (fresh site, no determinism re-run). *)
 
 val run :
-  ?check_determinism:bool ->
   ?fork:bool ->
   ?recheck_every:int ->
-  ?strategy:Vino_core.Kernel.strategy ->
   ?pool:Vino_par.Pool.t ->
   seed:int ->
   count:int ->
@@ -62,11 +60,7 @@ val run :
     the warm JIT cache would skew translation counters).
 
     [recheck_every] (default 1: every trial) samples the same-seed
-    determinism re-run to every [n]-th index; [0] disables it, as does
-    [~check_determinism:false].
-
-    [strategy] (default {!Vino_core.Kernel.Txn_undo}) selects the
-    recovery cost model charged at graft dispatch and on faults. *)
+    determinism re-run to every [n]-th index; [0] disables it. *)
 
 val ok : report -> bool
 

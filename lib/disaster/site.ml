@@ -2,8 +2,9 @@
    rig the injectors aim at (a lock, a resource limit, an undoable state
    cell, a non-callable function) and the probes the invariant checks read.
 
-   Each campaign injection builds a *fresh* site, so no state leaks between
-   injections and a same-seed re-run sees bit-identical initial conditions. *)
+   Each campaign injection forks a site from its post-creation snapshot (or
+   builds a fresh one), so no state leaks between injections and a same-seed
+   re-run sees bit-identical initial conditions. *)
 
 module Asm = Vino_vm.Asm
 module Mem = Vino_vm.Mem

@@ -4,8 +4,8 @@
 
     A site is one fresh kernel with one family's subsystem built on it, the
     {!Injector.rig} the fault injectors aim at, and everything the
-    post-recovery invariant checks need to probe. Sites are throwaway: one
-    injection, one site. *)
+    post-recovery invariant checks need to probe. Each injection forks a
+    site from its post-creation snapshot, or builds a fresh one. *)
 
 type family =
   | Fs_readahead

@@ -33,7 +33,6 @@ type t = {
   mutable served : int;
   mutable writes : int;
   mutable sequential : int;
-  mutable busy : int;
 }
 
 let cycles_of_us = Vino_vm.Costs.cycles_of_us
@@ -95,7 +94,6 @@ let rec disk_process t () =
       if r.block = t.head_block + 1 || r.block = t.head_block then
         t.sequential <- t.sequential + 1;
       Engine.delay cost;
-      t.busy <- t.busy + cost;
       t.head_block <- r.block;
       t.served <- t.served + 1;
       (match r.kind with Write -> t.writes <- t.writes + 1 | Read -> ());
@@ -113,7 +111,6 @@ let create engine ?(geometry = default_geometry) ?(scheduling = Fifo) () =
       served = 0;
       writes = 0;
       sequential = 0;
-      busy = 0;
     }
   in
   ignore (Engine.spawn engine ~name:"disk" (fun () -> disk_process t ()));
@@ -137,18 +134,15 @@ let saver t () =
   and head_block = t.head_block
   and served = t.served
   and writes = t.writes
-  and sequential = t.sequential
-  and busy = t.busy in
+  and sequential = t.sequential in
   fun () ->
     restore_work ();
     t.queue <- queue;
     t.head_block <- head_block;
     t.served <- served;
     t.writes <- writes;
-    t.sequential <- sequential;
-    t.busy <- busy
+    t.sequential <- sequential
 let requests_served t = t.served
 let writes_served t = t.writes
 let sequential_hits t = t.sequential
-let busy_cycles t = t.busy
 let queue_depth t = List.length t.queue

@@ -45,7 +45,6 @@ val service_time : t -> block:int -> int
 val requests_served : t -> int
 val writes_served : t -> int
 val sequential_hits : t -> int
-val busy_cycles : t -> int
 val queue_depth : t -> int
 
 val saver : t -> unit -> unit -> unit

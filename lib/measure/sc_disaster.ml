@@ -28,9 +28,8 @@ let drained_elapsed (site : Site.t) ~contender =
   Kernel.run site.kernel;
   Vino_vm.Costs.us_of_cycles (Engine.now engine - t0)
 
-let measure_healthy ~strategy () =
+let measure_healthy () =
   let site = Site.create Site.Stream_copy in
-  Kernel.set_strategy site.kernel strategy;
   match seal_install site site.healthy with
   | Error e -> failwith ("healthy graft refused: " ^ e)
   | Ok () -> drained_elapsed site ~contender:false
@@ -53,50 +52,30 @@ let runtime_variant kind =
   in
   go 7
 
-let measure_kind ~strategy kind =
+let measure_kind kind =
   let site, variant = runtime_variant kind in
-  Kernel.set_strategy site.kernel strategy;
   Option.iter (Site.pin_flow_witness site) variant.Injector.flow_witness;
   match seal_install site variant.Injector.source with
   | Error e -> failwith (Injector.name kind ^ ": unexpected load refusal: " ^ e)
   | Ok () -> drained_elapsed site ~contender:variant.Injector.wants_contender
 
-let label strategy text =
-  match strategy with
-  | Kernel.Txn_undo -> text
-  | Kernel.Snapshot_rollback -> "snapshot-rollback: " ^ text
-
 let table ?pool () =
-  (* one parallel unit per (strategy, healthy-or-injector) pair; each
-     builds its own site/kernel, so rows are identical at any pool size.
-     The Txn_undo rows come first, unchanged from before the
-     snapshot-rollback strategy existed. *)
-  let items =
-    List.concat_map
-      (fun strategy ->
-        List.map
-          (fun kind -> (strategy, kind))
-          (None :: List.map Option.some Injector.all))
-      [ Kernel.Txn_undo; Kernel.Snapshot_rollback ]
-  in
+  (* one parallel unit per healthy-or-injector row; each builds its own
+     site/kernel, so rows are identical at any pool size *)
+  let items = None :: List.map Option.some Injector.all in
   let measured =
     Vino_par.Pool.map_scoped ?pool
-      (fun (strategy, kind) ->
-        match kind with
-        | None -> measure_healthy ~strategy ()
-        | Some kind -> measure_kind ~strategy kind)
+      (function None -> measure_healthy () | Some kind -> measure_kind kind)
       items
   in
   let rows =
     List.map2
-      (fun (strategy, kind) v ->
+      (fun kind v ->
         match kind with
-        | None ->
-            Table.elapsed (label strategy "healthy graft (commit path)") v
+        | None -> Table.elapsed "healthy graft (commit path)" v
         | Some kind ->
             Table.elapsed
-              (label strategy
-                 (Printf.sprintf "detect+recover: %s" (Injector.name kind)))
+              (Printf.sprintf "detect+recover: %s" (Injector.name kind))
               v)
       items measured
   in
@@ -109,8 +88,8 @@ let table ?pool () =
      way — that is the forking contract. *)
   let count = 40 in
   let campaign =
-    Vino_disaster.Campaign.run ?pool ~check_determinism:false ~fork:false
-      ~seed:42 ~count ()
+    Vino_disaster.Campaign.run ?pool ~recheck_every:0 ~fork:false ~seed:42
+      ~count ()
   in
   let vtime_us =
     Vino_vm.Costs.us_of_cycles (Vino_disaster.Campaign.total_vtime campaign)

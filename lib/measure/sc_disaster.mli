@@ -1,9 +1,7 @@
 (** Recovery cost by fault class: virtual elapsed time for one graft
     invocation on the stream site, healthy vs. each injected misbehaviour
-    (the delta is detection + abort + removal), under both recovery
-    strategies — the default per-write undo log ({!Vino_core.Kernel.Txn_undo})
-    and whole-kernel checkpointing ({!Vino_core.Kernel.Snapshot_rollback})
-    — plus campaign-throughput rows in virtual time. Deterministic — no
+    (the delta is detection + abort + removal), plus
+    campaign-throughput rows in virtual time. Deterministic — no
     [~iterations]; every run replays the same seeded variants. *)
 
 val table : ?pool:Vino_par.Pool.t -> unit -> Table.row list

@@ -28,7 +28,6 @@ type t = {
   valid_tids : Calltable.t;
   queue : int Queue.t;
   mutable next_tid : int;
-  mutable n_switches : int;
   mutable n_redirects : int;
   mutable n_invalid : int;
 }
@@ -76,7 +75,6 @@ let create kernel ?(timeslice = Vino_txn.Tcosts.us 10_000.)
       valid_tids = Calltable.create ();
       queue = Queue.create ();
       next_tid = 1;
-      n_switches = 0;
       n_redirects = 0;
       n_invalid = 0;
     }
@@ -90,7 +88,6 @@ let create kernel ?(timeslice = Vino_txn.Tcosts.us 10_000.)
         Hashtbl.fold (fun tid task acc -> (tid, task.group) :: acc) t.tasks []
       and queued = Queue.fold (fun acc tid -> tid :: acc) [] t.queue
       and next_tid = t.next_tid
-      and n_switches = t.n_switches
       and n_redirects = t.n_redirects
       and n_invalid = t.n_invalid in
       fun () ->
@@ -105,7 +102,6 @@ let create kernel ?(timeslice = Vino_txn.Tcosts.us 10_000.)
         Queue.clear t.queue;
         List.iter (fun tid -> Queue.push tid t.queue) (List.rev queued);
         t.next_tid <- next_tid;
-        t.n_switches <- n_switches;
         t.n_redirects <- n_redirects;
         t.n_invalid <- n_invalid);
   t
@@ -196,11 +192,9 @@ let schedule t ~cred =
               t.n_invalid <- t.n_invalid + 1;
               task
       in
-      t.n_switches <- t.n_switches + 1;
       Engine.delay t.switch_cost;
       Some chosen
 
-let switches t = t.n_switches
 let delegate_redirects t = t.n_redirects
 let invalid_delegations t = t.n_invalid
 let timeslice t = t.tslice

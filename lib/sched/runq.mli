@@ -61,7 +61,6 @@ val schedule : t -> cred:Vino_core.Cred.t -> task option
     gets the CPU. [None] if the queue is empty. Must run inside an engine
     process. *)
 
-val switches : t -> int
 val delegate_redirects : t -> int
 val invalid_delegations : t -> int
 val timeslice : t -> int

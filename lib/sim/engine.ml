@@ -36,7 +36,6 @@ type cancel = unit -> unit
 type _ Effect.t +=
   | Delay : int -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Yield : unit Effect.t
   | Self : proc Effect.t
 
 let min_sweep = 64
@@ -80,7 +79,6 @@ let proc_id p = p.id
 let alive p = not p.dead
 
 let delay n = Effect.perform (Delay n)
-let yield () = Effect.perform Yield
 let suspend f = Effect.perform (Suspend f)
 let self () = Effect.perform Self
 
@@ -139,7 +137,6 @@ let start t p body =
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     function
     | Delay n -> Some (fun k -> handle_delay n k)
-    | Yield -> Some (fun k -> handle_delay 0 k)
     | Suspend f -> Some (fun k -> handle_suspend f k)
     | Self -> Some (fun k -> continue k p)
     | _ -> None

@@ -53,9 +53,6 @@ val kill : t -> proc -> unit
 val delay : int -> unit
 (** Advance this process's virtual time by the given number of cycles. *)
 
-val yield : unit -> unit
-(** Re-enqueue at the current time behind already-pending events. *)
-
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend f] blocks the calling process. [f waker] is called immediately;
     the process resumes with [v] when some other event calls [waker v].

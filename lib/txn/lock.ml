@@ -33,14 +33,13 @@ type t = {
   costs : Tcosts.t;
   lname : string;
   ltimeout : int;
-  mutable lpolicy : Lock_policy.t;
+  lpolicy : Lock_policy.t;
   mutable holders : held list;
   mutable waitq : waiter list; (* index 0 is the queue head *)
   mutable n_acquisitions : int;
   mutable n_contentions : int;
   mutable n_timeouts : int;
   mutable n_holder_aborts : int;
-  mutable n_hold_cycles : int;
   mutable n_fruitless_giveups : int;
 }
 
@@ -48,7 +47,6 @@ and held = {
   lock : t;
   mutable howner : owner;
   hmode : Lock_policy.mode;
-  acquired_at : int;
   mutable released : bool;
 }
 
@@ -79,14 +77,12 @@ let create engine ~wheel ?(costs = Tcosts.default)
     n_contentions = 0;
     n_timeouts = 0;
     n_holder_aborts = 0;
-    n_hold_cycles = 0;
     n_fruitless_giveups = 0;
   }
 
 let name t = t.lname
 let timeout t = t.ltimeout
 let policy t = t.lpolicy
-let set_policy t p = t.lpolicy <- p
 let holder_modes t = List.map (fun h -> h.hmode) t.holders
 let holders t = List.map (fun h -> (h.howner.name, h.hmode)) t.holders
 let waiters t = List.map (fun w -> (w.wowner.name, w.wmode)) t.waitq
@@ -94,7 +90,6 @@ let acquisitions t = t.n_acquisitions
 let contentions t = t.n_contentions
 let timeouts_fired t = t.n_timeouts
 let holder_aborts_requested t = t.n_holder_aborts
-let total_hold_cycles t = t.n_hold_cycles
 let fruitless_giveups t = t.n_fruitless_giveups
 
 let reassign h owner = h.howner <- owner
@@ -136,7 +131,6 @@ let grant t mode owner =
       lock = t;
       howner = owner;
       hmode = mode;
-      acquired_at = Engine.now t.engine;
       released = false;
     }
   in
@@ -265,29 +259,24 @@ let acquire t mode owner ?(poll = fun () -> None) () =
       end
 
 let saver t () =
-  let lpolicy = t.lpolicy
-  and n_acquisitions = t.n_acquisitions
+  let n_acquisitions = t.n_acquisitions
   and n_contentions = t.n_contentions
   and n_timeouts = t.n_timeouts
   and n_holder_aborts = t.n_holder_aborts
-  and n_hold_cycles = t.n_hold_cycles
   and n_fruitless_giveups = t.n_fruitless_giveups in
   fun () ->
-    t.lpolicy <- lpolicy;
     t.holders <- [];
     t.waitq <- [];
     t.n_acquisitions <- n_acquisitions;
     t.n_contentions <- n_contentions;
     t.n_timeouts <- n_timeouts;
     t.n_holder_aborts <- n_holder_aborts;
-    t.n_hold_cycles <- n_hold_cycles;
     t.n_fruitless_giveups <- n_fruitless_giveups
 
 let release ?(during_abort = false) h =
   if not h.released then begin
     let t = h.lock in
     h.released <- true;
-    t.n_hold_cycles <- t.n_hold_cycles + (Engine.now t.engine - h.acquired_at);
     t.holders <- List.filter (fun x -> x != h) t.holders;
     wake_waiters t;
     Engine.delay

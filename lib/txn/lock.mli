@@ -78,9 +78,6 @@ val name : t -> string
 val timeout : t -> int
 val policy : t -> Lock_policy.t
 
-val set_policy : t -> Lock_policy.t -> unit
-(** The lock-policy graft point (Fig 5). *)
-
 val holders : t -> (string * Lock_policy.mode) list
 val waiters : t -> (string * Lock_policy.mode) list
 
@@ -90,13 +87,12 @@ val acquisitions : t -> int
 val contentions : t -> int
 val timeouts_fired : t -> int
 val holder_aborts_requested : t -> int
-val total_hold_cycles : t -> int
 
 val fruitless_giveups : t -> int
 (** How many waiters gave up because no holder was ever abortable. *)
 
 val saver : t -> unit -> unit -> unit
-(** [saver t ()] captures policy and statistics; the returned thunk
+(** [saver t ()] captures the statistics; the returned thunk
     restores them and empties the holder/waiter lists (re-runnable).
     For kernel snapshots, which are only taken on never-run engines
     where both lists are empty anyway. *)

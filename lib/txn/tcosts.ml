@@ -11,8 +11,6 @@ type t = {
   undo_push : int;
   policy_indirection : int;
   limit_check : int;
-  snap_word : int;
-  restore_word : int;
 }
 
 let us = Vino_vm.Costs.cycles_of_us
@@ -31,6 +29,4 @@ let default =
     undo_push = us 1.5;
     policy_indirection = 35;
     limit_check = us 0.5;
-    snap_word = 6;
-    restore_word = 6;
   }

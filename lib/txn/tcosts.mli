@@ -23,11 +23,6 @@ type t = {
       (** one encapsulated policy decision point (a ~35-cycle function call,
           §6 / Fig 5) *)
   limit_check : int;  (** one resource-limit debit/credit *)
-  snap_word : int;
-      (** checkpointing one dirty word before a graft dispatch under the
-          [Snapshot_rollback] strategy (bcopy-like, ~6 cycles/word) *)
-  restore_word : int;
-      (** restoring one dirty word during whole-kernel rollback *)
 }
 
 val default : t

@@ -33,10 +33,6 @@ type mgr = {
   mutable n_undo_live : int; (* undo entries of unresolved transactions *)
   mutable n_undo_failures : int; (* undo entries that raised during replay *)
   mutable n_deferred_failures : int; (* deferred actions that raised *)
-  mutable charge_undo : bool;
-      (* false under [Snapshot_rollback]: undo machinery still runs (it is
-         the state-recovery mechanism) but its per-record cycle charges are
-         replaced by the checkpoint/restore charges levied at dispatch *)
   current : (int, tref) Hashtbl.t; (* engine proc id -> innermost txn *)
   undo_slots : int; (* undo entries preallocated per frame *)
   frames : tref Arena.t; (* retired frames, recycled by [begin_] *)
@@ -79,7 +75,6 @@ let create_mgr engine ~wheel ?(costs = Tcosts.default)
     n_undo_live = 0;
     n_undo_failures = 0;
     n_deferred_failures = 0;
-    charge_undo = true;
     current = Hashtbl.create 16;
     undo_slots;
     frames = Arena.create ~slots:default_frame_slots ();
@@ -98,8 +93,6 @@ let live m = m.n_live
 let undo_live m = m.n_undo_live
 let undo_failures m = m.n_undo_failures
 let deferred_failures m = m.n_deferred_failures
-let charge_undo m = m.charge_undo
-let set_charge_undo m v = m.charge_undo <- v
 
 let saver m () =
   let next_id = m.next_id
@@ -109,8 +102,7 @@ let saver m () =
   and n_live = m.n_live
   and n_undo_live = m.n_undo_live
   and n_undo_failures = m.n_undo_failures
-  and n_deferred_failures = m.n_deferred_failures
-  and charge = m.charge_undo in
+  and n_deferred_failures = m.n_deferred_failures in
   fun () ->
     m.next_id <- next_id;
     m.n_begins <- n_begins;
@@ -120,7 +112,6 @@ let saver m () =
     m.n_undo_live <- n_undo_live;
     m.n_undo_failures <- n_undo_failures;
     m.n_deferred_failures <- n_deferred_failures;
-    m.charge_undo <- charge;
     (* per-proc current-txn map is empty pre-run; the arena stays warm
        (frame reuse changes no observable counter or cost) *)
     Hashtbl.reset m.current
@@ -215,12 +206,10 @@ let push_undo t ?cost ~label undo =
     invalid_arg "Txn.push_undo: transaction is not active";
   Undo_log.push t.undo ?cost ~label undo;
   t.mgr.n_undo_live <- t.mgr.n_undo_live + 1;
-  if t.mgr.charge_undo then begin
-    Engine.delay t.mgr.costs.undo_push;
-    if Trace.enabled () then begin
-      Trace.incr_h h_undo_pushes;
-      Trace.charge ~ctx:(trace_ctx ()) Profile.Undo t.mgr.costs.undo_push
-    end
+  Engine.delay t.mgr.costs.undo_push;
+  if Trace.enabled () then begin
+    Trace.incr_h h_undo_pushes;
+    Trace.charge ~ctx:(trace_ctx ()) Profile.Undo t.mgr.costs.undo_push
   end
 
 let request_abort t reason =
@@ -254,15 +243,12 @@ let abort t ~reason =
       if t.active_children > 0 then
         invalid_arg "Txn.abort: children still active";
       let pending = Undo_log.length t.undo in
-      let replayed_cost =
+      let replay_cost =
         Undo_log.replay
           ~on_error:(fun ~label:_ _exn ->
             t.mgr.n_undo_failures <- t.mgr.n_undo_failures + 1)
           t.undo
       in
-      (* under Snapshot_rollback the replay still runs (it is the recovery
-         mechanism) but the dispatch-time restore charge stands in for it *)
-      let replay_cost = if t.mgr.charge_undo then replayed_cost else 0 in
       t.mgr.n_undo_live <- t.mgr.n_undo_live - pending;
       List.iter (fun h -> Lock.release ~during_abort:true h) t.locks;
       t.locks <- [];

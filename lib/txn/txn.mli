@@ -160,15 +160,6 @@ val deferred_failures : mgr -> int
 (** Deferred actions that raised at top-level commit (recorded and skipped;
     the commit still succeeded). *)
 
-val charge_undo : mgr -> bool
-
-val set_charge_undo : mgr -> bool -> unit
-(** When [false] (the [Snapshot_rollback] recovery strategy), undo records
-    are still pushed and replayed — the undo log remains the actual
-    state-recovery mechanism — but their per-record cycle charges are
-    suppressed; the checkpoint/restore charges levied at graft dispatch
-    stand in for them. Default [true] (the paper's undo-log costing). *)
-
 val saver : mgr -> unit -> unit -> unit
 (** [saver m ()] captures the manager's counters; the returned thunk
     restores them and clears the per-process current-transaction map.

@@ -10,7 +10,6 @@ type t = {
   vases : (int, Vas.t) Hashtbl.t;
   mutable queue : int list; (* frame indices, head = eviction candidate *)
   mutable n_evictions : int;
-  mutable n_consultations : int;
   mutable n_overrules : int;
   mutable n_invalid : int;
 }
@@ -30,7 +29,6 @@ let create kernel ~frames ?pageout_disk ?(graft_support = true) () =
       vases = Hashtbl.create 8;
       queue = [];
       n_evictions = 0;
-      n_consultations = 0;
       n_overrules = 0;
       n_invalid = 0;
     }
@@ -40,7 +38,6 @@ let create kernel ~frames ?pageout_disk ?(graft_support = true) () =
       let vases = Hashtbl.copy t.vases
       and queue = t.queue
       and n_evictions = t.n_evictions
-      and n_consultations = t.n_consultations
       and n_overrules = t.n_overrules
       and n_invalid = t.n_invalid in
       fun () ->
@@ -48,7 +45,6 @@ let create kernel ~frames ?pageout_disk ?(graft_support = true) () =
         Hashtbl.iter (Hashtbl.replace t.vases) vases;
         t.queue <- queue;
         t.n_evictions <- n_evictions;
-        t.n_consultations <- n_consultations;
         t.n_overrules <- n_overrules;
         t.n_invalid <- n_invalid);
   t
@@ -58,11 +54,9 @@ let register_vas t vas = Hashtbl.replace t.vases (Vas.id vas) vas
 let vas_of t vid = Hashtbl.find_opt t.vases vid
 let free_frames t = Frame.free_count t.frames
 let evictions t = t.n_evictions
-let graft_consultations t = t.n_consultations
 let graft_overrules t = t.n_overrules
 let invalid_suggestions t = t.n_invalid
 let queue_order t = t.queue
-let set_queue_order t order = t.queue <- order
 
 (* Second-chance scan: referenced frames get their bit cleared and move to
    the tail; wired frames are skipped. *)
@@ -150,8 +144,6 @@ let select_replacement t ~cred =
             | None -> Ok victim_frame
             | Some vas ->
                 let point = Vas.evict_point vas in
-                if Graft_point.grafted point then
-                  t.n_consultations <- t.n_consultations + 1;
                 let candidates =
                   if Graft_point.grafted point then
                     evictable_candidates vas ~except:vpage

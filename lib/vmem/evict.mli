@@ -58,11 +58,6 @@ val free_frames : t -> int
 (* Statistics for Table 4's analysis. *)
 
 val evictions : t -> int
-val graft_consultations : t -> int
 val graft_overrules : t -> int
 val invalid_suggestions : t -> int
 val queue_order : t -> int list
-
-val set_queue_order : t -> int list -> unit
-(** Restore a snapshot of the global queue — measurement support, so the
-    Abort path can re-run selection against identical state. *)

@@ -179,13 +179,41 @@ let test_campaign_deterministic_across_runs () =
   let fingerprints report =
     List.map (fun r -> r.Campaign.fingerprint) report.Campaign.records
   in
-  let a = Campaign.run ~check_determinism:false ~seed:42 ~count:10 () in
-  let b = Campaign.run ~check_determinism:false ~seed:42 ~count:10 () in
+  let a = Campaign.run ~recheck_every:0 ~seed:42 ~count:10 () in
+  let b = Campaign.run ~recheck_every:0 ~seed:42 ~count:10 () in
   Alcotest.(check (list string))
     "same seed, same fingerprints" (fingerprints a) (fingerprints b);
-  let c = Campaign.run ~check_determinism:false ~seed:43 ~count:10 () in
+  let c = Campaign.run ~recheck_every:0 ~seed:43 ~count:10 () in
   Alcotest.(check bool) "different seed, different campaign" true
     (fingerprints a <> fingerprints c)
+
+(* ------------------------ recovery cost golden ------------------------ *)
+
+(* The recovery-cost table in the cycles [bench/baseline.json] gates, so
+   [dune runtest] catches a change that moves one recovery cycle. *)
+let test_recovery_cost_golden () =
+  let rows =
+    List.map
+      (fun (r : Vino_measure.Table.row) ->
+        (r.label, Vino_vm.Costs.cycles_of_us r.measured_us))
+      (Vino_measure.Sc_disaster.table ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "labels and cycles equal the bench baseline"
+    [
+      ("healthy graft (commit path)", 8985);
+      ("detect+recover: wild-store", 8994);
+      ("detect+recover: bad-call", 9125);
+      ("detect+recover: infinite-loop", 209116);
+      ("detect+recover: lock-hog", 44259);
+      ("detect+recover: resource-hog", 9157);
+      ("detect+recover: undo-bomb", 9821);
+      ("detect+recover: nested-fault", 16419);
+      ("detect+recover: flow-hijack", 14626);
+      ("campaign trial, mean of 40 (virtual us)", 13774022);
+      ("campaign throughput (trials per virtual second)", 1045);
+    ]
+    rows
 
 let suite =
   [
@@ -216,5 +244,7 @@ let suite =
           test_campaign_full_product_clean;
         Alcotest.test_case "campaign: same seed, same outcomes" `Quick
           test_campaign_deterministic_across_runs;
+        Alcotest.test_case "recovery cost table: golden cycles" `Quick
+          test_recovery_cost_golden;
       ] );
   ]

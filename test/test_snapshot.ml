@@ -293,8 +293,8 @@ let prop_forked_campaign_equals_fresh =
     ~count:6
     QCheck2.Gen.(pair (int_range 0 999) (int_range 1 10))
     (fun (seed, count) ->
-      Campaign.run ~check_determinism:false ~fork:true ~seed ~count ()
-      = Campaign.run ~check_determinism:false ~fork:false ~seed ~count ())
+      Campaign.run ~recheck_every:0 ~fork:true ~seed ~count ()
+      = Campaign.run ~recheck_every:0 ~fork:false ~seed ~count ())
 
 let test_recheck_sampling_equivalent () =
   let run recheck_every = Campaign.run ~recheck_every ~seed:11 ~count:12 () in
@@ -302,24 +302,6 @@ let test_recheck_sampling_equivalent () =
   Alcotest.(check bool) "campaign clean" true (Campaign.ok every);
   Alcotest.(check bool) "sampled recheck, same report" true (run 3 = every);
   Alcotest.(check bool) "disabled recheck, same report" true (run 0 = every)
-
-let test_snapshot_rollback_strategy () =
-  let run fork =
-    Campaign.run ~check_determinism:false ~fork
-      ~strategy:Kernel.Snapshot_rollback ~seed:4 ~count:10 ()
-  in
-  let forked = run true in
-  Alcotest.(check bool)
-    "forked = fresh under snapshot-rollback" true
-    (forked = run false);
-  Alcotest.(check bool) "campaign clean" true (Campaign.ok forked);
-  let txn =
-    Campaign.run ~check_determinism:false ~strategy:Kernel.Txn_undo ~seed:4
-      ~count:10 ()
-  in
-  Alcotest.(check bool)
-    "cost overlay shifts virtual time" true
-    (Campaign.total_vtime forked <> Campaign.total_vtime txn)
 
 let suite =
   [
@@ -346,7 +328,5 @@ let suite =
         QCheck_alcotest.to_alcotest prop_forked_campaign_equals_fresh;
         Alcotest.test_case "recheck sampling leaves the report unchanged"
           `Quick test_recheck_sampling_equivalent;
-        Alcotest.test_case "snapshot-rollback strategy: deterministic overlay"
-          `Quick test_snapshot_rollback_strategy;
       ] );
   ]
