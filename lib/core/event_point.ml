@@ -11,6 +11,8 @@ type handler = {
   cred : Cred.t;
   limits : Rlimit.t;
   payload_words : int;
+  txn_name : string;
+  worker_name : string;
   mutable dead : bool;
 }
 
@@ -88,7 +90,17 @@ let add_handler t kernel ~cred ?order ?(payload_words = 2048)
         t.next_hid <- hid + 1;
         let limits = match limits with Some l -> l | None -> Rlimit.zero () in
         let h =
-          { hid; order; loaded; cred; limits; payload_words; dead = false }
+          {
+            hid;
+            order;
+            loaded;
+            cred;
+            limits;
+            payload_words;
+            txn_name = Printf.sprintf "%s#%d" t.ename hid;
+            worker_name = Printf.sprintf "%s-worker-%d" t.ename hid;
+            dead = false;
+          }
         in
         t.handlers <- sort_handlers (h :: t.handlers);
         Kernel.audit_event kernel
@@ -111,15 +123,11 @@ let run_handler t kernel h payload =
   (* workers are fresh processes, so there is normally no enclosing
      transaction; pick one up if an in-kernel caller dispatched inline *)
   let parent = Txn.current kernel.Kernel.txn_mgr in
-  let txn =
-    Txn.begin_ kernel.Kernel.txn_mgr ?parent
-      ~name:(Printf.sprintf "%s#%d" t.ename h.hid)
-      ()
-  in
+  let txn = Txn.begin_ kernel.Kernel.txn_mgr ?parent ~name:h.txn_name () in
   let len = min (Array.length payload) h.payload_words in
   let seg = h.loaded.Linker.seg in
   let setup cpu =
-    Mem.blit_in kernel.Kernel.mem seg.Mem.base (Array.sub payload 0 len);
+    Mem.blit_in ~len kernel.Kernel.mem seg.Mem.base payload;
     Cpu.set_reg cpu 1 seg.Mem.base;
     Cpu.set_reg cpu 2 len
   in
@@ -128,8 +136,11 @@ let run_handler t kernel h payload =
       ~code:h.loaded.Linker.code ~flow:h.loaded.Linker.flow
       ~trans:h.loaded.Linker.trans ~budget:t.budget ~setup ()
   in
+  (* the worker owns the frame outright: nothing below holds onto [txn],
+     so once it is resolved it goes back to the manager's arena *)
   let fail reason =
     if Txn.is_active txn then Txn.abort txn ~reason;
+    Txn.recycle txn;
     t.n_failures <- t.n_failures + 1;
     h.dead <- true;
     Kernel.audit_event kernel
@@ -139,7 +150,9 @@ let run_handler t kernel h payload =
   match outcome with
   | Cpu.Halted -> (
       match Txn.commit txn with
-      | Ok () -> t.last_results <- (h.hid, Cpu.reg cpu 0) :: t.last_results
+      | Ok () ->
+          Txn.recycle txn;
+          t.last_results <- (h.hid, Cpu.reg cpu 0) :: t.last_results
       | Error reason -> fail reason)
   | Cpu.Faulted f -> fail (Format.asprintf "%a" Cpu.pp_fault f)
   | Cpu.Aborted reason -> fail reason
@@ -152,7 +165,6 @@ let dispatch t kernel ~payload =
     (fun h ->
       if not h.dead then
         ignore
-          (Engine.spawn kernel.Kernel.engine
-             ~name:(Printf.sprintf "%s-worker-%d" t.ename h.hid)
-             (fun () -> run_handler t kernel h payload)))
+          (Engine.spawn kernel.Kernel.engine ~name:h.worker_name (fun () ->
+               run_handler t kernel h payload)))
     t.handlers

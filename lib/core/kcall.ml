@@ -15,11 +15,26 @@ type registry = {
   by_name : (string, fn) Hashtbl.t;
   by_id : (int, fn) Hashtbl.t;
   mutable next_id : int;
+  mutable epoch : int;
 }
 
+(* Epochs are drawn from one process-wide counter that nothing rewinds,
+   so an epoch value names exactly one registry state: every change takes
+   a value no registry has held before, including a restore back to a
+   captured state. A per-registry counter captured and restored with the
+   registry would hand the same value to two different states (restore,
+   then a re-registration that reuses an id). *)
+let epochs = Atomic.make 0
+let fresh_epoch () = 1 + Atomic.fetch_and_add epochs 1
+
 let create () =
-  { fns = []; by_name = Hashtbl.create 32; by_id = Hashtbl.create 32;
-    next_id = 0 }
+  {
+    fns = [];
+    by_name = Hashtbl.create 32;
+    by_id = Hashtbl.create 32;
+    next_id = 0;
+    epoch = fresh_epoch ();
+  }
 
 let register r ~name ?(callable = true) impl =
   if Hashtbl.mem r.by_name name then
@@ -29,6 +44,7 @@ let register r ~name ?(callable = true) impl =
   r.fns <- fn :: r.fns;
   Hashtbl.replace r.by_name name fn;
   Hashtbl.replace r.by_id fn.id fn;
+  r.epoch <- fresh_epoch ();
   fn
 
 let find r id = Hashtbl.find_opt r.by_id id
@@ -36,8 +52,11 @@ let find r id = Hashtbl.find_opt r.by_id id
 let set_callable r id v =
   match find r id with
   | None -> invalid_arg (Printf.sprintf "Kcall.set_callable: unknown id %d" id)
-  | Some fn -> fn.callable <- v
+  | Some fn ->
+      fn.callable <- v;
+      r.epoch <- fresh_epoch ()
 let id_limit r = r.next_id
+let epoch r = r.epoch
 let find_by_name r name = Hashtbl.find_opt r.by_name name
 
 let callable_ids r =
@@ -80,15 +99,22 @@ let rewind r fns =
   end
 
 (* Trials toggle callable flags (graft install/remove) but never register
-   new kcalls; registrations since the capture are still undone. *)
+   new kcalls; registrations since the capture are still undone. A
+   restore that finds the registry already in the captured state keeps
+   its epoch, so a forked trial that touched no registration still hits
+   verdicts linked before it; any other restore takes a fresh one. *)
 let saver r () =
   let fns = r.fns
   and next_id = r.next_id
   and flags = List.map (fun f -> (f, f.callable)) r.fns in
   fun () ->
+    let changed =
+      r.fns != fns || List.exists (fun (f, c) -> f.callable <> c) flags
+    in
     rewind r fns;
     r.next_id <- next_id;
-    List.iter (fun (f, callable) -> f.callable <- callable) flags
+    List.iter (fun (f, callable) -> f.callable <- callable) flags;
+    if changed then r.epoch <- fresh_epoch ()
 let arg cpu k = Cpu.reg cpu (1 + k)
 let return cpu v = Cpu.set_reg cpu 0 v
 let ok = Cpu.K_ok

@@ -51,6 +51,15 @@ val id_limit : registry -> int
 (** One past the highest assigned id (ids are dense from 0): the row space
     a kcall-flow transition table built now must cover. *)
 
+val epoch : registry -> int
+(** Names the registry's current state: its registrations and callable
+    flags. {!register} and {!set_callable} take a fresh epoch, and so
+    does a {!saver} restore that changes a registration or a flag. Fresh
+    epochs come from one process-wide counter that nothing rewinds, so
+    two different states never share an epoch, in this registry or any
+    other. The linker keys its cached verdicts by it
+    ({!Kernel.link_verdict}). *)
+
 val callable_ids : registry -> int list
 val names : registry -> string list
 
@@ -59,7 +68,9 @@ val saver : registry -> unit -> unit -> unit
     [callable] flag; the returned thunk restores them (re-runnable):
     functions registered since the capture no longer resolve by name or
     id, their names may be registered again, and ids are reassigned from
-    the captured {!id_limit}. For kernel snapshots. *)
+    the captured {!id_limit}. The {!epoch} is not captured: a restore
+    that finds the registry already in the captured state keeps it, and
+    any other takes a fresh one. For kernel snapshots. *)
 
 (* Argument/result register conventions. *)
 

@@ -17,6 +17,18 @@ type jit_cache_stats = {
   jit_entries : int;
 }
 
+type link_verdict = (Vino_verify.Kflow.table, string) result
+type cached_verdict = {
+  vcode : Vino_vm.Insn.t array;
+  verdict : link_verdict;
+}
+
+type verdict_stats = {
+  verdict_hits : int;
+  verdict_misses : int;
+  verdict_entries : int;
+}
+
 type t = {
   engine : Engine.t;
   wheel : Tick.t;
@@ -36,6 +48,9 @@ type t = {
   mutable jit_hits : int;
   mutable jit_misses : int;
   mutable jit_evictions : int;
+  verdicts : (Vino_misfit.Sign.t * int * int, cached_verdict) Hashtbl.t;
+  mutable verdict_hits : int;
+  mutable verdict_misses : int;
   mutable exec_mode : Vino_vm.Jit.mode;
   mutable flow_enforce : bool;
   mutable flow_pin : Vino_verify.Kflow.table option;
@@ -44,6 +59,7 @@ type t = {
 
 let default_key = "vino-misfit-toolchain"
 let default_jit_cache_cap = 256
+let verdict_cap = 256
 
 let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
     ?(vm_costs = Vino_vm.Costs.default) ?(costs = Vino_txn.Tcosts.default)
@@ -74,6 +90,9 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
       jit_hits = 0;
       jit_misses = 0;
       jit_evictions = 0;
+      verdicts = Hashtbl.create 16;
+      verdict_hits = 0;
+      verdict_misses = 0;
       exec_mode =
         (match exec_mode with
         | Some m -> m
@@ -89,7 +108,9 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
      captured: translations are pure functions of (code, proof, costs),
      cost no virtual cycles, and staying warm across restores is the
      point of forking — only the trace-level hit/miss counters differ,
-     which no fingerprint reads. *)
+     which no fingerprint reads. Neither is the link-verdict table: its
+     keys carry the registry epoch, which a restore that changes the
+     registry replaces. *)
   let engine_saver () =
     let s = Engine.snapshot t.engine in
     fun () -> Engine.restore t.engine s
@@ -182,10 +203,11 @@ let evict_over_cap t =
     | None -> assert false
   done
 
-let translate t ?proof code =
-  let sign =
-    Vino_misfit.Sign.digest ~key:t.key (Vino_vm.Encode.to_words code)
-  in
+let code_digest t code =
+  Vino_misfit.Sign.digest ~key:t.key (Vino_vm.Encode.to_words code)
+
+let translate t ?proof ?sign code =
+  let sign = match sign with Some s -> s | None -> code_digest t code in
   let key = (sign, Vino_verify.Proof.hash_opt proof) in
   Mutex.protect t.translations_mu @@ fun () ->
   t.jit_clock <- t.jit_clock + 1;
@@ -203,6 +225,37 @@ let translate t ?proof code =
       Hashtbl.add t.translations key { tr; last_use = t.jit_clock };
       evict_over_cap t;
       tr
+
+(* Link verdicts are cached beside the translations, under the same
+   mutex, keyed by (post-link digest, segment words, registry epoch): the
+   static check depends on the code, the segment size and the callable
+   flags, the flow table on the code and the registry's id range, and
+   the epoch changes whenever either of the last two can. The digest
+   only picks the slot; a hit must also find the same code stored there,
+   since a 63-bit digest does not vouch for a safety verdict. The table
+   is cleared wholesale when it reaches [verdict_cap] entries. *)
+let link_verdict t ~sign ~words code compute =
+  let key = (sign, words, Kcall.epoch t.registry) in
+  Mutex.protect t.translations_mu @@ fun () ->
+  match Hashtbl.find_opt t.verdicts key with
+  | Some v when v.vcode = code ->
+      t.verdict_hits <- t.verdict_hits + 1;
+      v.verdict
+  | Some _ | None ->
+      t.verdict_misses <- t.verdict_misses + 1;
+      let verdict = compute () in
+      if Hashtbl.length t.verdicts >= verdict_cap then
+        Hashtbl.clear t.verdicts;
+      Hashtbl.replace t.verdicts key { vcode = code; verdict };
+      verdict
+
+let verdict_stats t =
+  Mutex.protect t.translations_mu @@ fun () ->
+  {
+    verdict_hits = t.verdict_hits;
+    verdict_misses = t.verdict_misses;
+    verdict_entries = Hashtbl.length t.verdicts;
+  }
 
 let set_jit_cache_cap t cap =
   Mutex.protect t.translations_mu @@ fun () ->

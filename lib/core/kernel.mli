@@ -18,6 +18,23 @@ type jit_cache_stats = {
   jit_entries : int;  (** live entries, [<= jit_cache_cap] *)
 }
 
+type link_verdict = (Vino_verify.Kflow.table, string) result
+(** What {!Linker.load} derives from post-link code alone: the
+    kcall-flow table of code that passed the link-time static check, or
+    the check's rejection reason. *)
+
+type cached_verdict = {
+  vcode : Vino_vm.Insn.t array;  (** the post-link code it was derived for *)
+  verdict : link_verdict;
+}
+(** A link-verdict table entry. *)
+
+type verdict_stats = {
+  verdict_hits : int;
+  verdict_misses : int;
+  verdict_entries : int;  (** live entries, [<= verdict_cap] *)
+}
+
 type t = {
   engine : Vino_sim.Engine.t;
   wheel : Vino_sim.Tick.t;
@@ -49,6 +66,13 @@ type t = {
   mutable jit_hits : int;
   mutable jit_misses : int;
   mutable jit_evictions : int;
+  verdicts : (Vino_misfit.Sign.t * int * int, cached_verdict) Hashtbl.t;
+      (** link-verdict table ({!link_verdict}), keyed by post-link code
+          digest, segment words and registry epoch. Guarded by
+          [translations_mu]; bounded by {!verdict_cap}; not captured by
+          snapshots. *)
+  mutable verdict_hits : int;
+  mutable verdict_misses : int;
   mutable exec_mode : Vino_vm.Jit.mode;
       (** how wrappers execute graft code (default
           {!Vino_vm.Jit.default_mode}) *)
@@ -87,6 +111,10 @@ val create :
 val default_jit_cache_cap : int
 (** 256 entries. *)
 
+val verdict_cap : int
+(** 256 entries: the bound of every kernel's link-verdict table. A miss
+    that finds the table full clears it first. *)
+
 val set_jit_cache_cap : t -> int -> unit
 (** Re-bound the translation cache (clamped to >= 1), evicting
     least-recently-used entries immediately if the new capacity is
@@ -108,17 +136,48 @@ val translation_stats : t -> (string * int * int) list
 val digest_hex : Vino_misfit.Sign.t -> string
 (** The lossless digest rendering used by {!translation_stats}. *)
 
+val code_digest : t -> Vino_vm.Insn.t array -> Vino_misfit.Sign.t
+(** The {!Vino_misfit.Sign} digest of [code]'s instruction words under
+    this kernel's key: the translation cache's and the link-verdict
+    table's key for post-link code. *)
+
 val translate :
-  t -> ?proof:Vino_verify.Proof.t -> Vino_vm.Insn.t array -> Vino_vm.Jit.t
+  t ->
+  ?proof:Vino_verify.Proof.t ->
+  ?sign:Vino_misfit.Sign.t ->
+  Vino_vm.Insn.t array ->
+  Vino_vm.Jit.t
 (** Translation of [code] under this kernel's cost table, cached by the
-    {!Vino_misfit.Sign} digest of the post-link instruction words plus
-    the proof's {!Vino_verify.Proof.hash}: loading the same graft twice
-    compiles it once, and the same code with a different (or no)
-    certificate compiles separately. With [proof], accesses its safe map
-    marks are compiled to bare superinstructions
-    ({!Vino_vm.Jit.translate}'s [safe]); the caller must have validated
-    the proof's assumptions against this kernel first ({!Linker.load}
-    does). Thread-safe. *)
+    {!code_digest} of the post-link instruction words plus the proof's
+    {!Vino_verify.Proof.hash}: loading the same graft twice compiles it
+    once, and the same code with a different (or no) certificate
+    compiles separately. [sign], when given, must be [code_digest t
+    code]; a caller that already holds it skips the recomputation. With
+    [proof], accesses its safe map marks are compiled to bare
+    superinstructions ({!Vino_vm.Jit.translate}'s [safe]); the caller
+    must have validated the proof's assumptions against this kernel
+    first ({!Linker.load} does). Thread-safe. *)
+
+val link_verdict :
+  t ->
+  sign:Vino_misfit.Sign.t ->
+  words:int ->
+  Vino_vm.Insn.t array ->
+  (unit -> link_verdict) ->
+  link_verdict
+(** [link_verdict t ~sign ~words code compute] is the verdict cached for
+    post-link [code] ([sign] must be its {!code_digest}) linked into a
+    [words]-word segment under the registry's current {!Kcall.epoch}, or
+    [compute ()], stored for next time. A hit needs an equal stored
+    code, not just an equal digest. A miss that finds {!verdict_cap}
+    entries clears the table first. The epoch changes whenever the
+    callable flags or the id range can, so a hit returns what [compute]
+    would. Counts no trace counter and charges no virtual cycles.
+    Thread-safe. *)
+
+val verdict_stats : t -> verdict_stats
+(** Lifetime hit and miss counts and the current entry count of the
+    link-verdict table. Deterministic for a serial load sequence. *)
 
 val register_kcall :
   t -> name:string -> ?callable:bool -> Kcall.impl -> Kcall.fn

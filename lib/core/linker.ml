@@ -59,9 +59,16 @@ let check_config kernel ~words =
       | None -> false)
     ~stage:`Rewritten ()
 
-let static_check kernel ~words code =
+(* The static check's verdict and, for code that passes, its kcall-flow
+   table. Kcall ids are resolved, so the flow analysis sees concrete
+   registry ids; the row space is the registry's id range now. *)
+let verdict kernel ~words code =
   let report = Vino_verify.Verify.analyse (check_config kernel ~words) code in
-  if Vino_verify.Report.ok report then Ok ()
+  if Vino_verify.Report.ok report then
+    Ok
+      (Vino_verify.Kflow.of_program
+         ~nfuncs:(Kcall.id_limit kernel.Kernel.registry)
+         code)
   else
     Error
       ("static verification failed: "
@@ -119,23 +126,20 @@ let load kernel ~words (image : Image.t) =
   else
     Result.bind (patched kernel image.code image.relocs) @@ fun code ->
     Result.bind (check_direct_ids kernel code) @@ fun () ->
-    Result.bind (static_check kernel ~words code) @@ fun () ->
+    let sign = Kernel.code_digest kernel code in
+    Result.bind
+      (Kernel.link_verdict kernel ~sign ~words code (fun () ->
+           verdict kernel ~words code))
+    @@ fun flow ->
     Result.bind (check_proof kernel ~words image) @@ fun () ->
     match Segalloc.alloc kernel.Kernel.segalloc words with
     | Error `No_memory -> Error "out of graft memory"
     | Ok seg ->
-        (* Kcall ids are resolved, so the flow analysis sees concrete
-           registry ids; the row space is the registry's id range now. *)
-        let flow =
-          Vino_verify.Kflow.of_program
-            ~nfuncs:(Kcall.id_limit kernel.Kernel.registry)
-            code
-        in
         Ok
           {
             code;
             seg;
-            trans = Kernel.translate kernel ?proof:image.proof code;
+            trans = Kernel.translate kernel ?proof:image.proof ~sign code;
             flow;
           }
 

@@ -12,7 +12,7 @@
     - run the static graft verifier ({!Vino_verify.Verify}) over the code
       and reject hard errors: provably out-of-bounds memory accesses,
       indirect calls through a provably unknown id, malformed or
-      fall-through code;
+      fall-through code (its verdict is cached per kernel; see {!load});
     - revalidate any carried safety proof's load-time assumptions: the
       requested segment must be at least as large as the proof assumed,
       and every kernel function a [Checkcall] elision relied on must
@@ -43,7 +43,21 @@ type loaded = {
 
 val load :
   Kernel.t -> words:int -> Vino_misfit.Image.t -> (loaded, string) result
-(** [words] is the requested segment size (rounded up to a power of two). *)
+(** [words] is the requested segment size (rounded up to a power of two).
+
+    Every load checks the signature, patches the relocations, checks the
+    direct ids, revalidates any proof and allocates a segment, in that
+    order. Between the id check and the proof, it digests the post-link
+    code once. The digest keys two per-kernel caches:
+
+    - the link verdict ({!Kernel.link_verdict}): the static check's
+      result and, on a pass, the kcall-flow table. They are computed
+      once per distinct (post-link code, [words], {!Kcall.epoch}) and
+      reused while the stored code equals the load's;
+    - the translation ({!Kernel.translate}).
+
+    A cached rejection fails with the same message as a fresh one, and
+    callers audit it the same way. *)
 
 val patched :
   Kernel.t ->

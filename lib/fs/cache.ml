@@ -1,5 +1,10 @@
 (* Intrusive doubly-linked LRU list plus a hash index. *)
 
+(* Counter handles, interned once at load: the emit sites below
+   bump a flat per-sink array instead of hashing a dotted name. *)
+let h_cache_hits = Vino_trace.Counters.handle "fs.cache_hits"
+let h_cache_misses = Vino_trace.Counters.handle "fs.cache_misses"
+
 type node = {
   block : int;
   mutable dirty : bool;
@@ -57,13 +62,13 @@ let lookup t block =
   match Hashtbl.find_opt t.index block with
   | Some node ->
       t.n_hits <- t.n_hits + 1;
-      Vino_trace.Trace.incr "fs.cache_hits";
+      Vino_trace.Trace.incr_h h_cache_hits;
       unlink t node;
       push_mru t node;
       true
   | None ->
       t.n_misses <- t.n_misses + 1;
-      Vino_trace.Trace.incr "fs.cache_misses";
+      Vino_trace.Trace.incr_h h_cache_misses;
       false
 
 let note_dirtied t block =

@@ -71,6 +71,8 @@ type report = {
   jit_hits : int;
   jit_misses : int;
   jit_evictions : int;
+  verdict_hits : int;
+  verdict_misses : int;
   drain_us : float;
   throughput_rps : float;
 }
@@ -219,6 +221,7 @@ type shard_out = {
   s_transmitted : int;
   s_denials : int;
   s_jit : Kernel.jit_cache_stats;
+  s_verdicts : Kernel.verdict_stats;
   s_drain_us : float;
 }
 
@@ -239,6 +242,8 @@ let empty_shard =
         jit_evictions = 0;
         jit_entries = 0;
       };
+    s_verdicts =
+      { Kernel.verdict_hits = 0; verdict_misses = 0; verdict_entries = 0 };
     s_drain_us = 0.;
   }
 
@@ -484,6 +489,7 @@ let run_shard cfg shard =
       s_transmitted = Netout.transmitted netout;
       s_denials = Netout.quota_denials netout;
       s_jit = Kernel.jit_cache_stats kernel;
+      s_verdicts = Kernel.verdict_stats kernel;
       (* Makespan is the instant the last response committed, not the
          engine drain time: cancelled lock-timeout timers stay armed on
          the tick wheel and fire as no-ops, which would otherwise round
@@ -529,6 +535,8 @@ let run ?pool cfg =
     jit_hits = sum (fun o -> o.s_jit.Kernel.jit_hits);
     jit_misses = sum (fun o -> o.s_jit.Kernel.jit_misses);
     jit_evictions = sum (fun o -> o.s_jit.Kernel.jit_evictions);
+    verdict_hits = sum (fun o -> o.s_verdicts.Kernel.verdict_hits);
+    verdict_misses = sum (fun o -> o.s_verdicts.Kernel.verdict_misses);
     drain_us;
     throughput_rps =
       (if drain_us > 0. then float_of_int served /. drain_us *. 1e6

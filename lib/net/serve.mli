@@ -86,6 +86,11 @@ type report = {
   jit_hits : int;
   jit_misses : int;
   jit_evictions : int;
+  verdict_hits : int;
+  verdict_misses : int;
+      (** link-verdict table counts summed over shard kernels
+          ({!Vino_core.Kernel.verdict_stats}); no CLI report prints
+          them *)
   drain_us : float;
       (** makespan: virtual time of the last response across shards *)
   throughput_rps : float;  (** served / makespan *)

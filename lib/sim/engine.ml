@@ -1,5 +1,11 @@
 module Trace = Vino_trace.Trace
 
+(* Counter handles, interned once at load: the emit sites below
+   bump a flat per-sink array instead of hashing a dotted name. *)
+let h_procs_spawned = Vino_trace.Counters.handle "sim.procs_spawned"
+let h_events_executed = Vino_trace.Counters.handle "sim.events_executed"
+let h_proc_failures = Vino_trace.Counters.handle "sim.proc_failures"
+
 exception Stopped
 
 type proc = {
@@ -146,7 +152,7 @@ let start t p body =
     | Stopped -> p.dead <- true
     | e ->
         p.dead <- true;
-        Trace.incr "sim.proc_failures";
+        Trace.incr_h h_proc_failures;
         t.failures <- (p.name, e) :: t.failures
   in
   match_with
@@ -169,7 +175,7 @@ let spawn t ?name body =
   end;
   t.procs <- p :: t.procs;
   t.nprocs <- t.nprocs + 1;
-  Trace.incr "sim.procs_spawned";
+  Trace.incr_h h_procs_spawned;
   schedule t t.clock (fun () -> start t p body);
   p
 
@@ -188,7 +194,7 @@ let step t =
       t.has_run <- true;
       t.clock <- max t.clock time;
       if not ev.cancelled then begin
-        Trace.incr "sim.events_executed";
+        Trace.incr_h h_events_executed;
         ev.thunk ()
       end;
       true

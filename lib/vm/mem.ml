@@ -48,9 +48,13 @@ let check_range t ~write addr len =
     if addr < 0 then raise (Fault { addr; write })
     else if addr + len > size then raise (Fault { addr = max addr size; write })
 
-let blit_in t addr src =
-  check_range t ~write:true addr (Array.length src);
-  Array.iteri (fun k v -> t.data.(addr + k) <- v) src
+let blit_in ?len t addr src =
+  let len = match len with Some n -> n | None -> Array.length src in
+  if len < 0 || len > Array.length src then invalid_arg "Mem.blit_in";
+  check_range t ~write:true addr len;
+  for k = 0 to len - 1 do
+    t.data.(addr + k) <- src.(k)
+  done
 
 let blit_out t addr len =
   check_range t ~write:false addr len;

@@ -39,10 +39,12 @@ val sandbox : segment -> int -> int
 (** [sandbox seg addr] is [seg.base lor (addr land (seg.size - 1))]: the
     address a MiSFIT-rewritten access actually uses. *)
 
-val blit_in : t -> int -> int array -> unit
-(** [blit_in mem addr src] copies [src] into memory starting at [addr].
-    Atomic: the whole range is validated before any word is written, so a
-    faulting blit leaves memory untouched. *)
+val blit_in : ?len:int -> t -> int -> int array -> unit
+(** [blit_in mem addr src] copies [src] into memory starting at [addr];
+    with [len], only its first [len] words. Atomic: the whole range is
+    validated before any word is written, so a faulting blit leaves
+    memory untouched.
+    @raise Invalid_argument if [len] is negative or exceeds [src]. *)
 
 val blit_out : t -> int -> int -> int array
 (** [blit_out mem addr len] copies [len] words starting at [addr]. The

@@ -22,6 +22,7 @@ let () =
          Test_calltable.suite;
          Test_segalloc.suite;
          Test_core.suite;
+         Test_linker.suite;
          Test_fs.suite;
          Test_volume.suite;
          Test_vmem.suite;

@@ -52,6 +52,12 @@ let test_blit () =
   let m = Mem.create 32 in
   Mem.blit_in m 4 [| 1; 2; 3 |];
   Alcotest.(check (array int)) "round trip" [| 1; 2; 3 |] (Mem.blit_out m 4 3);
+  Mem.blit_in ~len:2 m 10 [| 5; 6; 7 |];
+  Alcotest.(check (array int))
+    "ranged blit copies a prefix" [| 5; 6; 0 |] (Mem.blit_out m 10 3);
+  Alcotest.check_raises "range beyond the source"
+    (Invalid_argument "Mem.blit_in") (fun () ->
+      Mem.blit_in ~len:4 m 10 [| 1; 2; 3 |]);
   Mem.fill m 0 4 9;
   Alcotest.(check (array int)) "fill" [| 9; 9; 9; 9 |] (Mem.blit_out m 0 4)
 
