@@ -957,6 +957,10 @@ let tables_cmd =
       & info [ "iterations"; "n" ] ~doc:"Samples per measurement.")
   in
   let run iterations which mode =
+    if iterations < 1 then begin
+      Printf.eprintf "tables: --iterations must be at least 1\n";
+      exit 2
+    end;
     set_mode mode;
     match which with
     | Some t -> run_table iterations t

@@ -11,5 +11,3 @@ let name = function
   | Verified -> "Verified path"
   | FlowChecked -> "FlowChecked path"
   | Abort -> "Abort path"
-
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -18,4 +18,3 @@ type t =
 
 val all : t list
 val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -2,6 +2,8 @@ module Engine = Vino_sim.Engine
 module Stats = Vino_sim.Stats
 
 let samples kernel ?(warmup = 3) ?(iterations = 300) f =
+  if iterations < 1 then
+    invalid_arg "Probe.samples: iterations must be at least 1";
   let engine = kernel.Vino_core.Kernel.engine in
   let stats = Stats.create () in
   ignore

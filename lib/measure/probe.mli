@@ -13,6 +13,8 @@ val samples :
     [warmup] (default 3) untimed runs) inside a fresh engine process,
     drives the engine to completion, and returns per-iteration elapsed
     virtual time in microseconds.
+    @raise Invalid_argument if [iterations < 1]: the mean of no samples
+    would read as a zero-cost path.
     @raise Failure if any engine process crashed. *)
 
 val mean_us :

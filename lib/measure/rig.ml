@@ -1,5 +1,6 @@
 module Cpu = Vino_vm.Cpu
 module Engine = Vino_sim.Engine
+module Stats = Vino_sim.Stats
 module Txn = Vino_txn.Txn
 module Kernel = Vino_core.Kernel
 module Linker = Vino_core.Linker
@@ -10,6 +11,7 @@ type t = {
   loaded : Linker.loaded;
   cred : Vino_core.Cred.t;
   limits : Vino_txn.Rlimit.t;
+  mutable decided : int;
 }
 
 let load kernel ~words image =
@@ -20,10 +22,29 @@ let load kernel ~words image =
         loaded;
         cred = Vino_core.Cred.root;
         limits = Vino_txn.Rlimit.unlimited ();
+        decided = 0;
       }
   | Error e -> failwith ("Rig.load: " ^ e)
 
 let seg_base t = t.loaded.Linker.seg.Vino_vm.Mem.base
+
+let seal kernel ~verify ~null ~full path =
+  let source =
+    match path with
+    | Path.Null -> null
+    | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked | Path.Abort
+      ->
+        full
+    | Path.Base | Path.Vino -> invalid_arg "no graft on this path"
+  in
+  let obj = Vino_vm.Asm.assemble_exn source in
+  match path with
+  | Path.Unsafe -> Kernel.seal_unsafe kernel obj
+  | _ -> (
+      let verify = if path = Path.Verified then Some verify else None in
+      match Kernel.seal ?verify kernel obj with
+      | Ok image -> image
+      | Error e -> failwith e)
 
 type outcome = Committed | Rolled_back | Failed of string
 
@@ -40,6 +61,7 @@ let run t ?(indirection = Vino_txn.Tcosts.us 1.)
   match result with
   | Cpu.Halted ->
       Engine.delay check_cost;
+      t.decided <- Engine.now t.kernel.Kernel.engine;
       if not (check cpu) then begin
         Txn.abort txn ~reason:"result validation failed";
         Failed "result validation failed"
@@ -64,7 +86,23 @@ let run t ?(indirection = Vino_txn.Tcosts.us 1.)
       Txn.abort txn ~reason:"budget";
       Failed "budget"
 
-let run_exn t ?setup ~commit () =
-  match run t ?setup ~commit () with
-  | Committed | Rolled_back -> ()
-  | Failed reason -> failwith ("Rig.run_exn: " ^ reason)
+let sample t ?iterations path invoke =
+  if path = Path.FlowChecked then t.kernel.Kernel.flow_enforce <- true;
+  let commit = path <> Path.Abort in
+  Probe.samples t.kernel ?iterations (fun k ->
+      match invoke ~commit k with
+      | Committed | Rolled_back -> ()
+      | Failed reason -> failwith reason)
+
+let time_abort t ?iterations invoke =
+  let engine = t.kernel.Kernel.engine in
+  let aborts = Stats.create () in
+  let (_ : Stats.t) =
+    Probe.samples t.kernel ?iterations (fun k ->
+        (match invoke ~commit:false k with
+        | Rolled_back -> ()
+        | Committed | Failed _ -> failwith "expected rollback");
+        Stats.add aborts
+          (Vino_vm.Costs.us_of_cycles (Engine.now engine - t.decided)))
+  in
+  Stats.trimmed_mean aborts

@@ -42,27 +42,6 @@ let verify_config =
       ]
     ~words:segment_words ()
 
-let graft_image fx path =
-  let source =
-    match path with
-    | Path.Null -> [ Vino_vm.Asm.Li (Vino_vm.Asm.r0, 0); Ret ]
-    | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked | Path.Abort
-      ->
-        Sgrafts.xor_encrypt_source ~key
-    | Path.Base | Path.Vino -> invalid_arg "no graft on this path"
-  in
-  let obj = Vino_vm.Asm.assemble_exn source in
-  match path with
-  | Path.Unsafe -> Kernel.seal_unsafe fx.kernel obj
-  | Path.Verified -> (
-      match Kernel.seal ~verify:verify_config fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-  | _ -> (
-      match Kernel.seal fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-
 (* the kernel's copyin of the source buffer, then argument registers *)
 let setup fx cpu =
   let seg = Cpu.segment cpu in
@@ -74,56 +53,43 @@ let setup fx cpu =
   Cpu.set_reg cpu 2 ((Cpu.segment cpu).Vino_vm.Mem.base + buffer_words);
   Cpu.set_reg cpu 3 (Array.length fx.data)
 
-let stats ?(iterations = 300) path =
+(* The rig for [path], and one transfer through the graft. *)
+let rig_for fx path =
+  let rig =
+    Rig.load fx.kernel ~words:segment_words
+      (Rig.seal fx.kernel ~verify:verify_config
+         ~null:[ Vino_vm.Asm.Li (Vino_vm.Asm.r0, 0); Ret ]
+         ~full:(Sgrafts.xor_encrypt_source ~key)
+         path)
+  in
+  let invoke ~commit _ =
+    Rig.run rig ~indirection:0 ~check_cost:0 ~setup:(setup fx) ~commit ()
+  in
+  (rig, invoke)
+
+let stats ?iterations path =
   let fx = fixture () in
   let point = Channel.point fx.channel in
   match path with
   | Path.Base ->
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      Probe.samples fx.kernel ?iterations (fun _ ->
           ignore (Graft_point.default_fn point fx.data))
   | Path.Vino ->
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      Probe.samples fx.kernel ?iterations (fun _ ->
           ignore (Graft_point.invoke point fx.kernel ~cred:fx.cred fx.data))
   | Path.Null | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked
   | Path.Abort ->
-      if path = Path.FlowChecked then fx.kernel.Kernel.flow_enforce <- true;
-      let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-      let commit = path <> Path.Abort in
-      Probe.samples fx.kernel ~iterations (fun _ ->
-          match
-            Rig.run rig ~indirection:0 ~check_cost:0 ~setup:(setup fx)
-              ~commit ()
-          with
-          | Rig.Committed | Rig.Rolled_back -> ()
-          | Rig.Failed reason -> failwith reason)
+      let rig, invoke = rig_for fx path in
+      Rig.sample rig ?iterations path invoke
 
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-let measure_abort ?(iterations = 300) ~full () =
-  let fx = fixture () in
-  let path = if full then Path.Abort else Path.Null in
-  let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let (_ : Vino_sim.Stats.t) =
-    Probe.samples fx.kernel ~iterations (fun _ ->
-        let before = ref 0 in
-        let check cpu =
-          before := Engine.now engine;
-          ignore (Cpu.cycles cpu);
-          true
-        in
-        (match
-           Rig.run rig ~indirection:0 ~check_cost:0 ~setup:(setup fx) ~check
-             ~commit:false ()
-         with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !before)))
+let measure_abort ?iterations ~full () =
+  let rig, invoke =
+    rig_for (fixture ()) (if full then Path.Abort else Path.Null)
   in
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations invoke
 
 let paper_elapsed =
   [
@@ -136,30 +102,11 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let row p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper = Table.overhead ~paper label (value q -. value p) in
-  [
-    row Path.Base;
-    row Path.Vino;
-    inc "Txn begin+commit (+ cache misses)" Path.Vino Path.Null 88.;
-    row Path.Null;
-    inc "Graft function" Path.Null Path.Unsafe 166.;
-    row Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 187.;
-    row Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    row Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    row Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 4.;
-    row Path.Abort;
-  ]
+  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+    ~increments:
+      [
+        (Path.Null, "Txn begin+commit (+ cache misses)");
+        (Path.Unsafe, "Graft function");
+        (Path.Safe, "MiSFIT overhead");
+        (Path.Abort, "Abort cost (above commit)");
+      ]

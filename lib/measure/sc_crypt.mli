@@ -5,12 +5,4 @@
     case for software fault isolation; no lock is required (the buffers
     are private to the transfer). *)
 
-val buffer_words : int
-val stats : ?iterations:int -> Path.t -> Vino_sim.Stats.t
-val measure : ?iterations:int -> Path.t -> float
-val measure_abort : ?iterations:int -> full:bool -> unit -> float
-val paper_elapsed : (Path.t * float) list
-val table : ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
-(** With [?pool], the per-path measurements fan out across domains (each
-    worker builds its own kernel); rows are identical at any pool
-    size. *)
+include Graft.S

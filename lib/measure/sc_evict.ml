@@ -74,29 +74,6 @@ let verify_config =
       ]
     ~words:segment_words ()
 
-let graft_image fx path =
-  let source =
-    match path with
-    | Path.Null -> Vgrafts.accept_victim_source
-    | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked | Path.Abort
-      ->
-        Vgrafts.protect_hot_pages_source
-          ~lock_kcall:(Vas.lock_name fx.vas)
-          ()
-    | Path.Base | Path.Vino -> invalid_arg "no graft on this path"
-  in
-  let obj = Vino_vm.Asm.assemble_exn source in
-  match path with
-  | Path.Unsafe -> Kernel.seal_unsafe fx.kernel obj
-  | Path.Verified -> (
-      match Kernel.seal ~verify:verify_config fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-  | _ -> (
-      match Kernel.seal fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-
 (* Write the application's hot-page list and the kernel's candidate list
    into the rig's segment once; neither changes between iterations. *)
 let prepare_rig_memory fx rig ~victim =
@@ -128,14 +105,41 @@ let check_choice fx cpu =
 
 let check_cost = Vino_txn.Tcosts.us 2.
 
-let stats ?(iterations = 300) path =
+(* The rig for [path] with its segment prepared, and the graft's ruling
+   on the victim. *)
+let rig_for fx path =
+  let rig =
+    Rig.load fx.kernel ~words:segment_words
+      (Rig.seal fx.kernel ~verify:verify_config
+         ~null:Vgrafts.accept_victim_source
+         ~full:
+           (Vgrafts.protect_hot_pages_source
+              ~lock_kcall:(Vas.lock_name fx.vas)
+              ())
+         path)
+  in
+  let victim = probe_victim fx in
+  let count = prepare_rig_memory fx rig ~victim in
+  let invoke ~commit _ =
+    Rig.run rig ~check_cost
+      ~setup:(setup_regs ~victim ~count)
+      ~check:(check_choice fx) ~commit ()
+  in
+  (rig, invoke)
+
+(* one measured iteration: the global victim selection, then the ruling *)
+let selecting fx invoke ~commit k =
+  ignore (select fx);
+  invoke ~commit k
+
+let stats ?iterations path =
   let fx = fixture () in
   match path with
   | Path.Base ->
-      Probe.samples fx.kernel ~iterations (fun _ -> ignore (select fx))
+      Probe.samples fx.kernel ?iterations (fun _ -> ignore (select fx))
   | Path.Vino ->
       let point = Vas.evict_point fx.vas in
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      Probe.samples fx.kernel ?iterations (fun _ ->
           let frame = select fx in
           let victim =
             match frame.Frame.owner with
@@ -147,74 +151,31 @@ let stats ?(iterations = 300) path =
                { Vas.victim; candidates = [] }))
   | Path.Null | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked
   | Path.Abort ->
-      if path = Path.FlowChecked then fx.kernel.Kernel.flow_enforce <- true;
-      let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-      let commit = path <> Path.Abort in
-      let victim = probe_victim fx in
-      let count = prepare_rig_memory fx rig ~victim in
-      Probe.samples fx.kernel ~iterations (fun _ ->
-          ignore (select fx);
-          match
-            Rig.run rig ~check_cost
-              ~setup:(setup_regs ~victim ~count)
-              ~check:(check_choice fx) ~commit ()
-          with
-          | Rig.Committed | Rig.Rolled_back -> ()
-          | Rig.Failed reason -> failwith reason)
+      let rig, invoke = rig_for fx path in
+      Rig.sample rig ?iterations path (selecting fx invoke)
 
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-let measure_abort ?(iterations = 300) ~full () =
-  let fx = fixture () in
-  let path = if full then Path.Abort else Path.Null in
-  let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-  let victim = probe_victim fx in
-  let count = prepare_rig_memory fx rig ~victim in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let (_ : Vino_sim.Stats.t) =
-    Probe.samples fx.kernel ~iterations (fun _ ->
-        let before = ref 0 in
-        let check cpu =
-          before := Engine.now engine;
-          ignore (Cpu.cycles cpu);
-          true
-        in
-        (match
-           Rig.run rig ~check_cost
-             ~setup:(setup_regs ~victim ~count)
-             ~check ~commit:false ()
-         with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !before)))
+let measure_abort ?iterations ~full () =
+  let rig, invoke =
+    rig_for (fixture ()) (if full then Path.Abort else Path.Null)
   in
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations invoke
 
 (* The "graft agrees" case: victim is not a hot page, so the graft returns
    it after only the victim check. *)
-let measure_agreement ?(iterations = 300) () =
+let measure_agreement ?iterations () =
   let fx = fixture () in
-  let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx Path.Safe) in
-  let victim = probe_victim fx in
-  let count = prepare_rig_memory fx rig ~victim in
+  let rig, invoke = rig_for fx Path.Safe in
   (* overwrite the hot list with pages that never come up as victim *)
   let mem = fx.kernel.Kernel.mem in
   let base = Rig.seg_base rig in
   for k = 0 to protected_pages - 1 do
     Mem.store mem (base + 1 + k) (resident_pages + 100 + k)
   done;
-  Probe.mean_us fx.kernel ~iterations (fun _ ->
-      ignore (select fx);
-      match
-        Rig.run rig ~check_cost
-          ~setup:(setup_regs ~victim ~count)
-          ~check:(check_choice fx) ~commit:true ()
-      with
-      | Rig.Committed | Rig.Rolled_back -> ()
-      | Rig.Failed reason -> failwith reason)
+  Vino_sim.Stats.trimmed_mean
+    (Rig.sample rig ?iterations Path.Safe (selecting fx invoke))
 
 let paper_elapsed =
   [
@@ -227,31 +188,12 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let row p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper = Table.overhead ~paper label (value q -. value p) in
-  [
-    row Path.Base;
-    inc "Indirection cost" Path.Base Path.Vino 1.;
-    row Path.Vino;
-    inc "Txn begin+commit+null graft+check" Path.Vino Path.Null 90.;
-    row Path.Null;
-    inc "Lock + graft function + check" Path.Null Path.Unsafe 199.;
-    row Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 26.;
-    row Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    row Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    row Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort (-7.);
-    row Path.Abort;
-  ]
+  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+    ~increments:
+      [
+        (Path.Vino, "Indirection cost");
+        (Path.Null, "Txn begin+commit+null graft+check");
+        (Path.Unsafe, "Lock + graft function + check");
+        (Path.Safe, "MiSFIT overhead");
+        (Path.Abort, "Abort cost (above commit)");
+      ]

@@ -5,18 +5,8 @@
     per-VAS eviction policy overrules the global victim whenever it is
     hot. Every measured path includes the global victim selection. *)
 
-val resident_pages : int
-val protected_pages : int
-val stats : ?iterations:int -> Path.t -> Vino_sim.Stats.t
-val measure : ?iterations:int -> Path.t -> float
-val measure_abort : ?iterations:int -> full:bool -> unit -> float
+include Graft.S
 
 val measure_agreement : ?iterations:int -> unit -> float
 (** The Safe path when the graft agrees with the global victim (the
     paper's 159 us case, versus 316 us when it overrules). *)
-
-val paper_elapsed : (Path.t * float) list
-val table : ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
-(** With [?pool], the per-path measurements fan out across domains (each
-    worker builds its own kernel); rows are identical at any pool
-    size. *)

@@ -57,30 +57,6 @@ let verify_config =
     ~entry:[ (4, Vino_verify.Verify.seg_window ()) ]
     ~words:segment_words ()
 
-let graft_image fx path =
-  let source =
-    match path with
-    | Path.Null -> Readahead.null_source
-    | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked | Path.Abort
-      ->
-        Readahead.app_directed_source
-          ~lock_kcall:(File.ra_lock_name fx.file)
-    | Path.Base | Path.Vino -> invalid_arg "no graft on this path"
-  in
-  let obj = Vino_vm.Asm.assemble_exn source in
-  match path with
-  | Path.Unsafe -> Kernel.seal_unsafe fx.kernel obj
-  | Path.Verified -> (
-      match Kernel.seal ~verify:verify_config fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-  | _ -> (
-      match Kernel.seal fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-
-let rig_for fx path = Rig.load fx.kernel ~words:segment_words (graft_image fx path)
-
 let announce rig block =
   Mem.store rig.Rig.kernel.Kernel.mem
     (Rig.seg_base rig + Readahead.pattern_slot)
@@ -90,56 +66,45 @@ let check_decision cpu =
   let count = Cpu.reg cpu 0 in
   count >= 0 && count <= File.max_extents
 
-let stats ?(iterations = 300) path =
+(* The rig for [path], and one decision on the next announced read. *)
+let rig_for fx path =
+  let rig =
+    Rig.load fx.kernel ~words:segment_words
+      (Rig.seal fx.kernel ~verify:verify_config ~null:Readahead.null_source
+         ~full:
+           (Readahead.app_directed_source
+              ~lock_kcall:(File.ra_lock_name fx.file))
+         path)
+  in
+  let invoke ~commit k =
+    announce rig ((k * 577) mod file_blocks);
+    Rig.run rig ~setup:setup_regs ~check:check_decision ~commit ()
+  in
+  (rig, invoke)
+
+let stats ?iterations path =
   let fx = fixture () in
   let ra = File.ra_point fx.file in
   match path with
   | Path.Base ->
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      Probe.samples fx.kernel ?iterations (fun _ ->
           ignore (Graft_point.default_fn ra request))
   | Path.Vino ->
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      Probe.samples fx.kernel ?iterations (fun _ ->
           ignore (Graft_point.invoke ra fx.kernel ~cred:fx.cred request))
   | Path.Null | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked
   | Path.Abort ->
-      if path = Path.FlowChecked then fx.kernel.Kernel.flow_enforce <- true;
-      let rig = rig_for fx path in
-      let commit = path <> Path.Abort in
-      Probe.samples fx.kernel ~iterations (fun k ->
-          announce rig ((k * 577) mod file_blocks);
-          match
-            Rig.run rig ~setup:setup_regs ~check:check_decision ~commit ()
-          with
-          | Rig.Committed | Rig.Rolled_back -> ()
-          | Rig.Failed reason -> failwith reason)
+      let rig, invoke = rig_for fx path in
+      Rig.sample rig ?iterations path invoke
 
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-(* Table 7's null-abort column: abort at the end of the *null* graft. *)
-let measure_abort ?(iterations = 300) ~full () =
-  let fx = fixture () in
-  let rig = rig_for fx (if full then Path.Abort else Path.Null) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let s =
-    Probe.samples fx.kernel ~iterations (fun k ->
-        announce rig ((k * 577) mod file_blocks);
-        (* time just the abort: run to the decision point, then sample *)
-        let before = ref 0 in
-        let check cpu =
-          before := Vino_sim.Engine.now engine;
-          ignore (Vino_vm.Cpu.cycles cpu);
-          true
-        in
-        (match Rig.run rig ~setup:setup_regs ~check ~commit:false () with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Vino_sim.Engine.now engine - !before)))
+let measure_abort ?iterations ~full () =
+  let rig, invoke =
+    rig_for (fixture ()) (if full then Path.Abort else Path.Null)
   in
-  ignore (s : Vino_sim.Stats.t);
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations invoke
 
 let paper_elapsed =
   [
@@ -152,33 +117,12 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let rows p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper =
-    Table.overhead ~paper label (value q -. value p)
-  in
-  [
-    rows Path.Base;
-    inc "Indirection cost" Path.Base Path.Vino 1.0;
-    rows Path.Vino;
-    inc "Txn begin+commit+null graft" Path.Vino Path.Null 65.5;
-    rows Path.Null;
-    inc "Lock overhead + graft function" Path.Null Path.Unsafe 37.0;
-    rows Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 3.0;
-    rows Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    rows Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    rows Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 1.0;
-    rows Path.Abort;
-  ]
+  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+    ~increments:
+      [
+        (Path.Vino, "Indirection cost");
+        (Path.Null, "Txn begin+commit+null graft");
+        (Path.Unsafe, "Lock overhead + graft function");
+        (Path.Safe, "MiSFIT overhead");
+        (Path.Abort, "Abort cost (above commit)");
+      ]

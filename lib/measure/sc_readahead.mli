@@ -4,18 +4,4 @@
     application-directed [compute-ra] graft: a fixed non-sequential read
     request with the next access announced in the shared pattern buffer. *)
 
-val file_blocks : int
-val stats : ?iterations:int -> Path.t -> Vino_sim.Stats.t
-val measure : ?iterations:int -> Path.t -> float
-(** Trimmed-mean elapsed virtual microseconds for one invocation. *)
-
-val measure_abort : ?iterations:int -> full:bool -> unit -> float
-(** Abort time alone (Table 7): [full:false] aborts the null graft,
-    [full:true] the full safe graft. *)
-
-val paper_elapsed : (Path.t * float) list
-
-val table : ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
-(** With [?pool], the per-path measurements fan out across domains (each
-    worker builds its own kernel); rows are identical at any pool
-    size. *)
+include Graft.S

@@ -51,29 +51,6 @@ let verify_config =
       ]
     ~words:segment_words ()
 
-let graft_image fx path =
-  let source =
-    match path with
-    | Path.Null -> [ Vino_vm.Asm.Mov (Vino_vm.Asm.r0, Vino_vm.Asm.r1); Ret ]
-    | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked | Path.Abort
-      ->
-        Sgrafts.scan_and_return_self_source
-          ~lock_kcall:(Runq.proclist_lock_name fx.runq)
-          ()
-    | Path.Base | Path.Vino -> invalid_arg "no graft on this path"
-  in
-  let obj = Vino_vm.Asm.assemble_exn source in
-  match path with
-  | Path.Unsafe -> Kernel.seal_unsafe fx.kernel obj
-  | Path.Verified -> (
-      match Kernel.seal ~verify:verify_config fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-  | _ -> (
-      match Kernel.seal fx.kernel obj with
-      | Ok image -> image
-      | Error e -> failwith e)
-
 let prepare_rig_memory fx rig =
   let base = Rig.seg_base rig in
   List.iteri
@@ -94,61 +71,54 @@ let check_id fx cpu =
   let id = Cpu.reg cpu 0 in
   List.exists (fun t -> Runq.task_id t = id) fx.tasks
 
-let stats ?(iterations = 300) path =
+(* The rig for [path] with the process list in its segment, and one
+   pick of the next process by the delegate graft. *)
+let rig_for fx path =
+  let rig =
+    Rig.load fx.kernel ~words:segment_words
+      (Rig.seal fx.kernel ~verify:verify_config
+         ~null:[ Vino_vm.Asm.Mov (Vino_vm.Asm.r0, Vino_vm.Asm.r1); Ret ]
+         ~full:
+           (Sgrafts.scan_and_return_self_source
+              ~lock_kcall:(Runq.proclist_lock_name fx.runq)
+              ())
+         path)
+  in
+  prepare_rig_memory fx rig;
+  let self = Runq.task_id (List.hd fx.tasks) in
+  let invoke ~commit _ =
+    Rig.run rig ~check_cost ~setup:(setup_regs ~self) ~check:(check_id fx)
+      ~commit ()
+  in
+  (rig, invoke)
+
+let stats ?iterations path =
   match path with
   | Path.Base ->
       let fx = fixture ~graft_support:false () in
-      Probe.samples fx.kernel ~iterations (fun _ -> round fx)
+      Probe.samples fx.kernel ?iterations (fun _ -> round fx)
   | Path.Vino ->
       let fx = fixture ~graft_support:true () in
-      Probe.samples fx.kernel ~iterations (fun _ -> round fx)
+      Probe.samples fx.kernel ?iterations (fun _ -> round fx)
   | Path.Null | Path.Unsafe | Path.Safe | Path.Verified | Path.FlowChecked
   | Path.Abort ->
-      let fx = fixture ~graft_support:false () in
-      if path = Path.FlowChecked then fx.kernel.Kernel.flow_enforce <- true;
-      let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-      prepare_rig_memory fx rig;
-      let self = Runq.task_id (List.hd fx.tasks) in
-      let commit = path <> Path.Abort in
-      Probe.samples fx.kernel ~iterations (fun _ ->
+      let rig, invoke = rig_for (fixture ~graft_support:false ()) path in
+      Rig.sample rig ?iterations path (fun ~commit k ->
           (* pick + delegate graft + switch + switch back *)
-          (match
-             Rig.run rig ~check_cost ~setup:(setup_regs ~self)
-               ~check:(check_id fx) ~commit ()
-           with
-          | Rig.Committed | Rig.Rolled_back -> ()
-          | Rig.Failed reason -> failwith reason);
-          Engine.delay (2 * switch_cost))
+          let outcome = invoke ~commit k in
+          Engine.delay (2 * switch_cost);
+          outcome)
 
 let measure ?iterations path =
   Vino_sim.Stats.trimmed_mean (stats ?iterations path)
 
-let measure_abort ?(iterations = 300) ~full () =
-  let fx = fixture ~graft_support:false () in
-  let path = if full then Path.Abort else Path.Null in
-  let rig = Rig.load fx.kernel ~words:segment_words (graft_image fx path) in
-  prepare_rig_memory fx rig;
-  let self = Runq.task_id (List.hd fx.tasks) in
-  let engine = fx.kernel.Kernel.engine in
-  let abort_stats = Vino_sim.Stats.create () in
-  let (_ : Vino_sim.Stats.t) =
-    Probe.samples fx.kernel ~iterations (fun _ ->
-        let before = ref 0 in
-        let check cpu =
-          before := Engine.now engine;
-          ignore (Cpu.cycles cpu);
-          true
-        in
-        (match
-           Rig.run rig ~check_cost ~setup:(setup_regs ~self) ~check
-             ~commit:false ()
-         with
-        | Rig.Rolled_back -> ()
-        | Rig.Committed | Rig.Failed _ -> failwith "expected rollback");
-        Vino_sim.Stats.add abort_stats
-          (Vino_vm.Costs.us_of_cycles (Engine.now engine - !before)))
+let measure_abort ?iterations ~full () =
+  let rig, invoke =
+    rig_for
+      (fixture ~graft_support:false ())
+      (if full then Path.Abort else Path.Null)
   in
-  Vino_sim.Stats.trimmed_mean abort_stats
+  Rig.time_abort rig ?iterations invoke
 
 let paper_elapsed =
   [
@@ -161,31 +131,12 @@ let paper_elapsed =
   ]
 
 let table ?iterations ?pool () =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (fun p -> (p, measure ?iterations p))
-      Path.all
-  in
-  let value p = List.assoc p measured in
-  let paper p = List.assoc_opt p paper_elapsed in
-  let row p = Table.elapsed ?paper:(paper p) (Path.name p) (value p) in
-  let inc label p q paper = Table.overhead ~paper label (value q -. value p) in
-  [
-    row Path.Base;
-    inc "Indirection cost" Path.Base Path.Vino 1.;
-    row Path.Vino;
-    inc "Txn begin+commit+null graft" Path.Vino Path.Null 76.;
-    row Path.Null;
-    inc "Lock + graft function + check" Path.Null Path.Unsafe 72.;
-    row Path.Unsafe;
-    inc "MiSFIT overhead" Path.Unsafe Path.Safe 5.;
-    row Path.Safe;
-    Table.overhead "MiSFIT recovered by static verifier"
-      (value Path.Verified -. value Path.Safe);
-    row Path.Verified;
-    Table.overhead "Kcall-flow check (above Safe)"
-      (value Path.FlowChecked -. value Path.Safe);
-    row Path.FlowChecked;
-    inc "Abort cost (above commit)" Path.Safe Path.Abort 3.;
-    row Path.Abort;
-  ]
+  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+    ~increments:
+      [
+        (Path.Vino, "Indirection cost");
+        (Path.Null, "Txn begin+commit+null graft");
+        (Path.Unsafe, "Lock + graft function + check");
+        (Path.Safe, "MiSFIT overhead");
+        (Path.Abort, "Abort cost (above commit)");
+      ]

@@ -4,12 +4,4 @@
     the 64-entry process list and returns its own id. The base path is the
     cost of switching processes twice (select + switch + switch back). *)
 
-val process_count : int
-val stats : ?iterations:int -> Path.t -> Vino_sim.Stats.t
-val measure : ?iterations:int -> Path.t -> float
-val measure_abort : ?iterations:int -> full:bool -> unit -> float
-val paper_elapsed : (Path.t * float) list
-val table : ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
-(** With [?pool], the per-path measurements fan out across domains (each
-    worker builds its own kernel); rows are identical at any pool
-    size. *)
+include Graft.S

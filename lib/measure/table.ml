@@ -41,6 +41,41 @@ let render ppf ~title ?notes rows =
 
 let print ~title ?notes rows = render Format.std_formatter ~title ?notes rows
 
+let graft ?pool ~paper ~increments measure =
+  let measured =
+    Vino_par.Pool.map_scoped ?pool (fun p -> (p, measure p)) Path.all
+  in
+  let value p = List.assoc p measured in
+  let row p =
+    elapsed ?paper:(List.assoc_opt p paper) (Path.name p) (value p)
+  in
+  (* [q]'s row, after its increment over [p] when the graft labels one *)
+  let after p q =
+    match List.assoc_opt q increments with
+    | None -> [ row q ]
+    | Some label ->
+        let paper =
+          match (List.assoc_opt p paper, List.assoc_opt q paper) with
+          | Some a, Some b -> Some (b -. a)
+          | _ -> None
+        in
+        [ overhead ?paper label (value q -. value p); row q ]
+  in
+  let above_safe label q =
+    [ overhead label (value q -. value Path.Safe); row q ]
+  in
+  List.concat
+    [
+      [ row Path.Base ];
+      after Path.Base Path.Vino;
+      after Path.Vino Path.Null;
+      after Path.Null Path.Unsafe;
+      after Path.Unsafe Path.Safe;
+      above_safe "MiSFIT recovered by static verifier" Path.Verified;
+      above_safe "Kcall-flow check (above Safe)" Path.FlowChecked;
+      after Path.Safe Path.Abort;
+    ]
+
 module Json = Vino_trace.Json
 
 let row_json r =
@@ -70,10 +105,3 @@ let write_json ~file ~name ~title ?counters rows =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Json.to_string (to_json ~name ~title ?counters rows)))
-
-let diffs labelled =
-  let rec go = function
-    | (_, a) :: ((l2, b) :: _ as rest) -> (l2, b -. a) :: go rest
-    | [ _ ] | [] -> []
-  in
-  go labelled

@@ -13,6 +13,25 @@ val overhead : ?paper:float -> string -> float -> row
 val render : Format.formatter -> title:string -> ?notes:string -> row list -> unit
 val print : title:string -> ?notes:string -> row list -> unit
 
+val graft :
+  ?pool:Vino_par.Pool.t ->
+  paper:(Path.t * float) list ->
+  increments:(Path.t * string) list ->
+  (Path.t -> float) ->
+  row list
+(** One graft's table in Table 2's layout (Tables 3–6). Measures every
+    path of {!Path.all} with [measure], fanned out over [pool] (the rows
+    are identical at any pool size), and lists each path's elapsed row in
+    the order Base, VINO, Null, Unsafe, Safe, Verified, FlowChecked, Abort,
+    with its value from [paper] when there is one.
+
+    A path that [increments] labels comes after its increment over the
+    path before it in Table 2's chain (Safe, for Abort); the increment's
+    paper value is the difference of the two paths' [paper] values.
+    Verified and FlowChecked each come after their increment above Safe:
+    the MiSFIT cost the static verifier recovers, and the cost of the
+    kcall-flow check. *)
+
 val to_json :
   name:string ->
   title:string ->
@@ -32,7 +51,3 @@ val write_json :
   row list ->
   unit
 (** {!to_json} serialised to [file]. *)
-
-val diffs : (string * float) list -> (string * float) list
-(** Successive differences of a list of labelled elapsed values:
-    [(l1,a);(l2,b);...] gives [(l2, b-a); ...]. *)

@@ -159,13 +159,38 @@ let test_stats_match_paper_deviation_discipline () =
     (sd < 0.025 *. mean)
 
 let test_table_support () =
-  let diffs =
-    Table.diffs [ ("a", 10.); ("b", 25.); ("c", 27.5) ]
+  (* each path measures its index in Path.all *)
+  let index p =
+    float_of_int (Option.get (List.find_index (( = ) p) Path.all))
   in
-  Alcotest.(check (list (pair string (float 0.001))))
-    "successive differences"
-    [ ("b", 15.); ("c", 2.5) ]
-    diffs;
+  Alcotest.(check (list (triple string (option (float 0.)) (float 0.))))
+    "graft layout: labelled increments, paper differences, extensions"
+    [
+      ("Base path", Some 1., 0.);
+      ("ind", Some 2., 1.);
+      ("VINO path", Some 3., 1.);
+      ("Null path", None, 2.);
+      ("Unsafe path", None, 3.);
+      ("Safe path", Some 4., 4.);
+      ("MiSFIT recovered by static verifier", None, 1.);
+      ("Verified path", None, 5.);
+      ("Kcall-flow check (above Safe)", None, 2.);
+      ("FlowChecked path", None, 6.);
+      ("abort", Some 6., 3.);
+      ("Abort path", Some 10., 7.);
+    ]
+    (List.map
+       (fun (r : Table.row) -> (r.label, r.paper_us, r.measured_us))
+       (Table.graft
+          ~paper:
+            [
+              (Path.Base, 1.);
+              (Path.Vino, 3.);
+              (Path.Safe, 4.);
+              (Path.Abort, 10.);
+            ]
+          ~increments:[ (Path.Vino, "ind"); (Path.Abort, "abort") ]
+          index));
   let rendered =
     Format.asprintf "%a" (fun ppf () ->
         Table.render ppf ~title:"T" ~notes:"n"
@@ -193,6 +218,111 @@ let test_probe_timing_exact () =
     (Vino_sim.Stats.trimmed_mean stats);
   Alcotest.(check (float 0.001)) "deterministic: zero deviation" 0.
     (Vino_sim.Stats.trimmed_stddev stats)
+
+let test_probe_rejects_no_iterations () =
+  let kernel = Vino_core.Kernel.create ~mem_words:(1 lsl 12) () in
+  Alcotest.check_raises "iterations:0"
+    (Invalid_argument "Probe.samples: iterations must be at least 1")
+    (fun () -> ignore (Probe.samples kernel ~iterations:0 (fun _ -> ())))
+
+(* Tables 3-7 to the cycle at the quick bench's 60 iterations, the
+   figures [bench/baseline.json] gates within 2%: [dune runtest] catches a
+   change that moves one row by one cycle. *)
+let test_tables_golden () =
+  let iterations = 60 in
+  let check name rows expected =
+    Alcotest.(check (list (pair string int)))
+      (name ^ ": labels and cycles")
+      expected
+      (List.map
+         (fun (r : Table.row) ->
+           (r.label, Vino_vm.Costs.cycles_of_us r.measured_us))
+         rows)
+  in
+  check "Table 3" (Sc_readahead.table ~iterations ())
+    [
+      ("Base path", 60);
+      ("Indirection cost", 120);
+      ("VINO path", 180);
+      ("Txn begin+commit+null graft", 7866);
+      ("Null path", 8046);
+      ("Lock overhead + graft function", 4629);
+      ("Unsafe path", 12675);
+      ("MiSFIT overhead", 10);
+      ("Safe path", 12685);
+      ("MiSFIT recovered by static verifier", -10);
+      ("Verified path", 12675);
+      ("Kcall-flow check (above Safe)", 3);
+      ("FlowChecked path", 12688);
+      ("Abort cost (above commit)", 1440);
+      ("Abort path", 14125);
+    ];
+  check "Table 4" (Sc_evict.table ~iterations ())
+    [
+      ("Base path", 4626);
+      ("Indirection cost", 120);
+      ("VINO path", 4746);
+      ("Txn begin+commit+null graft+check", 7926);
+      ("Null path", 12672);
+      ("Lock + graft function + check", 18085);
+      ("Unsafe path", 30757);
+      ("MiSFIT overhead", 6365);
+      ("Safe path", 37122);
+      ("MiSFIT recovered by static verifier", -5);
+      ("Verified path", 37117);
+      ("Kcall-flow check (above Safe)", 3);
+      ("FlowChecked path", 37125);
+      ("Abort cost (above commit)", 1440);
+      ("Abort path", 38562);
+    ];
+  Alcotest.(check int) "Table 4 agreement case" 18019
+    (Vino_vm.Costs.cycles_of_us (Sc_evict.measure_agreement ~iterations ()));
+  check "Table 5" (Sc_sched.table ~iterations ())
+    [
+      ("Base path", 6480);
+      ("Indirection cost", 120);
+      ("VINO path", 6600);
+      ("Txn begin+commit+null graft", 8166);
+      ("Null path", 14766);
+      ("Lock + graft function + check", 7823);
+      ("Unsafe path", 22589);
+      ("MiSFIT overhead", 320);
+      ("Safe path", 22909);
+      ("MiSFIT recovered by static verifier", 0);
+      ("Verified path", 22909);
+      ("Kcall-flow check (above Safe)", 3);
+      ("FlowChecked path", 22912);
+      ("Abort cost (above commit)", 1440);
+      ("Abort path", 24349);
+    ];
+  check "Table 6" (Sc_crypt.table ~iterations ())
+    [
+      ("Base path", 12288);
+      ("VINO path", 12288);
+      ("Txn begin+commit (+ cache misses)", 7686);
+      ("Null path", 19974);
+      ("Graft function", 22531);
+      ("Unsafe path", 42505);
+      ("MiSFIT overhead", 20480);
+      ("Safe path", 62985);
+      ("MiSFIT recovered by static verifier", -20480);
+      ("Verified path", 42505);
+      ("Kcall-flow check (above Safe)", 0);
+      ("FlowChecked path", 62985);
+      ("Abort cost (above commit)", 840);
+      ("Abort path", 63825);
+    ];
+  check "Table 7" (Abort_model.table7 ~iterations ())
+    [
+      ("Read-Ahead (null abort)", 4200);
+      ("Read-Ahead (full abort)", 5400);
+      ("Page Eviction (null abort)", 4200);
+      ("Page Eviction (full abort)", 5400);
+      ("Scheduling (null abort)", 4200);
+      ("Scheduling (full abort)", 5400);
+      ("Encryption (null abort)", 4200);
+      ("Encryption (full abort)", 4200);
+    ]
 
 let prop_parser_never_crashes =
   QCheck2.Test.make ~name:"parser never raises on garbage" ~count:300
@@ -222,5 +352,9 @@ let suite =
         Alcotest.test_case "probe timing is exact" `Quick
           test_probe_timing_exact;
         QCheck_alcotest.to_alcotest prop_parser_never_crashes;
+        Alcotest.test_case "Tables 3-7: golden cycles" `Quick
+          test_tables_golden;
+        Alcotest.test_case "probe rejects zero iterations" `Quick
+          test_probe_rejects_no_iterations;
       ] );
   ]
