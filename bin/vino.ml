@@ -428,12 +428,9 @@ let run_graft name args stub_imports =
                  ~name:"playground" ()
              in
              let cpu, outcome =
-               Vino_core.Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
-                 ~limits:(Vino_txn.Rlimit.unlimited ())
-                 ~seg:loaded.Vino_core.Linker.seg
-                 ~code:loaded.Vino_core.Linker.code
-                 ~flow:loaded.Vino_core.Linker.flow
-                 ~trans:loaded.Vino_core.Linker.trans ~budget:50_000_000
+               Vino_core.Wrapper.exec kernel loaded ~txn
+                 ~cred:Vino_core.Cred.root
+                 ~limits:(Vino_txn.Rlimit.unlimited ()) ~budget:50_000_000
                  ~setup:(fun cpu ->
                    List.iteri
                      (fun k v ->

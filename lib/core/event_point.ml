@@ -1,7 +1,6 @@
 module Cpu = Vino_vm.Cpu
 module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
-module Txn = Vino_txn.Txn
 module Rlimit = Vino_txn.Rlimit
 
 type handler = {
@@ -119,11 +118,10 @@ let remove_handler t kernel hid =
         else true)
       t.handlers
 
+(* The handler's result is r0; commit does not change it. *)
+let result_reg cpu = Ok (Cpu.reg cpu 0)
+
 let run_handler t kernel h payload =
-  (* workers are fresh processes, so there is normally no enclosing
-     transaction; pick one up if an in-kernel caller dispatched inline *)
-  let parent = Txn.current kernel.Kernel.txn_mgr in
-  let txn = Txn.begin_ kernel.Kernel.txn_mgr ?parent ~name:h.txn_name () in
   let len = min (Array.length payload) h.payload_words in
   let seg = h.loaded.Linker.seg in
   let setup cpu =
@@ -131,40 +129,33 @@ let run_handler t kernel h payload =
     Cpu.set_reg cpu 1 seg.Mem.base;
     Cpu.set_reg cpu 2 len
   in
-  let cpu, outcome =
-    Wrapper.exec kernel ~txn ~cred:h.cred ~limits:h.limits ~seg
-      ~code:h.loaded.Linker.code ~flow:h.loaded.Linker.flow
-      ~trans:h.loaded.Linker.trans ~budget:t.budget ~setup ()
-  in
-  (* the worker owns the frame outright: nothing below holds onto [txn],
-     so once it is resolved it goes back to the manager's arena *)
-  let fail reason =
-    if Txn.is_active txn then Txn.abort txn ~reason;
-    Txn.recycle txn;
-    t.n_failures <- t.n_failures + 1;
-    h.dead <- true;
-    Kernel.audit_event kernel
-      (Audit.Handler_failed { point = t.ename; handler = h.hid; reason });
-    remove_handler t kernel h.hid
-  in
-  match outcome with
-  | Cpu.Halted -> (
-      match Txn.commit txn with
-      | Ok () ->
-          Txn.recycle txn;
-          t.last_results <- (h.hid, Cpu.reg cpu 0) :: t.last_results
-      | Error reason -> fail reason)
-  | Cpu.Faulted f -> fail (Format.asprintf "%a" Cpu.pp_fault f)
-  | Cpu.Aborted reason -> fail reason
-  | Cpu.Out_of_fuel -> fail "CPU budget exhausted"
+  (* workers are fresh processes, so there is normally no enclosing
+     transaction; [invoke] picks one up if an in-kernel caller dispatched
+     inline *)
+  match
+    Wrapper.invoke kernel h.loaded ~name:h.txn_name ~cred:h.cred
+      ~limits:h.limits ~budget:t.budget ~setup ~check:result_reg ()
+  with
+  | Ok r0 -> t.last_results <- (h.hid, r0) :: t.last_results
+  | Error reason ->
+      t.n_failures <- t.n_failures + 1;
+      h.dead <- true;
+      Kernel.audit_event kernel
+        (Audit.Handler_failed { point = t.ename; handler = h.hid; reason });
+      remove_handler t kernel h.hid
 
 let dispatch t kernel ~payload =
   t.n_events <- t.n_events + 1;
   t.last_results <- [];
   List.iter
     (fun h ->
-      if not h.dead then
+      if not h.dead then begin
+        (* pinned from spawn, not from [invoke]: a removal between the two
+           must not free the segment the worker is about to run in *)
+        Linker.pin h.loaded;
         ignore
           (Engine.spawn kernel.Kernel.engine ~name:h.worker_name (fun () ->
-               run_handler t kernel h payload)))
+               run_handler t kernel h payload;
+               Linker.unpin kernel h.loaded))
+      end)
     t.handlers

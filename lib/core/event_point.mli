@@ -5,10 +5,11 @@
     event (a TCP connection established on a port, a UDP packet arriving).
     Unlike function graft points, grafted handlers are *added*, in an
     application-specified order, rather than replacing anything. When the
-    event occurs, VINO spawns a worker thread per handler, begins a
-    transaction, copies the event payload into the handler's segment and
-    invokes it; when the handler returns the worker commits and exits. A
-    handler whose transaction aborts is removed. *)
+    event occurs, VINO spawns a worker thread per handler, which copies
+    the event payload into the handler's segment and invokes it through
+    {!Wrapper.invoke}: a transaction begins, the handler runs, and the
+    worker commits when it returns. A handler whose transaction aborts is
+    removed. *)
 
 type t
 

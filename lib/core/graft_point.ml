@@ -1,8 +1,6 @@
 module Cpu = Vino_vm.Cpu
 module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
-module Tick = Vino_sim.Tick
-module Txn = Vino_txn.Txn
 module Rlimit = Vino_txn.Rlimit
 module Image = Vino_misfit.Image
 module Trace = Vino_trace.Trace
@@ -28,7 +26,6 @@ type ('a, 'b) t = {
   watchdog : int option;
   indirection_cost : int;
   check_cost : int;
-  slice : int;
   budget : int;
   default : 'a -> 'b;
   setup : Cpu.t -> 'a -> unit;
@@ -42,15 +39,14 @@ type ('a, 'b) t = {
 
 let create ~name ?(restricted = false) ?watchdog
     ?(indirection_cost = Vino_txn.Tcosts.us 1.)
-    ?(check_cost = Vino_txn.Tcosts.us 2.) ?(slice = Wrapper.default_slice)
-    ?(budget = Wrapper.default_budget) ~default ~setup ~read_result () =
+    ?(check_cost = Vino_txn.Tcosts.us 2.) ?(budget = Wrapper.default_budget)
+    ~default ~setup ~read_result () =
   {
     gname = name;
     grestricted = restricted;
     watchdog;
     indirection_cost;
     check_cost;
-    slice;
     budget;
     default;
     setup;
@@ -150,64 +146,29 @@ let invoke t kernel ~cred:_ arg =
         Trace.incr_h h_graft_runs;
         Trace.push_frame ~ctx:(trace_ctx ()) ~point:t.gname ~now:inv_start
       end;
-      (* Close this invocation's profiler frame. Called exactly once per
-         run, after the transaction is resolved but before any kernel
-         fallback code — the default path is not graft time. *)
-      let finish () =
-        if Trace.enabled () then begin
-          let now = Engine.now kernel.Kernel.engine in
-          Trace.pop_frame ~ctx:(trace_ctx ()) ~now;
-          Trace.span Span.Graft_invoke ~label:t.gname ~start:inv_start
-            ~dur:(now - inv_start)
-        end
-      in
-      (* nest under the invoking graft's transaction, if any: "any graft
-         can abort without aborting its calling graft" (§3.1) *)
-      let parent = Txn.current kernel.Kernel.txn_mgr in
-      let txn = Txn.begin_ kernel.Kernel.txn_mgr ?parent ~name:t.gname () in
-      let cancel_watchdog =
-        match t.watchdog with
-        | None -> fun () -> ()
-        | Some w ->
-            Tick.arm kernel.Kernel.wheel ~after:w (fun () ->
-                Txn.request_abort txn
-                  (Printf.sprintf "graft point %S: watchdog expired" t.gname))
-      in
-      let cpu, outcome =
-        Wrapper.exec kernel ~txn ~cred:g.cred ~limits:g.limits
-          ~seg:g.loaded.Linker.seg ~code:g.loaded.Linker.code
-          ~flow:g.loaded.Linker.flow ~trans:g.loaded.Linker.trans
-          ~slice:t.slice ~budget:t.budget
+      let result =
+        Wrapper.invoke kernel g.loaded ~name:t.gname ~cred:g.cred
+          ~limits:g.limits ~budget:t.budget ?watchdog:t.watchdog
+          ~check_cost:t.check_cost
           ~setup:(fun cpu -> t.setup cpu arg)
+          ~check:(fun cpu ->
+            match t.read_result cpu arg with
+            | Ok _ as ok -> ok
+            | Error why ->
+                Error (Printf.sprintf "result validation failed: %s" why))
           ()
       in
-      cancel_watchdog ();
-      let abandon reason =
-        if Txn.is_active txn then Txn.abort txn ~reason;
-        (* this invocation owns the frame outright: nothing below holds
-           onto [txn], so its frame goes back to the manager's arena *)
-        Txn.recycle txn;
-        finish ();
-        fail t kernel reason;
-        t.default arg
-      in
-      (match outcome with
-      | Cpu.Halted -> (
-          Engine.delay t.check_cost;
-          match t.read_result cpu arg with
-          | Ok result -> (
-              match Txn.commit txn with
-              | Ok () ->
-                  Txn.recycle txn;
-                  finish ();
-                  result
-              | Error reason ->
-                  Txn.recycle txn;
-                  finish ();
-                  fail t kernel reason;
-                  t.default arg)
-          | Error why ->
-              abandon (Printf.sprintf "result validation failed: %s" why))
-      | Cpu.Faulted f -> abandon (Format.asprintf "%a" Cpu.pp_fault f)
-      | Cpu.Aborted reason -> abandon reason
-      | Cpu.Out_of_fuel -> abandon "CPU budget exhausted")
+      (* Close this invocation's profiler frame once the transaction is
+         resolved, before any kernel fallback code — the default path is
+         not graft time. *)
+      if Trace.enabled () then begin
+        let now = Engine.now kernel.Kernel.engine in
+        Trace.pop_frame ~ctx:(trace_ctx ()) ~now;
+        Trace.span Span.Graft_invoke ~label:t.gname ~start:inv_start
+          ~dur:(now - inv_start)
+      end;
+      match result with
+      | Ok value -> value
+      | Error reason ->
+          fail t kernel reason;
+          t.default arg

@@ -7,11 +7,12 @@
     returned by a graft (e.g. the page-eviction point verifies the returned
     page belongs to the VAS and is not wired, §4.2.1).
 
-    Invocation follows the paper's wrapper protocol: begin a transaction,
-    run the graft under SFI with sliced preemption, validate the result,
-    commit — and on any failure (fault, time-out, quota, validation, abort)
-    roll the transaction back, forcibly remove the graft, and fall back to
-    the default implementation (§3.6). *)
+    Invocation follows the paper's wrapper protocol, which
+    {!Wrapper.invoke} runs: begin a transaction, run the graft under SFI
+    with sliced preemption, validate the result, commit — and on any
+    failure (fault, time-out, quota, validation, abort) roll the
+    transaction back. The graft point then forcibly removes the graft and
+    falls back to the default implementation (§3.6). *)
 
 type ('a, 'b) t
 
@@ -21,7 +22,6 @@ val create :
   ?watchdog:int ->
   ?indirection_cost:int ->
   ?check_cost:int ->
-  ?slice:int ->
   ?budget:int ->
   default:('a -> 'b) ->
   setup:(Vino_vm.Cpu.t -> 'a -> unit) ->
@@ -32,7 +32,9 @@ val create :
     users (Rule 5). [watchdog] (cycles) bounds one invocation's wall time —
     the defence against covert denial of service (§2.5).
     [indirection_cost] is the VINO-path dispatch cost (default 1 us);
-    [check_cost] is charged for result verification. *)
+    [check_cost] is charged for result verification. A graft runs in
+    {!Wrapper.default_slice}-cycle slices, within [budget] cycles
+    (default {!Wrapper.default_budget}). *)
 
 val name : ('a, 'b) t -> string
 val restricted : ('a, 'b) t -> bool

@@ -39,7 +39,6 @@ type t = {
   segalloc : Segalloc.t;
   key : string;
   vm_costs : Vino_vm.Costs.t;
-  costs : Vino_txn.Tcosts.t;
   audit : Audit.t;
   translations : (Vino_misfit.Sign.t * int, cached) Hashtbl.t;
   translations_mu : Mutex.t;
@@ -62,9 +61,7 @@ let default_jit_cache_cap = 256
 let verdict_cap = 256
 
 let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
-    ?(vm_costs = Vino_vm.Costs.default) ?(costs = Vino_txn.Tcosts.default)
-    ?(jit_cache_cap = default_jit_cache_cap) ?exec_mode
-    ?(flow_enforce = false) () =
+    ?(jit_cache_cap = default_jit_cache_cap) ?exec_mode () =
   let engine = Engine.create () in
   let wheel = Tick.create engine ?tick () in
   let t =
@@ -72,7 +69,7 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
       engine;
       wheel;
       mem = Vino_vm.Mem.create mem_words;
-      txn_mgr = Vino_txn.Txn.create_mgr engine ~wheel ~costs ();
+      txn_mgr = Vino_txn.Txn.create_mgr engine ~wheel ();
       registry = Kcall.create ();
       calltable = Calltable.create ();
       (* the lower half of memory is kernel-reserved; graft segments are
@@ -80,8 +77,7 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
          data *)
       segalloc = Segalloc.create ~base:(mem_words / 2) ~size:(mem_words / 2);
       key;
-      vm_costs;
-      costs;
+      vm_costs = Vino_vm.Costs.default;
       audit = Audit.create ();
       translations = Hashtbl.create 16;
       translations_mu = Mutex.create ();
@@ -97,7 +93,7 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
         (match exec_mode with
         | Some m -> m
         | None -> !Vino_vm.Jit.default_mode);
-      flow_enforce;
+      flow_enforce = false;
       flow_pin = None;
       snap_savers = [];
     }
@@ -320,7 +316,7 @@ let seal ?optimize ?verify t obj =
   in
   Vino_misfit.Image.seal ?optimize ?verifier ~key:t.key obj
 let seal_unsafe t obj = Vino_misfit.Image.seal_unsafe ~key:t.key obj
-let run ?until t = Engine.run ?until t.engine
+let run t = Engine.run t.engine
 let now_us t = Engine.now_us t.engine
 
 let audit_event t event = Audit.record t.audit ~now_us:(now_us t) event
@@ -354,8 +350,7 @@ let restore t s =
 
 let make_lock t ?policy ?timeout ~name () =
   let lock =
-    Vino_txn.Lock.create t.engine ~wheel:t.wheel ~costs:t.costs ?policy
-      ?timeout ~name ()
+    Vino_txn.Lock.create t.engine ~wheel:t.wheel ?policy ?timeout ~name ()
   in
   on_snapshot t (Vino_txn.Lock.saver lock);
   lock

@@ -44,8 +44,7 @@ type t = {
   calltable : Calltable.t;  (** runtime hash of callable ids (§3.3) *)
   segalloc : Segalloc.t;
   key : string;  (** trusted toolchain signing key *)
-  vm_costs : Vino_vm.Costs.t;
-  costs : Vino_txn.Tcosts.t;
+  vm_costs : Vino_vm.Costs.t;  (** {!Vino_vm.Costs.default} *)
   audit : Audit.t;  (** trail of graft security events *)
   translations : (Vino_misfit.Sign.t * int, cached) Hashtbl.t;
       (** translation cache, keyed by post-link code signature plus the
@@ -96,17 +95,16 @@ val create :
   ?mem_words:int ->
   ?tick:int ->
   ?key:string ->
-  ?vm_costs:Vino_vm.Costs.t ->
-  ?costs:Vino_txn.Tcosts.t ->
   ?jit_cache_cap:int ->
   ?exec_mode:Vino_vm.Jit.mode ->
-  ?flow_enforce:bool ->
   unit ->
   t
 (** A fresh kernel with [mem_words] (default 2^20) of graft memory, the
     standard 10 ms timeout tick and a translation cache of
     [jit_cache_cap] entries (default {!default_jit_cache_cap}, clamped
-    to >= 1). *)
+    to >= 1). It charges the default cost tables
+    ({!Vino_vm.Costs.default}, {!Vino_txn.Tcosts.default}) and starts
+    with kcall-flow enforcement off. *)
 
 val default_jit_cache_cap : int
 (** 256 entries. *)
@@ -208,8 +206,8 @@ val seal :
 val seal_unsafe : t -> Vino_vm.Asm.obj -> Vino_misfit.Image.t
 (** Sign without SFI — measurement configurations only. *)
 
-val run : ?until:int -> t -> unit
-(** Drive the simulation. *)
+val run : t -> unit
+(** Drive the simulation until no event is left. *)
 
 val now_us : t -> float
 

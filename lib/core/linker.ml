@@ -6,6 +6,8 @@ type loaded = {
   seg : Vino_vm.Mem.segment;
   trans : Vino_vm.Jit.t;
   flow : Vino_verify.Kflow.table;
+  mutable running : int;
+  mutable retired : bool;
 }
 
 let resolve_reloc kernel (r : Vino_vm.Asm.reloc) =
@@ -141,6 +143,8 @@ let load kernel ~words (image : Image.t) =
             seg;
             trans = Kernel.translate kernel ?proof:image.proof ~sign code;
             flow;
+            running = 0;
+            retired = false;
           }
 
 let flow_of_obj kernel (obj : Vino_vm.Asm.obj) =
@@ -150,4 +154,21 @@ let flow_of_obj kernel (obj : Vino_vm.Asm.obj) =
        ~nfuncs:(Kcall.id_limit kernel.Kernel.registry)
        code)
 
-let unload kernel loaded = Segalloc.free kernel.Kernel.segalloc loaded.seg
+(* Zero before freeing: a buddy block keeps its contents, and the next
+   graft given it must not read this one's data (Rule 3). *)
+let free kernel l =
+  let { Vino_vm.Mem.base; size } = l.seg in
+  Vino_vm.Mem.fill kernel.Kernel.mem base size 0;
+  Segalloc.free kernel.Kernel.segalloc l.seg
+
+let pin l = l.running <- l.running + 1
+
+let unpin kernel l =
+  l.running <- l.running - 1;
+  if l.running = 0 && l.retired then begin
+    l.retired <- false;
+    free kernel l
+  end
+
+let unload kernel l =
+  if l.running > 0 then l.retired <- true else free kernel l

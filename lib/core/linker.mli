@@ -28,7 +28,7 @@
     Indirect calls cannot be checked statically; MiSFIT's [Checkcall]
     instructions handle those at run time against {!Calltable}. *)
 
-type loaded = {
+type loaded = private {
   code : Vino_vm.Insn.t array;
   seg : Vino_vm.Mem.segment;
   trans : Vino_vm.Jit.t;
@@ -39,6 +39,9 @@ type loaded = {
       (** bitset kcall-flow transition table compiled from the post-link
           code; wrappers enforce it at dispatch when the kernel's
           [flow_enforce] is set *)
+  mutable running : int;  (** invocations executing in [seg] now ({!pin}) *)
+  mutable retired : bool;
+      (** {!unload}ed while [running > 0]: the last {!unpin} frees [seg] *)
 }
 
 val load :
@@ -74,7 +77,28 @@ val check_config : Kernel.t -> words:int -> Vino_verify.Verify.config
     size and the registry's graft-callable set. *)
 
 val unload : Kernel.t -> loaded -> unit
-(** Return the graft's segment to the allocator. *)
+(** Return the graft's segment to the allocator, zeroed, so the next
+    graft given the block starts from zeros. While invocations are
+    still running in the segment ({!pin}), the free waits for the last
+    of them: a graft removed after one invocation fails may have others
+    in flight, and none of them may write into a block another graft
+    owns (Rule 3). *)
+
+val pin : loaded -> unit
+(** Count one more invocation running in the graft's segment.
+    {!Wrapper.invoke} pins before it begins the invocation's transaction
+    and {!unpin}s after resolving it; {!Event_point.dispatch} also pins
+    each worker from its spawn to its exit.
+
+    Snapshots capture no pin state. {!Kernel.snapshot} refuses a kernel
+    whose engine has run or that has a live transaction, so every count
+    is 0 at a snapshot; restore a kernel only when no invocation is
+    parked in it, or a graft the restore reinstates keeps the count its
+    parked invocations held. *)
+
+val unpin : Kernel.t -> loaded -> unit
+(** The invocation has returned. The last one out of an {!unload}ed
+    graft frees its segment. *)
 
 val flow_of_obj :
   Kernel.t -> Vino_vm.Asm.obj -> (Vino_verify.Kflow.table, string) result

@@ -1,5 +1,6 @@
 module Cpu = Vino_vm.Cpu
 module Engine = Vino_sim.Engine
+module Tick = Vino_sim.Tick
 module Txn = Vino_txn.Txn
 module Trace = Vino_trace.Trace
 module Span = Vino_trace.Span
@@ -63,30 +64,29 @@ let env ?flow kernel ~txn ~cred ~limits =
 let default_slice = 10_000
 let default_budget = 1_000_000_000
 
-let exec kernel ~txn ~cred ~limits ~seg ~code ?flow ?trans ?mode
+let exec kernel (loaded : Linker.loaded) ~txn ~cred ~limits
     ?(slice = default_slice) ?(budget = default_budget) ~setup () =
   let cpu =
-    Cpu.make ~mem:kernel.Kernel.mem ~seg ~costs:kernel.Kernel.vm_costs ()
+    Cpu.make ~mem:kernel.Kernel.mem ~seg:loaded.seg
+      ~costs:kernel.Kernel.vm_costs ()
   in
   setup cpu;
   (* A pinned table (attested call-flow graph) overrides the graft's own;
      with enforcement off, no check is installed at all. *)
   let flow =
     if kernel.Kernel.flow_enforce then
-      match kernel.Kernel.flow_pin with Some t -> Some t | None -> flow
+      match kernel.Kernel.flow_pin with
+      | Some t -> Some t
+      | None -> Some loaded.flow
     else None
   in
   let e = env ?flow kernel ~txn:(Some txn) ~cred ~limits in
-  let mode =
-    match mode with Some m -> m | None -> kernel.Kernel.exec_mode
-  in
   (* Each slice resumes from the cpu's saved pc, so the step function must
      handle mid-block entry — {!Vino_vm.Jit.run} does. *)
   let step =
-    match (mode, trans) with
-    | Vino_vm.Jit.Translated, Some tr -> fun () -> Vino_vm.Jit.run e cpu tr
-    | Vino_vm.Jit.Translated, None | Vino_vm.Jit.Interp, _ ->
-        fun () -> Cpu.run e cpu code
+    match kernel.Kernel.exec_mode with
+    | Vino_vm.Jit.Translated -> fun () -> Vino_vm.Jit.run e cpu loaded.trans
+    | Vino_vm.Jit.Interp -> fun () -> Cpu.run e cpu loaded.code
   in
   let synced = ref 0 in
   let sync () =
@@ -131,4 +131,46 @@ let exec kernel ~txn ~cred ~limits ~seg ~code ?flow ?trans ?mode
         ~ctx:(Engine.proc_id (Engine.self ()))
         Profile.Sandbox (sb + cc)
   end;
+  result
+
+let invoke kernel loaded ~name ~cred ~limits ?budget ?watchdog ?check_cost
+    ~setup ~check () =
+  let mgr = kernel.Kernel.txn_mgr in
+  Linker.pin loaded;
+  (* nest under the invoking graft's transaction, if any: "any graft can
+     abort without aborting its calling graft" (§3.1) *)
+  let txn = Txn.begin_ mgr ?parent:(Txn.current mgr) ~name () in
+  let cancel_watchdog =
+    match watchdog with
+    | None -> fun () -> ()
+    | Some after ->
+        Tick.arm kernel.Kernel.wheel ~after (fun () ->
+            Txn.request_abort txn
+              (Printf.sprintf "graft point %S: watchdog expired" name))
+  in
+  let cpu, outcome =
+    exec kernel loaded ~txn ~cred ~limits ?budget ~setup ()
+  in
+  cancel_watchdog ();
+  let result =
+    match outcome with
+    | Cpu.Halted -> (
+        Option.iter Engine.delay check_cost;
+        match check cpu with
+        | Ok _ as ok -> (
+            match Txn.commit txn with
+            | Ok () -> ok
+            | Error reason -> Error reason)
+        | Error _ as failed -> failed)
+    | Cpu.Faulted f -> Error (Format.asprintf "%a" Cpu.pp_fault f)
+    | Cpu.Aborted reason -> Error reason
+    | Cpu.Out_of_fuel -> Error "CPU budget exhausted"
+  in
+  (match result with
+  | Error reason when Txn.is_active txn -> Txn.abort txn ~reason
+  | Ok _ | Error _ -> ());
+  (* the invocation owns the frame outright: nothing holds onto [txn]
+     past this point, so it goes back to the manager's arena *)
+  Txn.recycle txn;
+  Linker.unpin kernel loaded;
   result

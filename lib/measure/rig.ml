@@ -1,7 +1,5 @@
-module Cpu = Vino_vm.Cpu
 module Engine = Vino_sim.Engine
 module Stats = Vino_sim.Stats
-module Txn = Vino_txn.Txn
 module Kernel = Vino_core.Kernel
 module Linker = Vino_core.Linker
 module Wrapper = Vino_core.Wrapper
@@ -48,43 +46,27 @@ let seal kernel ~verify ~null ~full path =
 
 type outcome = Committed | Rolled_back | Failed of string
 
+(* The deliberate abort's reason. [run] tells it from a graft's own
+   failure by physical equality, so no graft can forge it. *)
+let measured_abort = "measured abort"
+
 let run t ?(indirection = Vino_txn.Tcosts.us 1.)
     ?(check_cost = Vino_txn.Tcosts.us 2.) ?(setup = fun _ -> ())
     ?(check = fun _ -> true) ~commit () =
   Engine.delay indirection;
-  let txn = Txn.begin_ t.kernel.Kernel.txn_mgr ~name:"rig" () in
-  let cpu, result =
-    Wrapper.exec t.kernel ~txn ~cred:t.cred ~limits:t.limits
-      ~seg:t.loaded.Linker.seg ~code:t.loaded.Linker.code
-      ~flow:t.loaded.Linker.flow ~trans:t.loaded.Linker.trans ~setup ()
+  let decide cpu =
+    t.decided <- Engine.now t.kernel.Kernel.engine;
+    if not (check cpu) then Error "result validation failed"
+    else if commit then Ok ()
+    else Error measured_abort
   in
-  match result with
-  | Cpu.Halted ->
-      Engine.delay check_cost;
-      t.decided <- Engine.now t.kernel.Kernel.engine;
-      if not (check cpu) then begin
-        Txn.abort txn ~reason:"result validation failed";
-        Failed "result validation failed"
-      end
-      else if commit then begin
-        match Txn.commit txn with
-        | Ok () -> Committed
-        | Error reason -> Failed reason
-      end
-      else begin
-        Txn.abort txn ~reason:"measured abort";
-        Rolled_back
-      end
-  | Cpu.Faulted f ->
-      let reason = Format.asprintf "%a" Cpu.pp_fault f in
-      Txn.abort txn ~reason;
-      Failed reason
-  | Cpu.Aborted reason ->
-      if Txn.is_active txn then Txn.abort txn ~reason;
-      Failed reason
-  | Cpu.Out_of_fuel ->
-      Txn.abort txn ~reason:"budget";
-      Failed "budget"
+  match
+    Wrapper.invoke t.kernel t.loaded ~name:"rig" ~cred:t.cred
+      ~limits:t.limits ~check_cost ~setup ~check:decide ()
+  with
+  | Ok () -> Committed
+  | Error reason when reason == measured_abort -> Rolled_back
+  | Error reason -> Failed reason
 
 let sample t ?iterations path invoke =
   if path = Path.FlowChecked then t.kernel.Kernel.flow_enforce <- true;

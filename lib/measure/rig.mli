@@ -1,13 +1,14 @@
-(** Manual composition of the measured graft paths, and Table 2's
-    method for measuring a graft along them.
+(** The measured graft paths, and Table 2's method for measuring a graft
+    along them.
 
     {!Vino_core.Graft_point} implements the production behaviour (abort ⇒
     forcibly remove the graft, fall back to the default), which is wrong
     for measurement: the Abort path must abort the same graft thousands of
-    times. The rig loads a graft once and exposes one invocation with an
-    explicit commit/abort decision, mirroring Table 2's path definitions
-    component by component. {!seal}, {!sample} and {!time_abort} are the
-    path rules every {!Graft.S} module shares. *)
+    times. The rig loads a graft once and runs each invocation through
+    the same wrapper, {!Vino_core.Wrapper.invoke}, with an explicit
+    commit/abort decision in place of the graft point's removal and
+    fallback. {!seal}, {!sample} and {!time_abort} are the path rules
+    every {!Graft.S} module shares. *)
 
 type t = {
   kernel : Vino_core.Kernel.t;
@@ -50,10 +51,12 @@ val run :
   commit:bool ->
   unit ->
   outcome
-(** One transactional graft invocation: charge the indirection, begin a
-    transaction, execute under SFI, charge result checking and validate,
-    then commit or deliberately abort. Must run inside an engine
-    process. *)
+(** One transactional graft invocation: charge the indirection, then
+    {!Vino_core.Wrapper.invoke} the graft with result checking charged at
+    [check_cost], recording {!field-decided} after that charge. A valid
+    result commits when [commit] is set and rolls back ([Rolled_back])
+    otherwise; a failed [check] or any other failure is [Failed]. Must
+    run inside an engine process. *)
 
 val sample :
   t ->

@@ -61,13 +61,12 @@ let default_timeout = Tcosts.us 1000.
    nothing will ever wake us. *)
 let fruitless_timeout_bound = 25
 
-let create engine ~wheel ?(costs = Tcosts.default)
-    ?(policy = Lock_policy.reader_priority) ?(timeout = default_timeout)
-    ~name () =
+let create engine ~wheel ?(policy = Lock_policy.reader_priority)
+    ?(timeout = default_timeout) ~name () =
   {
     engine;
     wheel;
-    costs;
+    costs = Tcosts.default;
     lname = name;
     ltimeout = timeout;
     lpolicy = policy;

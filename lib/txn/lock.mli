@@ -42,14 +42,14 @@ val fruitless_timeout_bound : int
 val create :
   Vino_sim.Engine.t ->
   wheel:Vino_sim.Tick.t ->
-  ?costs:Tcosts.t ->
   ?policy:Lock_policy.t ->
   ?timeout:int ->
   name:string ->
   unit ->
   t
 (** [timeout] is the per-resource-type hold time-out in cycles (default
-    1 ms). [policy] defaults to {!Lock_policy.reader_priority}. *)
+    1 ms). [policy] defaults to {!Lock_policy.reader_priority}. Costs
+    are {!Tcosts.default}. *)
 
 val acquire :
   t ->

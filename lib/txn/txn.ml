@@ -34,7 +34,6 @@ type mgr = {
   mutable n_undo_failures : int; (* undo entries that raised during replay *)
   mutable n_deferred_failures : int; (* deferred actions that raised *)
   current : (int, tref) Hashtbl.t; (* engine proc id -> innermost txn *)
-  undo_slots : int; (* undo entries preallocated per frame *)
   frames : tref Arena.t; (* retired frames, recycled by [begin_] *)
 }
 and tref = T : t -> tref
@@ -60,13 +59,11 @@ and t = {
 let default_undo_slots = 64
 let default_frame_slots = 64
 
-let create_mgr engine ~wheel ?(costs = Tcosts.default)
-    ?(undo_slots = default_undo_slots) () =
-  if undo_slots < 0 then invalid_arg "Txn.create_mgr: negative undo_slots";
+let create_mgr engine ~wheel () =
   {
     engine;
     wheel;
-    costs;
+    costs = Tcosts.default;
     next_id = 0;
     n_begins = 0;
     n_commits = 0;
@@ -76,7 +73,6 @@ let create_mgr engine ~wheel ?(costs = Tcosts.default)
     n_undo_failures = 0;
     n_deferred_failures = 0;
     current = Hashtbl.create 16;
-    undo_slots;
     frames = Arena.create ~slots:default_frame_slots ();
   }
 
@@ -157,7 +153,7 @@ let begin_ m ?parent ~name () =
             tid;
             tname = name;
             tparent = parent;
-            undo = Undo_log.create ~slots:m.undo_slots ();
+            undo = Undo_log.create ~slots:default_undo_slots ();
             locks = [];
             tstate = Active;
             abort_reason = None;

@@ -20,18 +20,10 @@ type t
 
 type state = Active | Committed | Aborted of string
 
-val create_mgr :
-  Vino_sim.Engine.t ->
-  wheel:Vino_sim.Tick.t ->
-  ?costs:Tcosts.t ->
-  ?undo_slots:int ->
-  unit ->
-  mgr
-(** [undo_slots] (default 64) is the per-frame undo-log preallocation:
-    transactions pushing at most that many undo entries never grow
-    their log, so a recycled frame runs allocation-free. Size it with
-    {!Arena.slots_for} when admission is governed by an {!Rlimit}
-    account. *)
+val create_mgr : Vino_sim.Engine.t -> wheel:Vino_sim.Tick.t -> unit -> mgr
+(** A manager charging {!Tcosts.default}. Each frame preallocates 64
+    undo-log entries: transactions pushing at most that many never grow
+    their log, so a recycled frame runs allocation-free. *)
 
 val engine : mgr -> Vino_sim.Engine.t
 val wheel : mgr -> Vino_sim.Tick.t

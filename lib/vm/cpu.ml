@@ -15,7 +15,6 @@ type t = {
   seg : Mem.segment;
   costs : Costs.t;
   checked : bool;
-  check_access_cost : int;
   mutable fuel : int;
   mutable pc : int;
   mutable cycles : int;
@@ -47,7 +46,7 @@ let max_call_depth = 4096
 let default_check_access_cost = 20
 
 let make ~mem ~seg ?(costs = Costs.default) ?(checked = false)
-    ?(check_access_cost = default_check_access_cost) ?(fuel = max_int) () =
+    ?(fuel = max_int) () =
   let t =
     {
       regs = Array.make Insn.num_regs 0;
@@ -55,7 +54,6 @@ let make ~mem ~seg ?(costs = Costs.default) ?(checked = false)
       seg;
       costs;
       checked;
-      check_access_cost;
       fuel;
       pc = 0;
       cycles = 0;
@@ -73,10 +71,10 @@ let make ~mem ~seg ?(costs = Costs.default) ?(checked = false)
 (* Rewind to the state [make] would produce, without allocating: the
    invoke hot path recycles one cpu per (graft, path) instead of churning
    a fresh record + register file per invocation. *)
-let reset ?(fuel = max_int) t =
+let reset t =
   Array.fill t.regs 0 (Array.length t.regs) 0;
   t.regs.(Insn.sp) <- t.seg.Mem.base + t.seg.Mem.size;
-  t.fuel <- fuel;
+  t.fuel <- max_int;
   t.pc <- 0;
   t.cycles <- 0;
   t.depth <- 0;
@@ -126,7 +124,7 @@ let call_stack t = List.init t.depth (fun i -> t.callstack.(t.depth - 1 - i))
    the paper's related work — at a per-access interpretation cost. *)
 let guard t ~write addr =
   if t.checked then begin
-    t.cycles <- t.cycles + t.check_access_cost;
+    t.cycles <- t.cycles + default_check_access_cost;
     if not (Mem.in_segment t.seg addr) then
       raise (Fault_exn (Memory_fault { addr; write }))
   end;

@@ -28,7 +28,6 @@ type t = {
   seg : Mem.segment;
   costs : Costs.t;
   checked : bool;
-  check_access_cost : int;
   mutable fuel : int;
   mutable pc : int;
   mutable cycles : int;
@@ -83,7 +82,6 @@ val make :
   seg:Mem.segment ->
   ?costs:Costs.t ->
   ?checked:bool ->
-  ?check_access_cost:int ->
   ?fuel:int ->
   unit ->
   t
@@ -93,15 +91,15 @@ val make :
     [checked] selects the interpreted-extension execution model the paper's
     related work compares against (§5, [16]): the environment bounds-checks
     every access against the segment (faulting instead of sandboxing) and
-    charges [check_access_cost] cycles per access — safety through
+    charges {!default_check_access_cost} cycles per access — safety through
     interpretation, at interpretation prices. Off by default (MiSFIT-style
     protection is the paper's mechanism). *)
 
-val reset : ?fuel:int -> t -> unit
-(** Rewind to the state {!make} would produce (zeroed registers and
-    counters, stack pointer at the top of the segment, pc 0) without
-    allocating, so a hot loop can recycle one cpu across invocations.
-    [fuel] defaults to unlimited, like {!make}. *)
+val reset : t -> unit
+(** Rewind to the state {!make} would produce without a [fuel] (zeroed
+    registers and counters, stack pointer at the top of the segment, pc
+    0, unlimited fuel) without allocating, so a hot loop can recycle one
+    cpu across invocations. *)
 
 val run : ?poll_every:int -> env -> t -> Insn.t array -> outcome
 (** Execute from instruction 0 until an {!outcome} is reached. [poll_every]

@@ -601,6 +601,152 @@ let test_segment_freed_on_remove () =
       Alcotest.(check int) "memory returned" free0
         (Vino_core.Segalloc.free_words fx.kernel.Kernel.segalloc))
 
+(* Event handlers for the segment-reuse cases below: 16 payload words
+   and 64 heap words, so every handler gets a 512-word segment. Handlers
+   see their segment base (the payload window) in r1. *)
+let add_handler_exn fx ep image =
+  match
+    Event_point.add_handler ep fx.kernel ~cred:(user fx) ~payload_words:16
+      ~heap_words:64 image
+  with
+  | Ok hid -> hid
+  | Error e -> Alcotest.fail e
+
+let bad_word = 0xBAD
+
+(* Stores [bad_word] at word 100 of the segment after spinning [spin]
+   iterations; a payload word of 1 divides by zero instead. *)
+let storing_handler ~spin ~result : Asm.item list =
+  [
+    Ld (Asm.r3, Asm.r1, 0);
+    Li (Asm.r4, 0);
+    Br (Insn.Ne, Asm.r3, Asm.r4, "boom");
+    Li (Asm.r5, spin);
+    Li (Asm.r6, 0);
+    Label "spin";
+    Br (Insn.Ge, Asm.r6, Asm.r5, "store");
+    Alui (Insn.Add, Asm.r6, Asm.r6, 1);
+    Jmp "spin";
+    Label "store";
+    Li (Asm.r7, bad_word);
+    St (Asm.r7, Asm.r1, 100);
+    Mov (Asm.r0, result);
+    Ret;
+    Label "boom";
+    Alu (Insn.Div, Asm.r0, Asm.r3, Asm.r4);
+    Ret;
+  ]
+
+let used_words fx = Vino_core.Segalloc.used_words fx.kernel.Kernel.segalloc
+
+(* A handler removed because one worker faulted keeps its segment until
+   its other worker returns: a later handler gets another block, and
+   never reads what the running worker stores (Rule 3). *)
+let test_removed_handler_segment_outlives_workers () =
+  let fx = make_fixture () in
+  let ep_a = Event_point.create ~name:"a" () in
+  let ep_b = Event_point.create ~name:"b" () in
+  let used_at_b_install = ref (-1) and a_handlers = ref (-1) in
+  ignore
+    (Engine.spawn fx.kernel.Kernel.engine ~name:"app" (fun () ->
+         let spinning = storing_handler ~spin:50_000 ~result:Asm.r4 in
+         let (_ : int) =
+           add_handler_exn fx ep_a (seal_exn fx.kernel spinning)
+         in
+         Event_point.dispatch ep_a fx.kernel ~payload:[| 0 |];
+         Event_point.dispatch ep_a fx.kernel ~payload:[| 1 |];
+         Engine.delay 20_000;
+         (* the faulting worker has removed the handler; the first one
+            is still spinning in the segment *)
+         a_handlers := Event_point.handler_count ep_a;
+         used_at_b_install := used_words fx;
+         let (_ : int) =
+           add_handler_exn fx ep_b
+             (seal_exn fx.kernel [ Ld (Asm.r0, Asm.r1, 100); Ret ])
+         in
+         Engine.delay 2_000_000;
+         Event_point.dispatch ep_b fx.kernel ~payload:[| 0 |]));
+  Kernel.run fx.kernel;
+  Alcotest.(check int) "faulting worker removed the handler" 0 !a_handlers;
+  Alcotest.(check int) "one handler failure" 1
+    (Event_point.handler_failures ep_a);
+  Alcotest.(check int) "running worker keeps the segment allocated" 512
+    !used_at_b_install;
+  Alcotest.(check (list int)) "running worker finished its store" [ 0 ]
+    (List.map snd (Event_point.results ep_a));
+  Alcotest.(check int) "freed when the last worker returned" 512
+    (used_words fx);
+  Alcotest.(check (list int)) "new handler reads its own zeroed segment"
+    [ 0 ]
+    (List.map snd (Event_point.results ep_b))
+
+(* A handler removed after an event is dispatched to it, but before its
+   worker starts, still runs that event; its segment must survive until
+   the worker exits, so a handler installed meanwhile gets another block
+   (Rule 3). *)
+let test_removed_handler_segment_outlives_pending_worker () =
+  let fx = make_fixture () in
+  let ep_a = Event_point.create ~name:"a" () in
+  let ep_b = Event_point.create ~name:"b" () in
+  let used_at_b_install = ref (-1) in
+  ignore
+    (Engine.spawn fx.kernel.Kernel.engine ~name:"app" (fun () ->
+         let a =
+           add_handler_exn fx ep_a
+             (seal_exn fx.kernel (storing_handler ~spin:1_000 ~result:Asm.r4))
+         in
+         Event_point.dispatch ep_a fx.kernel ~payload:[| 0 |];
+         Event_point.remove_handler ep_a fx.kernel a;
+         used_at_b_install := used_words fx;
+         let (_ : int) =
+           add_handler_exn fx ep_b
+             (seal_exn fx.kernel [ Ld (Asm.r0, Asm.r1, 100); Ret ])
+         in
+         Engine.delay 1_000_000;
+         Event_point.dispatch ep_b fx.kernel ~payload:[| 0 |]));
+  Kernel.run fx.kernel;
+  Alcotest.(check int) "pending worker keeps the segment allocated" 512
+    !used_at_b_install;
+  Alcotest.(check (list int)) "pending worker still ran" [ 0 ]
+    (List.map snd (Event_point.results ep_a));
+  Alcotest.(check int) "freed when the worker exited" 512 (used_words fx);
+  Alcotest.(check (list int)) "new handler reads its own zeroed segment"
+    [ 0 ]
+    (List.map snd (Event_point.results ep_b))
+
+(* A removed handler's block goes to the next handler of the same size
+   zeroed: B gets A's block but not A's data (Rule 3). Each handler
+   answers r1 plus word 100 of its segment, so B's answer equals A's
+   only if B got A's block and read 0 there. *)
+let test_freed_segment_zeroed_before_reuse () =
+  let fx = make_fixture () in
+  let ep_a = Event_point.create ~name:"a" () in
+  let ep_b = Event_point.create ~name:"b" () in
+  ignore
+    (Engine.spawn fx.kernel.Kernel.engine ~name:"app" (fun () ->
+         let a =
+           add_handler_exn fx ep_a
+             (seal_exn fx.kernel (storing_handler ~spin:0 ~result:Asm.r1))
+         in
+         Event_point.dispatch ep_a fx.kernel ~payload:[| 0 |];
+         Engine.delay 100_000;
+         Event_point.remove_handler ep_a fx.kernel a;
+         let (_ : int) =
+           add_handler_exn fx ep_b
+             (seal_exn fx.kernel
+                [
+                  Ld (Asm.r3, Asm.r1, 100);
+                  Alu (Insn.Add, Asm.r0, Asm.r1, Asm.r3);
+                  Ret;
+                ])
+         in
+         Event_point.dispatch ep_b fx.kernel ~payload:[| 0 |]));
+  Kernel.run fx.kernel;
+  match (Event_point.results ep_a, Event_point.results ep_b) with
+  | [ (_, a_base) ], [ (_, b_answer) ] ->
+      Alcotest.(check int) "B reads zero in A's block" a_base b_answer
+  | _ -> Alcotest.fail "each handler should answer once"
+
 let test_cred_and_namespace_basics () =
   Alcotest.(check bool) "root is privileged" true (Cred.is_privileged Cred.root);
   let u = Cred.user "u" ~limits:(Rlimit.zero ()) in
@@ -785,5 +931,12 @@ let suite =
           test_event_payload_truncated_to_window;
         Alcotest.test_case "segment freed on removal" `Quick
           test_segment_freed_on_remove;
+        Alcotest.test_case "removed handler's segment outlives its workers"
+          `Quick test_removed_handler_segment_outlives_workers;
+        Alcotest.test_case
+          "removed handler's segment outlives a pending worker" `Quick
+          test_removed_handler_segment_outlives_pending_worker;
+        Alcotest.test_case "freed segment zeroed before reuse" `Quick
+          test_freed_segment_zeroed_before_reuse;
       ] );
   ]

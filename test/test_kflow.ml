@@ -197,15 +197,14 @@ let load_exn kernel source =
       | Error e -> Alcotest.fail e)
 
 let run_loaded ~mode kernel (loaded : Linker.loaded) =
+  kernel.Kernel.exec_mode <- mode;
   let result = ref None in
   ignore
     (Engine.spawn kernel.Kernel.engine ~name:"kflow" (fun () ->
          let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"kf" () in
          let cpu, outcome =
-           Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
-             ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
-             ~code:loaded.Linker.code ~flow:loaded.Linker.flow
-             ~trans:loaded.Linker.trans ~mode
+           Wrapper.exec kernel loaded ~txn ~cred:Vino_core.Cred.root
+             ~limits:(Rlimit.unlimited ())
              ~setup:(fun _ -> ())
              ()
          in

@@ -116,6 +116,47 @@ let test_cache_churn () =
   let no_churn = Serve.run { small with Serve.reinstall_every = 0 } in
   Alcotest.(check int) "no churn, no cache hits" 0 no_churn.Serve.jit_hits
 
+(* Serve's virtual results, pinned: the canary digest hostbench records
+   for 16 tenants x 200 requests at seed 42, the MD5 hex of the
+   served/rejected/jit line and one [%d %d %.6f] line per (tenant,
+   request, latency) sample. The gated percentiles allow 2% drift and
+   the CI diffs compare this tree with itself; only a recorded digest
+   catches one extra cycle per event. *)
+let canary_digest (r : Serve.report) =
+  Printf.sprintf "served=%d rejected=%d jit=%d/%d/%d" r.Serve.served
+    r.Serve.rejected r.Serve.jit_hits r.Serve.jit_misses r.Serve.jit_evictions
+  :: List.map
+       (fun (t, req, us) -> Printf.sprintf "%d %d %.6f" t req us)
+       r.Serve.samples
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+let test_golden_digest () =
+  List.iter
+    (fun (jit_cache_cap, reinstall_every, jit, digest) ->
+      let r =
+        Serve.run
+          {
+            Serve.default with
+            tenants = 16;
+            requests = 200;
+            seed = 42;
+            jit_cache_cap;
+            reinstall_every;
+          }
+      in
+      let label =
+        Printf.sprintf "cap %d, reinstall %d" jit_cache_cap reinstall_every
+      in
+      Alcotest.(check (triple int int int))
+        (label ^ ": jit hits/misses/evictions")
+        jit
+        (r.Serve.jit_hits, r.Serve.jit_misses, r.Serve.jit_evictions);
+      Alcotest.(check string) (label ^ ": digest") digest (canary_digest r))
+    [
+      (2, 6, (0, 544, 536), "e55d23abb06a24c846b27445bb0b80ea");
+      (256, 0, (0, 16, 0), "568ea939c7552c51f49259ced1130ccf");
+    ]
+
 let test_config_validation () =
   List.iter
     (fun cfg ->
@@ -147,5 +188,7 @@ let suite =
         Alcotest.test_case "churn drives the translation cache" `Quick
           test_cache_churn;
         Alcotest.test_case "config validation" `Quick test_config_validation;
+        Alcotest.test_case "virtual results match the recorded digests" `Quick
+          test_golden_digest;
       ] );
   ]

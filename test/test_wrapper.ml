@@ -14,8 +14,20 @@ module Kernel = Vino_core.Kernel
 module Kcall = Vino_core.Kcall
 module Wrapper = Vino_core.Wrapper
 module Linker = Vino_core.Linker
+module Jit = Vino_vm.Jit
 
-let kernel_fixture () = Kernel.create ~mem_words:(1 lsl 16) ~tick:1_000 ()
+(* Every slicing case runs in both execution modes: the wrapper picks its
+   step function from the kernel's [exec_mode]. *)
+let modes = [ Jit.Interp; Jit.Translated ]
+
+let mode_name = function
+  | Jit.Interp -> "interp"
+  | Jit.Translated -> "translated"
+
+let kernel_fixture mode =
+  let kernel = Kernel.create ~mem_words:(1 lsl 16) ~tick:1_000 () in
+  kernel.Kernel.exec_mode <- mode;
+  kernel
 
 let load_exn kernel source ~words =
   let obj = Asm.assemble_exn source in
@@ -32,9 +44,8 @@ let exec_in_process kernel ~slice ~budget loaded =
     (Engine.spawn kernel.Kernel.engine ~name:"wrap" (fun () ->
          let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"w" () in
          let _, outcome =
-           Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
-             ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
-             ~code:loaded.Linker.code ~slice ~budget
+           Wrapper.exec kernel loaded ~txn ~cred:Vino_core.Cred.root
+             ~limits:(Rlimit.unlimited ()) ~slice ~budget
              ~setup:(fun _ -> ())
              ()
          in
@@ -44,6 +55,10 @@ let exec_in_process kernel ~slice ~budget loaded =
          result := Some outcome));
   Kernel.run kernel;
   !result
+
+let outcome_name = function
+  | Some oc -> Format.asprintf "%a" Cpu.pp_outcome oc
+  | None -> "nothing"
 
 (* a busy loop of roughly [n] iterations *)
 let busy_loop n : Asm.item list =
@@ -60,93 +75,116 @@ let busy_loop n : Asm.item list =
   ]
 
 let test_execution_advances_virtual_time () =
-  let kernel = kernel_fixture () in
-  let loaded = load_exn kernel (busy_loop 10_000) ~words:512 in
-  let before = Engine.now kernel.Kernel.engine in
-  (match exec_in_process kernel ~slice:5_000 ~budget:max_int loaded with
-  | Some Cpu.Halted -> ()
-  | _ -> Alcotest.fail "expected halt");
-  let elapsed = Engine.now kernel.Kernel.engine - before in
-  (* ~10k iterations x ~5 cycles each, plus txn costs *)
-  Alcotest.(check bool) "tens of thousands of cycles elapsed" true
-    (elapsed > 40_000)
+  let elapsed mode =
+    let kernel = kernel_fixture mode in
+    let loaded = load_exn kernel (busy_loop 10_000) ~words:512 in
+    let before = Engine.now kernel.Kernel.engine in
+    (match exec_in_process kernel ~slice:5_000 ~budget:max_int loaded with
+    | Some Cpu.Halted -> ()
+    | o ->
+        Alcotest.failf "%s: expected halt, got %s" (mode_name mode)
+          (outcome_name o));
+    let elapsed = Engine.now kernel.Kernel.engine - before in
+    (* ~10k iterations x ~5 cycles each, plus txn costs *)
+    Alcotest.(check bool)
+      (mode_name mode ^ ": tens of thousands of cycles elapsed")
+      true (elapsed > 40_000);
+    elapsed
+  in
+  Alcotest.(check int) "both modes advance the clock equally"
+    (elapsed Jit.Interp) (elapsed Jit.Translated)
 
 let test_timer_fires_during_graft_execution () =
   (* preemptibility: an engine timer interleaves with a running graft
      because slices advance the clock *)
-  let kernel = kernel_fixture () in
-  let loaded = load_exn kernel (busy_loop 100_000) ~words:512 in
-  let fired_mid_run = ref false in
-  let (_ : Engine.cancel) =
-    Engine.at kernel.Kernel.engine 50_000 (fun () -> fired_mid_run := true)
-  in
-  (match exec_in_process kernel ~slice:2_000 ~budget:max_int loaded with
-  | Some Cpu.Halted -> ()
-  | _ -> Alcotest.fail "expected halt");
-  Alcotest.(check bool) "timer fired while the graft was running" true
-    !fired_mid_run
+  List.iter
+    (fun mode ->
+      let kernel = kernel_fixture mode in
+      let loaded = load_exn kernel (busy_loop 100_000) ~words:512 in
+      let fired_mid_run = ref false in
+      let (_ : Engine.cancel) =
+        Engine.at kernel.Kernel.engine 50_000 (fun () ->
+            fired_mid_run := true)
+      in
+      (match exec_in_process kernel ~slice:2_000 ~budget:max_int loaded with
+      | Some Cpu.Halted -> ()
+      | o ->
+          Alcotest.failf "%s: expected halt, got %s" (mode_name mode)
+            (outcome_name o));
+      Alcotest.(check bool)
+        (mode_name mode ^ ": timer fired while the graft was running")
+        true !fired_mid_run)
+    modes
 
 let test_budget_cuts_off () =
-  let kernel = kernel_fixture () in
-  let loaded =
-    load_exn kernel [ Asm.Label "spin"; Jmp "spin" ] ~words:512
-  in
-  match exec_in_process kernel ~slice:10_000 ~budget:100_000 loaded with
-  | Some Cpu.Out_of_fuel -> ()
-  | o ->
-      Alcotest.failf "expected out-of-fuel, got %s"
-        (match o with
-        | Some oc -> Format.asprintf "%a" Cpu.pp_outcome oc
-        | None -> "nothing")
+  List.iter
+    (fun mode ->
+      let kernel = kernel_fixture mode in
+      let loaded =
+        load_exn kernel [ Asm.Label "spin"; Jmp "spin" ] ~words:512
+      in
+      match exec_in_process kernel ~slice:10_000 ~budget:100_000 loaded with
+      | Some Cpu.Out_of_fuel -> ()
+      | o ->
+          Alcotest.failf "%s: expected out-of-fuel, got %s" (mode_name mode)
+            (outcome_name o))
+    modes
 
 let test_abort_observed_between_slices () =
-  let kernel = kernel_fixture () in
-  let loaded =
-    load_exn kernel [ Asm.Label "spin"; Jmp "spin" ] ~words:512
-  in
-  let result = ref None in
-  ignore
-    (Engine.spawn kernel.Kernel.engine ~name:"wrap" (fun () ->
-         let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"w" () in
-         let (_ : Engine.cancel) =
-           Engine.after kernel.Kernel.engine 30_000 (fun () ->
-               Txn.request_abort txn "killed from outside")
-         in
-         let _, outcome =
-           Wrapper.exec kernel ~txn ~cred:Vino_core.Cred.root
-             ~limits:(Rlimit.unlimited ()) ~seg:loaded.Linker.seg
-             ~code:loaded.Linker.code ~slice:5_000 ~budget:max_int
-             ~setup:(fun _ -> ())
-             ()
-         in
-         (if Txn.is_active txn then Txn.abort txn ~reason:"cleanup");
-         result := Some outcome));
-  Kernel.run kernel;
-  match !result with
-  | Some (Cpu.Aborted "killed from outside") -> ()
-  | o ->
-      Alcotest.failf "expected abort, got %s"
-        (match o with
-        | Some oc -> Format.asprintf "%a" Cpu.pp_outcome oc
-        | None -> "nothing")
+  List.iter
+    (fun mode ->
+      let kernel = kernel_fixture mode in
+      let loaded =
+        load_exn kernel [ Asm.Label "spin"; Jmp "spin" ] ~words:512
+      in
+      let result = ref None in
+      ignore
+        (Engine.spawn kernel.Kernel.engine ~name:"wrap" (fun () ->
+             let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"w" () in
+             let (_ : Engine.cancel) =
+               Engine.after kernel.Kernel.engine 30_000 (fun () ->
+                   Txn.request_abort txn "killed from outside")
+             in
+             let _, outcome =
+               Wrapper.exec kernel loaded ~txn ~cred:Vino_core.Cred.root
+                 ~limits:(Rlimit.unlimited ()) ~slice:5_000 ~budget:max_int
+                 ~setup:(fun _ -> ())
+                 ()
+             in
+             (if Txn.is_active txn then Txn.abort txn ~reason:"cleanup");
+             result := Some outcome));
+      Kernel.run kernel;
+      match !result with
+      | Some (Cpu.Aborted "killed from outside") -> ()
+      | o ->
+          Alcotest.failf "%s: expected abort, got %s" (mode_name mode)
+            (outcome_name o))
+    modes
 
 let test_kcall_can_block_on_engine () =
   (* a kernel call that performs engine waits (I/O-style) suspends the
      graft invocation and resumes it transparently *)
-  let kernel = kernel_fixture () in
-  let (_ : Kcall.fn) =
-    Kernel.register_kcall kernel ~name:"slow.op" (fun ctx ->
-        Engine.delay 123_456;
-        Kcall.return ctx.Kcall.cpu 99;
-        Kcall.ok)
-  in
-  let loaded = load_exn kernel [ Asm.Kcall "slow.op"; Ret ] ~words:512 in
-  let before = Engine.now kernel.Kernel.engine in
-  (match exec_in_process kernel ~slice:10_000 ~budget:max_int loaded with
-  | Some Cpu.Halted -> ()
-  | _ -> Alcotest.fail "expected halt");
-  Alcotest.(check bool) "kernel-side delay accounted" true
-    (Engine.now kernel.Kernel.engine - before >= 123_456)
+  List.iter
+    (fun mode ->
+      let kernel = kernel_fixture mode in
+      let (_ : Kcall.fn) =
+        Kernel.register_kcall kernel ~name:"slow.op" (fun ctx ->
+            Engine.delay 123_456;
+            Kcall.return ctx.Kcall.cpu 99;
+            Kcall.ok)
+      in
+      let loaded = load_exn kernel [ Asm.Kcall "slow.op"; Ret ] ~words:512 in
+      let before = Engine.now kernel.Kernel.engine in
+      (match exec_in_process kernel ~slice:10_000 ~budget:max_int loaded with
+      | Some Cpu.Halted -> ()
+      | o ->
+          Alcotest.failf "%s: expected halt, got %s" (mode_name mode)
+            (outcome_name o));
+      Alcotest.(check bool)
+        (mode_name mode ^ ": kernel-side delay accounted")
+        true
+        (Engine.now kernel.Kernel.engine - before >= 123_456))
+    modes
 
 (* Property: MiSFIT rewriting preserves the semantics of programs whose
    addresses stay inside the segment — same final registers, same memory. *)
