@@ -168,8 +168,6 @@ let inspect name show_code =
             *. (float_of_int (Array.length image.Vino_misfit.Image.code)
                 /. float_of_int (Array.length obj.Vino_vm.Asm.code)
                -. 1.));
-          Printf.printf "optimisable sandboxes: %d (same-address reuse)\n"
-            (Vino_misfit.Rewrite.eliminated_sandboxes obj.Vino_vm.Asm.code);
           let tr = Vino_vm.Jit.translate image.Vino_misfit.Image.code in
           Printf.printf
             "translation: %d basic blocks, %d fused superinstruction pairs, \

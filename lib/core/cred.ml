@@ -6,13 +6,8 @@ let root = { uid = 0; user = "root"; limits = Vino_txn.Rlimit.unlimited () }
    (Vino_par.Pool); uids must stay unique. *)
 let next_uid = Atomic.make 1000
 
-let user ?uid name ~limits =
-  let uid =
-    match uid with
-    | Some u -> u
-    | None -> Atomic.fetch_and_add next_uid 1
-  in
-  { uid; user = name; limits }
+let user name ~limits =
+  { uid = Atomic.fetch_and_add next_uid 1; user = name; limits }
 
 let is_privileged t = t.uid = 0
 let pp ppf t = Format.fprintf ppf "%s(%d)" t.user t.uid

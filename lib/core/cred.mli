@@ -11,8 +11,8 @@ type t = { uid : int; user : string; limits : Vino_txn.Rlimit.t }
 val root : t
 (** The privileged kernel identity, with unlimited resources. *)
 
-val user : ?uid:int -> string -> limits:Vino_txn.Rlimit.t -> t
-(** An ordinary user; [uid] defaults to a fresh non-zero id. *)
+val user : string -> limits:Vino_txn.Rlimit.t -> t
+(** An ordinary user with a fresh non-zero uid. *)
 
 val is_privileged : t -> bool
 val pp : Format.formatter -> t -> unit

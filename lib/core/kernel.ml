@@ -111,25 +111,26 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
     let s = Engine.snapshot t.engine in
     fun () -> Engine.restore t.engine s
   in
-  (* Graft memory restores in O(what the trial touched): only chunks the
-     segment allocator ever handed out can be non-zero (all graft stores
-     are sandboxed into allocated segments and [Mem.create] zeroes), and
-     the allocator's fresh-block list covers exactly those chunks. Image
-     the listed blocks; on restore zero each block listed since the
-     capture (read before the allocator is rewound), then lay the
-     captured images back in — they also re-cover any captured chunk a
-     newer block overlapped. *)
+  (* Graft memory restores in O(blocks live at capture + blocks live
+     now): free graft memory always reads zero ([Mem.create] zeroes, graft
+     stores are sandboxed into their own live segment, and
+     [Linker.unload] zeroes a block before freeing it), so only live
+     blocks can hold data. Image the blocks live at capture; on restore
+     zero the blocks live now (read before the allocator is rewound),
+     then lay the captured images back in. *)
   let seg_mem_saver () =
     let seg = Segalloc.snapshot t.segalloc in
     let images =
       List.map
         (fun (b : Vino_vm.Mem.segment) ->
           (b.base, Vino_vm.Mem.blit_out t.mem b.base b.size))
-        (Segalloc.fresh_blocks t.segalloc)
+        (Segalloc.blocks t.segalloc)
     in
     fun () ->
-      Segalloc.iter_fresh_since t.segalloc seg (fun b ->
-          Vino_vm.Mem.fill t.mem b.base b.size 0);
+      List.iter
+        (fun (b : Vino_vm.Mem.segment) ->
+          Vino_vm.Mem.fill t.mem b.base b.size 0)
+        (Segalloc.blocks t.segalloc);
       Segalloc.restore t.segalloc seg;
       List.iter (fun (addr, img) -> Vino_vm.Mem.blit_in t.mem addr img) images
   in
@@ -305,7 +306,7 @@ let callable_of_registry t id =
   | Some fn -> fn.Kcall.callable
   | None -> false
 
-let seal ?optimize ?verify t obj =
+let seal ?verify t obj =
   let verifier =
     Option.map
       (fun (c : Vino_verify.Verify.config) ->
@@ -314,7 +315,7 @@ let seal ?optimize ?verify t obj =
         | None -> { c with callable = Some (callable_of_registry t) })
       verify
   in
-  Vino_misfit.Image.seal ?optimize ?verifier ~key:t.key obj
+  Vino_misfit.Image.seal ?verifier ~key:t.key obj
 let seal_unsafe t obj = Vino_misfit.Image.seal_unsafe ~key:t.key obj
 let run t = Engine.run t.engine
 let now_us t = Engine.now_us t.engine

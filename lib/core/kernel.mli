@@ -190,7 +190,6 @@ val set_callable : t -> int -> bool -> unit
     @raise Invalid_argument on an unknown id. *)
 
 val seal :
-  ?optimize:bool ->
   ?verify:Vino_verify.Verify.config ->
   t ->
   Vino_vm.Asm.obj ->
@@ -228,11 +227,12 @@ val make_lock :
 
 type snap
 (** A captured kernel: every registered saver's state, taken together.
-    O(dirty), not O(world) — graft memory images only the blocks the
-    segment allocator has handed out, a restore zeroes only the blocks
-    allocated since the capture and re-copies only the audit-trail slots
-    written since, and subsystem savers copy counters and small
-    tables. *)
+    Not O(world): graft memory images only the segments live at the
+    capture, a restore zeroes only the segments live at the restore and
+    re-copies only the audit-trail slots written since, and subsystem
+    savers copy counters and small tables. This rests on free graft
+    memory reading zero at all times, which {!Linker.unload}'s zeroing
+    completes (see {!Segalloc}). *)
 
 val on_snapshot : t -> (unit -> unit -> unit) -> unit
 (** [on_snapshot t saver] enrolls a component: at {!snapshot} time

@@ -78,7 +78,9 @@ val check_config : Kernel.t -> words:int -> Vino_verify.Verify.config
 
 val unload : Kernel.t -> loaded -> unit
 (** Return the graft's segment to the allocator, zeroed, so the next
-    graft given the block starts from zeros. While invocations are
+    graft given the block starts from zeros. {!Kernel.restore} relies on
+    this too: it zeroes and re-images only live segments, because free
+    graft memory reads zero (see {!Segalloc}). While invocations are
     still running in the segment ({!pin}), the free waits for the last
     of them: a graft removed after one invocation fails may have others
     in flight, and none of them may write into a block another graft

@@ -7,21 +7,6 @@ type t = {
   free : (int, unit) Hashtbl.t array;
   mutable allocated : (int, int) Hashtbl.t; (* address -> order *)
   mutable used : int;
-  (* Cumulative dirty map, one byte per min_block-aligned chunk: set once
-     [alloc] hands the chunk out, across the allocator's whole life (frees
-     do not un-touch). An untouched chunk was never allocated, hence never
-     written (all graft stores are sandboxed into allocated segments),
-     hence still zero. Chunk granularity (not block granularity) keeps the
-     map exact when an address is later re-allocated at a different buddy
-     order. *)
-  touched : Bytes.t;
-  mutable touched_words : int;
-  (* Newest first: every block whose allocation touched a chunk for the
-     first time. Their union is exactly the touched set, and the list is
-     bounded by the chunk count however long the allocator churns. It is
-     persistent, so a snapshot keeps it by pointer and the blocks listed
-     since are the prefix in front of that pointer. *)
-  mutable fresh : Mem.segment list;
 }
 
 let min_block = 8
@@ -52,9 +37,6 @@ let create ~base ~size =
       free = Array.init orders (fun _ -> Hashtbl.create 8);
       allocated = Hashtbl.create 16;
       used = 0;
-      touched = Bytes.make (size / min_block) '\000';
-      touched_words = 0;
-      fresh = [];
     }
   in
   Hashtbl.replace t.free.(orders - 1) base ();
@@ -76,12 +58,6 @@ let rec take_block t order =
             Hashtbl.replace t.free.(order) (addr + block_size order) ();
             Some addr)
 
-(* Set the touched bytes of [seg]'s chunks to [v]. *)
-let mark t (seg : Mem.segment) v =
-  Bytes.fill t.touched
-    ((seg.base - t.base) / min_block)
-    (seg.size / min_block) v
-
 let alloc t words =
   if words <= 0 then invalid_arg "Segalloc.alloc: need a positive size";
   let order = order_of_size (max words min_block) in
@@ -92,17 +68,7 @@ let alloc t words =
     | Some addr ->
         Hashtbl.replace t.allocated addr order;
         t.used <- t.used + block_size order;
-        let seg = Mem.segment ~base:addr ~size:(block_size order) in
-        let first = (addr - t.base) / min_block in
-        let before = t.touched_words in
-        for c = first to first + (block_size order / min_block) - 1 do
-          if Bytes.get t.touched c = '\000' then begin
-            Bytes.set t.touched c '\001';
-            t.touched_words <- t.touched_words + min_block
-          end
-        done;
-        if t.touched_words > before then t.fresh <- seg :: t.fresh;
-        Ok seg
+        Ok (Mem.segment ~base:addr ~size:(block_size order))
 
 let buddy_of t addr order =
   let offset = addr - t.base in
@@ -132,9 +98,12 @@ let free t (seg : Mem.segment) =
 
 let free_words t = t.size - t.used
 let used_words t = t.used
-let chunk_words = min_block
-let touched_words t = t.touched_words
-let fresh_blocks t = t.fresh
+
+let blocks t =
+  Hashtbl.fold
+    (fun addr order acc ->
+      Mem.segment ~base:addr ~size:(block_size order) :: acc)
+    t.allocated []
 
 (* ------------------------- snapshot / restore ------------------------- *)
 
@@ -148,8 +117,6 @@ type snap = {
   s_free : (int, unit) Hashtbl.t array;
   s_allocated : (int, int) Hashtbl.t;
   s_used : int;
-  s_touched_words : int;
-  s_fresh : Mem.segment list;
 }
 
 let snapshot t =
@@ -157,33 +124,9 @@ let snapshot t =
     s_free = Array.map Hashtbl.copy t.free;
     s_allocated = Hashtbl.copy t.allocated;
     s_used = t.used;
-    s_touched_words = t.touched_words;
-    s_fresh = t.fresh;
   }
 
-(* Walk the current list down to the snapshot's. If the allocator was
-   rewound to an older snapshot in between, the snapshot's list is no
-   longer a suffix of the current one and the walk runs to the end: every
-   listed block, a superset of those not in the snapshot's list. *)
-let iter_fresh_since t s f =
-  let rec go = function
-    | l when l == s.s_fresh -> ()
-    | seg :: rest ->
-        f seg;
-        go rest
-    | [] -> ()
-  in
-  go t.fresh
-
-(* The touched map rewinds like graft memory does: clear the chunks of
-   every block listed since the snapshot, then mark the snapshot's
-   listed blocks again (a block listed since may cover chunks that were
-   already touched at the snapshot). *)
 let restore t s =
-  iter_fresh_since t s (fun seg -> mark t seg '\000');
-  List.iter (fun seg -> mark t seg '\001') s.s_fresh;
   Array.iteri (fun k bucket -> t.free.(k) <- Hashtbl.copy bucket) s.s_free;
   t.allocated <- Hashtbl.copy s.s_allocated;
-  t.used <- s.s_used;
-  t.touched_words <- s.s_touched_words;
-  t.fresh <- s.s_fresh
+  t.used <- s.s_used

@@ -1,22 +1,12 @@
 module Engine = Vino_sim.Engine
 module Waitq = Vino_sim.Waitq
 
-type geometry = {
-  min_seek_us : float;
-  avg_seek_us : float;
-  avg_rotation_us : float;
-  transfer_us_per_block : float;
-  blocks : int;
-}
-
-let default_geometry =
-  {
-    min_seek_us = 1_000.;
-    avg_seek_us = 9_500.;
-    avg_rotation_us = 5_555.;
-    transfer_us_per_block = 800.;
-    blocks = 270_000 (* 1080 MB of 4 KB blocks *);
-  }
+(* The drive's geometry. *)
+let min_seek_us = 1_000. (* track-to-track *)
+let avg_seek_us = 9_500. (* at half-stroke; the profile grows as sqrt *)
+let avg_rotation_us = 5_555. (* half a revolution at 5400 RPM: ~5.6 ms *)
+let transfer_us_per_block = 800. (* one 4 KB block *)
+let blocks = 270_000 (* 1080 MB of 4 KB blocks *)
 
 type scheduling = Fifo | Elevator
 
@@ -25,7 +15,6 @@ type kind = Read | Write
 type request = { kind : kind; block : int; on_complete : unit -> unit }
 
 type t = {
-  geometry : geometry;
   scheduling : scheduling;
   mutable queue : request list; (* head is next to serve *)
   work : Waitq.t;
@@ -38,20 +27,18 @@ type t = {
 let cycles_of_us = Vino_vm.Costs.cycles_of_us
 
 let service_time t ~block =
-  let g = t.geometry in
   if block = t.head_block + 1 || block = t.head_block then
-    cycles_of_us g.transfer_us_per_block
+    cycles_of_us transfer_us_per_block
   else
     (* square-root seek profile, calibrated so the mean random seek
        (distance fraction ~0.5) equals the drive's average seek time *)
     let distance =
-      float_of_int (abs (block - t.head_block)) /. float_of_int g.blocks
+      float_of_int (abs (block - t.head_block)) /. float_of_int blocks
     in
     let seek =
-      g.min_seek_us
-      +. ((g.avg_seek_us -. g.min_seek_us) *. sqrt (distance /. 0.5))
+      min_seek_us +. ((avg_seek_us -. min_seek_us) *. sqrt (distance /. 0.5))
     in
-    cycles_of_us (seek +. g.avg_rotation_us +. g.transfer_us_per_block)
+    cycles_of_us (seek +. avg_rotation_us +. transfer_us_per_block)
 
 let pick_next t =
   match t.scheduling with
@@ -100,10 +87,9 @@ let rec disk_process t () =
       r.on_complete ();
       disk_process t ()
 
-let create engine ?(geometry = default_geometry) ?(scheduling = Fifo) () =
+let create engine ?(scheduling = Fifo) () =
   let t =
     {
-      geometry;
       scheduling;
       queue = [];
       work = Waitq.create engine;
@@ -117,7 +103,7 @@ let create engine ?(geometry = default_geometry) ?(scheduling = Fifo) () =
   t
 
 let submit t kind ~block ~on_complete =
-  if block < 0 || block >= t.geometry.blocks then
+  if block < 0 || block >= blocks then
     invalid_arg "Disk.submit: block out of range";
   t.queue <- t.queue @ [ { kind; block; on_complete } ];
   ignore (Waitq.signal t.work)

@@ -5,25 +5,17 @@
     Requests are served by a disk process in FIFO order (an elevator
     variant is available as an ablation). Service time is seek + rotation +
     transfer for a random access, transfer-only for a sequential one (track
-    buffer). The default random service time is ~16 ms, matching the
+    buffer). The random service time is ~16 ms, matching the
     paper's "benefit of avoiding a page fault is approximately 18 ms". *)
-
-type geometry = {
-  min_seek_us : float;  (** track-to-track *)
-  avg_seek_us : float;  (** at half-stroke; the profile grows as sqrt *)
-  avg_rotation_us : float;  (** half a revolution at 5400 RPM: ~5.6 ms *)
-  transfer_us_per_block : float;  (** one 4 KB block *)
-  blocks : int;
-}
-
-val default_geometry : geometry
 
 type scheduling = Fifo | Elevator
 
 type t
 
-val create :
-  Vino_sim.Engine.t -> ?geometry:geometry -> ?scheduling:scheduling -> unit -> t
+val create : Vino_sim.Engine.t -> ?scheduling:scheduling -> unit -> t
+(** A drive of 270,000 4 KB blocks (1080 MB). Its seek time grows with
+    the square root of the distance, from 1 ms track-to-track to 9.5 ms at
+    half-stroke. *)
 
 type kind = Read | Write
 

@@ -4,7 +4,6 @@ module Waitq = Vino_sim.Waitq
 type t = {
   cache : Cache.t;
   disk : Disk.t;
-  max_inflight : int;
   buffer_budget : int;
   mutable queue : int list;
   work : Waitq.t;
@@ -14,9 +13,12 @@ type t = {
   mutable n_dropped : int;
 }
 
+(* disk reads the daemon keeps outstanding at once *)
+let max_inflight = 4
+
 let rec daemon t () =
   if
-    t.queue = [] || t.n_inflight >= t.max_inflight
+    t.queue = [] || t.n_inflight >= max_inflight
     || t.unconsumed + t.n_inflight >= t.buffer_budget
   then begin
     Waitq.wait t.work;
@@ -47,12 +49,11 @@ let rec daemon t () =
         end
   end
 
-let create engine ~cache ~disk ?(max_inflight = 4) ?(buffer_budget = 64) () =
+let create engine ~cache ~disk ?(buffer_budget = 64) () =
   let t =
     {
       cache;
       disk;
-      max_inflight;
       buffer_budget;
       queue = [];
       work = Waitq.create engine;

@@ -3,8 +3,8 @@
     Prefetch requests produced by [compute-ra] are queued here and issued to
     the I/O system as buffer memory becomes available: a graft that asks for
     100 MB of read-ahead does not steal the system's pages — the requests
-    trickle out bounded by [max_inflight] and the buffer budget, which is a
-    global policy normal users cannot graft. *)
+    trickle out at most 4 disk reads at a time and bounded by the buffer
+    budget, which is a global policy normal users cannot graft. *)
 
 type t
 
@@ -12,7 +12,6 @@ val create :
   Vino_sim.Engine.t ->
   cache:Cache.t ->
   disk:Disk.t ->
-  ?max_inflight:int ->
   ?buffer_budget:int ->
   unit ->
   t

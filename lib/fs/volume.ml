@@ -25,11 +25,10 @@ let words_per_scan_unit = 64
    per bench/campaign unit); instance numbers must stay unique. *)
 let volumes = Atomic.make 0
 
-let create kernel ~disk ?(cache_blocks = 512) ?(blocks = 65_536)
-    ?syncer_threshold () =
+let create kernel ~disk ?(blocks = 65_536) ?syncer_threshold () =
   if blocks <= 0 then invalid_arg "Volume.create: need blocks";
   let volume = 1 + Atomic.fetch_and_add volumes 1 in
-  let vcache = Cache.create ~capacity:cache_blocks () in
+  let vcache = Cache.create ~capacity:512 () in
   let t =
     {
       kernel;

@@ -12,13 +12,12 @@ type t
 val create :
   Vino_core.Kernel.t ->
   disk:Disk.t ->
-  ?cache_blocks:int ->
   ?blocks:int ->
   ?syncer_threshold:int ->
   unit ->
   t
-(** Manage [blocks] (default 65536) of the disk behind one shared cache
-    and one write-back syncer (whose auto-flush threshold is
+(** Manage [blocks] (default 65536) of the disk behind one shared
+    512-block cache and one write-back syncer (whose auto-flush threshold is
     [syncer_threshold]). *)
 
 val cache : t -> Cache.t

@@ -1,7 +1,7 @@
 module Serve = Vino_net.Serve
 module Stats = Vino_sim.Stats
 
-let default_tenant_counts = [ 1; 4; 12 ]
+let tenant_counts = [ 1; 4; 12 ]
 
 let report ?pool ~tenants ~path () =
   Serve.run ?pool { Serve.default with Serve.tenants; path }
@@ -24,9 +24,10 @@ let rows ?pool ~tenants ~path () =
     Table.overhead (label "throughput (req/s)") r.Serve.throughput_rps;
   ]
 
-let table ?(tenant_counts = default_tenant_counts)
-    ?(paths = Serve.all_paths) ?pool () =
+let table ?pool () =
   List.concat_map
     (fun tenants ->
-      List.concat_map (fun path -> rows ?pool ~tenants ~path ()) paths)
+      List.concat_map
+        (fun path -> rows ?pool ~tenants ~path ())
+        Serve.all_paths)
     tenant_counts

@@ -8,9 +8,6 @@
     bench gate skips). Fully deterministic: cycle-exact across hosts and
     across [-j] levels. *)
 
-val default_tenant_counts : int list
-(** [[1; 4; 12]]. *)
-
 val report :
   ?pool:Vino_par.Pool.t ->
   tenants:int ->
@@ -28,10 +25,6 @@ val rows :
   Table.row list
 (** The five rows of one cell. *)
 
-val table :
-  ?tenant_counts:int list ->
-  ?paths:Vino_net.Serve.path list ->
-  ?pool:Vino_par.Pool.t ->
-  unit ->
-  Table.row list
-(** The full table, tenant-count major, path minor. *)
+val table : ?pool:Vino_par.Pool.t -> unit -> Table.row list
+(** The full table over 1, 4 and 12 tenants and every path, tenant-count
+    major, path minor. *)

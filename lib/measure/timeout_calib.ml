@@ -84,7 +84,7 @@ let run_honest_workload kernel lock w ~transactional ~samples =
   done;
   Kernel.run kernel
 
-let calibrate ?(safety_factor = 2.0) w =
+let calibrate w =
   let kernel = Kernel.create ~mem_words:(1 lsl 12) () in
   (* calibration runs with an effectively infinite time-out *)
   let lock = Kernel.make_lock kernel ~timeout:(us 60_000_000.) ~name:"calib" () in
@@ -95,7 +95,7 @@ let calibrate ?(safety_factor = 2.0) w =
   {
     observed_p99_us = p99;
     observed_max_us = maximum;
-    recommended_timeout_us = maximum *. safety_factor;
+    recommended_timeout_us = maximum *. 2.0;
   }
 
 type validation = { false_aborts : int; hog_recovery_us : float }

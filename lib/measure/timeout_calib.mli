@@ -28,12 +28,12 @@ val bitmap_workload : workload
 type recommendation = {
   observed_p99_us : float;
   observed_max_us : float;
-  recommended_timeout_us : float;  (** max observed x safety factor *)
+  recommended_timeout_us : float;  (** max observed x 2 *)
 }
 
-val calibrate : ?safety_factor:float -> workload -> recommendation
-(** Run the workload on a fresh kernel and derive a time-out
-    (default safety factor 2.0). *)
+val calibrate : workload -> recommendation
+(** Run the workload on a fresh kernel and derive a time-out: twice the
+    longest hold observed. *)
 
 type validation = {
   false_aborts : int;  (** honest transactions aborted by the time-out *)

@@ -57,8 +57,8 @@ let make ~key ?proof code relocs =
     signature = Sign.digest ~key (signed_words code relocs proof);
   }
 
-let seal ?optimize ?verifier ~key (obj : Asm.obj) =
-  Result.bind (Rewrite.process_proved ?optimize ?verifier obj.code)
+let seal ?verifier ~key (obj : Asm.obj) =
+  Result.bind (Rewrite.process_proved ?verifier obj.code)
   @@ fun (code, proof) ->
   Result.map (make ~key ?proof code) (relocate_on code obj.relocs)
 

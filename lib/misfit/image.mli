@@ -19,16 +19,15 @@ type t = private {
 }
 
 val seal :
-  ?optimize:bool ->
   ?verifier:Vino_verify.Verify.config ->
   key:string ->
   Vino_vm.Asm.obj ->
   (t, string) result
-(** Rewrite with {!Rewrite.process} (optionally with redundant-sandbox
-    elimination and/or static verification eliding proven-safe checks),
-    recompute relocation indices on the rewritten code, and sign. Fails if
-    the source uses the reserved sandbox register, or — with [verifier] —
-    if the static analysis finds a hard error. *)
+(** Rewrite with {!Rewrite.process} (with [verifier], static verification
+    elides proven-safe checks), recompute relocation indices on the
+    rewritten code, and sign. Fails if the source uses the reserved
+    sandbox register, or — with [verifier] — if the static analysis finds
+    a hard error. *)
 
 val seal_unsafe : key:string -> Vino_vm.Asm.obj -> t
 (** Sign WITHOUT SFI rewriting. This models the paper's "unsafe path"

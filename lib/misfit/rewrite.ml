@@ -39,97 +39,37 @@ let lower_stack_ops prog =
   in
   expand lower prog
 
-(* Indices that control flow can land on: optimisation state must reset
-   there (and after any control transfer), because the scratch register's
-   contents are only known along straight-line paths. *)
-let branch_target_set prog =
-  let targets = Hashtbl.create 16 in
-  Array.iter
-    (fun i ->
-      match i with
-      | Insn.Br (_, _, _, t) | Insn.Jmp t | Insn.Call t ->
-          Hashtbl.replace targets t ()
-      | _ -> ())
-    prog;
-  targets
-
-let is_control_transfer : Insn.t -> bool = function
-  | Br _ | Jmp _ | Call _ | Callr _ | Ret | Kcall _ | Kcallr _ | Halt -> true
-  | Li _ | Mov _ | Alu _ | Alui _ | Ld _ | St _ | Push _ | Pop _ | Sandbox _
-  | Checkcall _ ->
-      false
-
-let writes_register (i : Insn.t) r =
-  match i with
-  | Li (rd, _) | Mov (rd, _) | Alu (_, rd, _, _) | Alui (_, rd, _, _)
-  | Ld (rd, _, _) | Pop rd ->
-      rd = r
-  | St _ | Push _ | Br _ | Jmp _ | Call _ | Callr _ | Ret | Kcall _
-  | Kcallr _ | Sandbox _ | Checkcall _ | Halt ->
-      false
-
 (* The single SFI insertion pass. [safe_access]/[safe_call] are judged at
    input-program indices (before expansion): a safe access keeps its raw
    [Ld]/[St], a safe indirect call keeps its raw [Kcallr]. [guard_calls]
    folds the [Checkcall] insertion into this pass so both protections see
    the same index space. *)
-let sandbox_pass_mapped ~optimize ~safe_access ~safe_call ~guard_calls prog =
+let sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls prog =
   let s = Insn.scratch in
-  let targets = branch_target_set prog in
-  (* (base register, offset) whose sandboxed address scratch still holds *)
-  let known : (Insn.reg * int) option ref = ref None in
-  let clobber_check i =
-    match !known with
-    | Some (b, _) when writes_register i b -> known := None
-    | Some _ | None -> ()
-  in
-  let with_address rb off rest : Insn.t list =
-    if optimize && !known = Some (rb, off) then rest
-    else begin
-      known := Some (rb, off);
-      if off = 0 then Insn.Mov (s, rb) :: Sandbox s :: rest
-      else Insn.Alui (Add, s, rb, off) :: Sandbox s :: rest
-    end
+  let sandboxed rb off access : Insn.t list =
+    let address =
+      if off = 0 then Insn.Mov (s, rb) else Insn.Alui (Add, s, rb, off)
+    in
+    [ address; Sandbox s; access ]
   in
   let protect index (i : Insn.t) : Insn.t list =
-    if Hashtbl.mem targets index then known := None;
     match i with
-    | Ld (_, _, _) when safe_access index ->
-        clobber_check i;
-        [ i ]
-    | St (_, _, _) when safe_access index -> [ i ]
-    | Ld (rd, rb, off) ->
-        let e = with_address rb off [ Insn.Ld (rd, s, 0) ] in
-        if writes_register i rb then known := None;
-        e
-    | St (rv, rb, off) -> with_address rb off [ Insn.St (rv, s, 0) ]
-    | Kcallr r when guard_calls ->
-        known := None;
-        if safe_call index then [ i ] else [ Insn.Checkcall r; Kcallr r ]
-    | i ->
-        clobber_check i;
-        if is_control_transfer i then known := None;
-        [ i ]
+    | (Ld _ | St _) when safe_access index -> [ i ]
+    | Ld (rd, rb, off) -> sandboxed rb off (Insn.Ld (rd, s, 0))
+    | St (rv, rb, off) -> sandboxed rb off (Insn.St (rv, s, 0))
+    | Kcallr r when guard_calls && not (safe_call index) ->
+        [ Insn.Checkcall r; Kcallr r ]
+    | i -> [ i ]
   in
   expand_i_mapped protect prog
 
-let sandbox_pass ~optimize ~safe_access ~safe_call ~guard_calls prog =
-  fst (sandbox_pass_mapped ~optimize ~safe_access ~safe_call ~guard_calls prog)
+let sandbox_pass ~safe_access ~safe_call ~guard_calls prog =
+  fst (sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls prog)
 
 let never _ = false
 
-let sandbox_memory ?(optimize = false) ?(safe = never) prog =
-  sandbox_pass ~optimize ~safe_access:safe ~safe_call:never
-    ~guard_calls:false prog
-
-let eliminated_sandboxes prog =
-  let count code =
-    Array.fold_left
-      (fun acc i -> match i with Insn.Sandbox _ -> acc + 1 | _ -> acc)
-      0 code
-  in
-  count (sandbox_memory ~optimize:false prog)
-  - count (sandbox_memory ~optimize:true prog)
+let sandbox_memory ?(safe = never) prog =
+  sandbox_pass ~safe_access:safe ~safe_call:never ~guard_calls:false prog
 
 let guard_indirect_calls ?(safe = never) prog =
   let guard k : Insn.t -> Insn.t list = function
@@ -138,7 +78,7 @@ let guard_indirect_calls ?(safe = never) prog =
   in
   expand_i guard prog
 
-let process_proved ?(optimize = false) ?verifier prog =
+let process_proved ?verifier prog =
   if uses_reserved_register prog then
     Error
       (Printf.sprintf "graft code uses reserved sandbox register r%d"
@@ -148,8 +88,8 @@ let process_proved ?(optimize = false) ?verifier prog =
     match verifier with
     | None ->
         Ok
-          ( sandbox_pass ~optimize ~safe_access:never ~safe_call:never
-              ~guard_calls:true lowered,
+          ( sandbox_pass ~safe_access:never ~safe_call:never ~guard_calls:true
+              lowered,
             None )
     | Some conf ->
         (* The analysis runs on the lowered program so the report's indices
@@ -169,8 +109,8 @@ let process_proved ?(optimize = false) ?verifier prog =
             | _ -> false
           in
           let out, new_index =
-            sandbox_pass_mapped ~optimize ~safe_access ~safe_call
-              ~guard_calls:true lowered
+            sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls:true
+              lowered
           in
           (* A proven-safe access expands to just its raw [Ld]/[St], so
              [new_index] points the verdict straight at that instruction
@@ -185,5 +125,4 @@ let process_proved ?(optimize = false) ?verifier prog =
           in
           Ok (out, Some proof)
 
-let process ?optimize ?verifier prog =
-  Result.map fst (process_proved ?optimize ?verifier prog)
+let process ?verifier prog = Result.map fst (process_proved ?verifier prog)

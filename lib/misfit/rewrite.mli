@@ -17,26 +17,12 @@ val lower_stack_ops : Vino_vm.Insn.t array -> Vino_vm.Insn.t array
     store/load, so the generic sandboxing pass covers them. *)
 
 val sandbox_memory :
-  ?optimize:bool ->
-  ?safe:(int -> bool) ->
-  Vino_vm.Insn.t array ->
-  Vino_vm.Insn.t array
+  ?safe:(int -> bool) -> Vino_vm.Insn.t array -> Vino_vm.Insn.t array
 (** Insert [Sandbox] sequences before every [Ld]/[St].
-
-    With [optimize] (default false), consecutive accesses through the same
-    base register and offset within a basic block share one sandboxed
-    address: the scratch register provably still holds it, so the second
-    mask+or is elided. The paper notes its MiSFIT "protects each indirect
-    memory access" for lack of such optimisation (§4.4); this is the
-    classic Wahbe-style improvement.
 
     [safe] (judged at input-program indices, default never) marks accesses
     proven in-segment by the static verifier: they keep their raw [Ld]/[St]
-    with no sandbox sequence at all — strictly stronger than [optimize],
-    which still pays the first mask+or of each run. *)
-
-val eliminated_sandboxes : Vino_vm.Insn.t array -> int
-(** How many sandbox sequences optimisation would remove. *)
+    with no sandbox sequence at all. *)
 
 val guard_indirect_calls :
   ?safe:(int -> bool) -> Vino_vm.Insn.t array -> Vino_vm.Insn.t array
@@ -45,12 +31,11 @@ val guard_indirect_calls :
     keep their raw [Kcallr]. *)
 
 val process :
-  ?optimize:bool ->
   ?verifier:Vino_verify.Verify.config ->
   Vino_vm.Insn.t array ->
   (Vino_vm.Insn.t array, string) result
 (** Full MiSFIT pipeline: reject reserved-register use, lower stack ops,
-    sandbox memory accesses (optimised if asked), guard indirect calls.
+    sandbox memory accesses, guard indirect calls.
 
     With [verifier], the static analyser ({!Vino_verify.Verify.analyse})
     runs over the lowered program first. Accesses and indirect calls it
@@ -62,7 +47,6 @@ val process :
     {!Vino_verify.Verify}. *)
 
 val process_proved :
-  ?optimize:bool ->
   ?verifier:Vino_verify.Verify.config ->
   Vino_vm.Insn.t array ->
   (Vino_vm.Insn.t array * Vino_verify.Proof.t option, string) result

@@ -2,6 +2,7 @@ module Asm = Vino_vm.Asm
 module Kernel = Vino_core.Kernel
 module Kcall = Vino_core.Kcall
 module Event_point = Vino_core.Event_point
+module Txn = Vino_txn.Txn
 
 type t = {
   kernel : Kernel.t;
@@ -36,7 +37,11 @@ let create kernel ?(port = 80) ?budget () =
     Kernel.register_kcall kernel ~name:"http.respond" (fun ctx ->
         let status = Kcall.arg ctx.Kcall.cpu 0 in
         let size = Kcall.arg ctx.Kcall.cpu 1 in
-        t.resp <- (status, size) :: t.resp;
+        let log () = t.resp <- (status, size) :: t.resp in
+        (* an aborted handler's response never reaches the client *)
+        (match ctx.Kcall.txn with
+        | Some txn -> Txn.defer txn log
+        | None -> log ());
         Kcall.ok)
   in
   Kernel.on_snapshot kernel (fun () ->

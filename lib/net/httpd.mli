@@ -32,4 +32,6 @@ val get : t -> path:int -> unit
     engine to completion before reading {!responses}. *)
 
 val responses : t -> (int * int) list
-(** All [(status, size)] responses, oldest first. *)
+(** All [(status, size)] responses, oldest first. A response enters the
+    log when the handler's transaction commits, so an aborted handler
+    leaves none. *)

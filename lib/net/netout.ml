@@ -6,13 +6,15 @@ module Txn = Vino_txn.Txn
 module Rlimit = Vino_txn.Rlimit
 
 type t = {
-  wire_cycles : int;
   mutable queue : int list; (* destination tags, FIFO *)
   work : Waitq.t;
   mutable n_transmitted : int;
   by_dest : (int, int) Hashtbl.t;
   mutable n_denied : int;
 }
+
+(* one packet's time on the wire *)
+let wire_cycles = Vino_txn.Tcosts.us 12.
 
 let rec nic t () =
   match t.queue with
@@ -21,7 +23,7 @@ let rec nic t () =
       nic t ()
   | dest :: rest ->
       t.queue <- rest;
-      Engine.delay t.wire_cycles;
+      Engine.delay wire_cycles;
       t.n_transmitted <- t.n_transmitted + 1;
       Hashtbl.replace t.by_dest dest
         (1 + Option.value ~default:0 (Hashtbl.find_opt t.by_dest dest));
@@ -31,12 +33,11 @@ let enqueue t dest =
   t.queue <- t.queue @ [ dest ];
   ignore (Waitq.signal t.work)
 
-let create kernel ?(wire_us_per_packet = 12.) () =
+let create kernel () =
   if Kcall.find_by_name kernel.Kernel.registry "net.send" <> None then
     invalid_arg "Netout.create: kernel already has an outbound path";
   let t =
     {
-      wire_cycles = Vino_txn.Tcosts.us wire_us_per_packet;
       queue = [];
       work = Waitq.create kernel.Kernel.engine;
       n_transmitted = 0;

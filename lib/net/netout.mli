@@ -13,10 +13,10 @@
 
 type t
 
-val create : Vino_core.Kernel.t -> ?wire_us_per_packet:float -> unit -> t
+val create : Vino_core.Kernel.t -> unit -> t
 (** Registers the graft-callable function ["net.send"] (argument r1 =
     destination tag; returns 1 = queued, 0 = quota denied) and starts the
-    NIC transmit process. *)
+    NIC transmit process, which puts one packet on the wire every 12 us. *)
 
 val send_from_kernel : t -> dest:int -> unit
 (** Trusted kernel-side send (no quota, immediate queueing). *)

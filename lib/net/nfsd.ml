@@ -2,6 +2,7 @@ module Asm = Vino_vm.Asm
 module Kernel = Vino_core.Kernel
 module Kcall = Vino_core.Kcall
 module Event_point = Vino_core.Event_point
+module Txn = Vino_txn.Txn
 module File = Vino_fs.File
 
 type status = Ok_read of { cache_hit : bool } | No_such_file | Bad_block
@@ -77,7 +78,11 @@ let create kernel ?(port = 2049) () =
           else if status = s_badblock then Bad_block
           else No_such_file
         in
-        t.resp <- decoded :: t.resp;
+        let log () = t.resp <- decoded :: t.resp in
+        (* an aborted handler's reply never reaches the client *)
+        (match ctx.Kcall.txn with
+        | Some txn -> Txn.defer txn log
+        | None -> log ());
         Kcall.ok)
   in
   Kernel.on_snapshot kernel (fun () ->

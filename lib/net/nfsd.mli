@@ -28,4 +28,5 @@ val read_request : t -> fileid:int -> block:int -> unit
 type status = Ok_read of { cache_hit : bool } | No_such_file | Bad_block
 
 val responses : t -> status list
-(** Oldest first. *)
+(** Oldest first. A reply enters the log when the handler's transaction
+    commits, so an aborted handler leaves none. *)

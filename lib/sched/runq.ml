@@ -18,7 +18,6 @@ type task = {
 
 type t = {
   kernel : Kernel.t;
-  tslice : int;
   switch_cost : int;
   graft_support : bool;
   delegate_budget : int option;
@@ -42,9 +41,8 @@ let max_listed = 64
    kernel per bench/campaign unit); instance numbers must stay unique. *)
 let instances = Atomic.make 0
 
-let create kernel ?(timeslice = Vino_txn.Tcosts.us 10_000.)
-    ?(switch_cost = Vino_txn.Tcosts.us 27.) ?(graft_support = true)
-    ?delegate_budget () =
+let create kernel ?(switch_cost = Vino_txn.Tcosts.us 27.)
+    ?(graft_support = true) ?delegate_budget () =
   let instance = 1 + Atomic.fetch_and_add instances 1 in
   let lock =
     Kernel.make_lock kernel
@@ -65,7 +63,6 @@ let create kernel ?(timeslice = Vino_txn.Tcosts.us 10_000.)
   let t =
     {
       kernel;
-      tslice = timeslice;
       switch_cost;
       graft_support;
       delegate_budget;
@@ -197,6 +194,6 @@ let schedule t ~cred =
 
 let delegate_redirects t = t.n_redirects
 let invalid_delegations t = t.n_invalid
-let timeslice t = t.tslice
+let timeslice = Vino_txn.Tcosts.us 10_000.
 let proclist_lock t = t.lock
 let proclist_lock_name t = t.lock_name

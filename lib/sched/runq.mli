@@ -23,7 +23,6 @@ type t
 
 val create :
   Vino_core.Kernel.t ->
-  ?timeslice:int ->
   ?switch_cost:int ->
   ?graft_support:bool ->
   ?delegate_budget:int ->
@@ -31,7 +30,7 @@ val create :
   t
 (** [switch_cost] is one context switch — choose + switch kernel threads +
     switch VM context, 27 us so a switch-and-back pair costs the paper's
-    54 us. [timeslice] defaults to 10 ms. [graft_support:false] removes the
+    54 us. [graft_support:false] removes the
     delegate indirection entirely (the measurement "base path").
     [delegate_budget] bounds one delegate invocation's cycles. Also
     registers a graft-callable function that locks the process list for
@@ -63,4 +62,5 @@ val schedule : t -> cred:Vino_core.Cred.t -> task option
 
 val delegate_redirects : t -> int
 val invalid_delegations : t -> int
-val timeslice : t -> int
+val timeslice : int
+(** 10 ms, in cycles. *)

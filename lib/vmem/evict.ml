@@ -5,7 +5,6 @@ module Graft_point = Vino_core.Graft_point
 type t = {
   kernel : Kernel.t;
   frames : Frame.table;
-  pageout_disk : Vino_fs.Disk.t option;
   graft_support : bool;
   vases : (int, Vas.t) Hashtbl.t;
   mutable queue : int list; (* frame indices, head = eviction candidate *)
@@ -19,12 +18,14 @@ type t = {
 let select_base_cost = Vino_txn.Tcosts.us 38.5
 let per_examination_cost = Vino_txn.Tcosts.us 0.05
 
-let create kernel ~frames ?pageout_disk ?(graft_support = true) () =
+(* A fault charges a representative ~16 ms disk access. *)
+let page_in_cost = Vino_txn.Tcosts.us 16_000.
+
+let create kernel ~frames ?(graft_support = true) () =
   let t =
     {
       kernel;
       frames;
-      pageout_disk;
       graft_support;
       vases = Hashtbl.create 8;
       queue = [];
@@ -92,33 +93,6 @@ let clock_select t =
   Engine.delay (select_base_cost + (!examined * per_examination_cost));
   result
 
-(* block a page is backed by, for the optional pageout disk *)
-let backing_block t (owner : Frame.owner) =
-  match t.pageout_disk with
-  | None -> 0
-  | Some _ -> (owner.Frame.vas_id * 8192) + (owner.Frame.vpage mod 8192)
-
-let page_in t owner =
-  match t.pageout_disk with
-  | Some disk ->
-      let block =
-        backing_block t owner mod Vino_fs.Disk.default_geometry.blocks
-      in
-      Vino_fs.Disk.read disk ~block
-  | None ->
-      (* charge a representative ~16 ms access *)
-      Engine.delay (Vino_txn.Tcosts.us 16_000.)
-
-let page_out_async t owner =
-  match t.pageout_disk with
-  | Some disk ->
-      let block =
-        backing_block t owner mod Vino_fs.Disk.default_geometry.blocks
-      in
-      Vino_fs.Disk.submit disk Vino_fs.Disk.Write ~block
-        ~on_complete:(fun () -> ())
-  | None -> ()
-
 let evictable_candidates vas ~except =
   Vas.resident_pages vas
   |> List.filter (fun p -> p <> except && not (Vas.wired vas ~vpage:p))
@@ -178,7 +152,6 @@ let reclaim t frame =
   | None -> ());
   t.queue <- List.filter (fun k -> k <> frame.Frame.index) t.queue;
   Frame.release t.frames frame;
-  (match owner with Some o -> page_out_async t o | None -> ());
   t.n_evictions <- t.n_evictions + 1
 
 let evict_one t ~cred =
@@ -218,6 +191,6 @@ let touch t vas ~vpage =
         failwith "Evict.touch: out of frames with nothing evictable"
     | Ok frame ->
         attach t vas ~vpage frame;
-        page_in t { Frame.vas_id = Vas.id vas; vpage };
+        Engine.delay page_in_cost;
         `Fault
   end

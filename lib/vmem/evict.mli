@@ -9,16 +9,16 @@
     original victim in the queue position the replacement occupied.
 
     Selection (the Table 4 code path) is separated from reclaim (unmap +
-    write-back + free) so the paper's measurements can be reproduced
-    without I/O noise; [evict_one] composes both. Page-out writes are
-    issued asynchronously, as a page daemon would. *)
+    free) so the paper's measurements can be reproduced without I/O noise;
+    [evict_one] composes both. Paging I/O is not simulated: a fault
+    charges a representative 16 ms disk access, and page-out costs
+    nothing. *)
 
 type t
 
 val create :
   Vino_core.Kernel.t ->
   frames:Frame.table ->
-  ?pageout_disk:Vino_fs.Disk.t ->
   ?graft_support:bool ->
   unit ->
   t
@@ -40,7 +40,7 @@ val select_replacement :
     evicting it. *)
 
 val reclaim : t -> Frame.t -> unit
-(** Unmap the frame, issue its write-back and free it. *)
+(** Unmap the frame and free it. *)
 
 val evict_one :
   t -> cred:Vino_core.Cred.t -> (Frame.t, [ `Nothing_evictable ]) result

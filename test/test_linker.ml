@@ -229,6 +229,55 @@ let test_reload_alloc () =
     (Printf.sprintf "reload: %.0f minor words <= 700" words)
     true (words <= 700.)
 
+(* Property: free graft memory reads zero after any sequence of loads,
+   segment fills (standing in for graft stores) and unloads, because
+   [Linker.unload] zeroes a block before freeing it. Snapshot restores
+   rely on this: they only zero and re-image live blocks. *)
+let prop_free_memory_reads_zero =
+  let module Mem = Vino_vm.Mem in
+  let module Segalloc = Vino_core.Segalloc in
+  QCheck2.Test.make ~name:"free graft memory reads zero" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 1 30)
+        (triple (int_range 0 2) (int_range 0 255) (int_range 1 1000)))
+    (fun ops ->
+      let k = Kernel.create ~mem_words:(1 lsl 12) () in
+      let mem = k.Kernel.mem in
+      let image = seal_exn k [ Li (Asm.r0, 0); Ret ] in
+      let live = ref [] in
+      let nth i = List.nth !live (i mod List.length !live) in
+      let step (op, a, v) =
+        match op with
+        | 0 -> (
+            match Linker.load k ~words:(8 + a) image with
+            | Ok l -> live := l :: !live
+            | Error _ -> ())
+        | 1 when !live <> [] ->
+            let seg = (nth a).Linker.seg in
+            Mem.fill mem seg.Mem.base seg.Mem.size v
+        | 2 when !live <> [] ->
+            let l = nth a in
+            Linker.unload k l;
+            live := List.filter (fun x -> x != l) !live
+        | _ -> ()
+      in
+      (* graft segments are carved from the upper half of memory *)
+      let free_reads_zero () =
+        let blocks = Segalloc.blocks k.Kernel.segalloc in
+        let rec go addr =
+          addr >= Mem.size mem
+          || (Mem.load mem addr = 0
+             || List.exists (fun b -> Mem.in_segment b addr) blocks)
+             && go (addr + 1)
+        in
+        go (Mem.size mem / 2)
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          free_reads_zero ())
+        ops)
+
 let suite =
   [
     ( "linker",
@@ -248,5 +297,6 @@ let suite =
           `Quick test_reload_alloc;
         Alcotest.test_case "verdict: equal digest, other code misses" `Quick
           test_digest_collision;
+        QCheck_alcotest.to_alcotest prop_free_memory_reads_zero;
       ] );
   ]

@@ -117,6 +117,56 @@ let test_nfs_error_paths () =
   Alcotest.(check int) "handler alive" 1
     (Event_point.handler_count (Port.event_point (Nfsd.port nfsd)))
 
+(* Rule 9: a handler that replies and then faults aborts, so its reply
+   must never reach the response log. [reply] loads the reply's
+   arguments and calls the server's reply kcall. *)
+let add_replying_crasher kernel port reply =
+  let source =
+    reply
+    @ [
+        Vino_vm.Asm.Li (Vino_vm.Asm.r5, 0);
+        Li (Vino_vm.Asm.r6, 1);
+        Alu (Vino_vm.Insn.Div, Vino_vm.Asm.r0, Vino_vm.Asm.r6, Vino_vm.Asm.r5);
+        Ret;
+      ]
+  in
+  match Kernel.seal kernel (Vino_vm.Asm.assemble_exn source) with
+  | Error e -> Alcotest.fail e
+  | Ok image -> (
+      match
+        Event_point.add_handler (Port.event_point port) kernel ~cred:app image
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+
+let test_aborted_http_response_not_logged () =
+  let kernel = Kernel.create ~mem_words:(1 lsl 15) () in
+  let httpd = Httpd.create kernel () in
+  add_replying_crasher kernel (Httpd.port httpd)
+    [
+      Li (Vino_vm.Asm.r1, 200);
+      Li (Vino_vm.Asm.r2, 7);
+      Kcall "http.respond";
+    ];
+  Httpd.get httpd ~path:42;
+  Kernel.run kernel;
+  Alcotest.(check (list (pair int int))) "no response logged" []
+    (Httpd.responses httpd);
+  Alcotest.(check int) "one handler failure" 1
+    (Event_point.handler_failures (Port.event_point (Httpd.port httpd)))
+
+let test_aborted_nfs_reply_not_logged () =
+  let kernel = Kernel.create ~mem_words:(1 lsl 15) () in
+  let nfsd = Nfsd.create kernel () in
+  add_replying_crasher kernel (Nfsd.port nfsd)
+    [ Li (Vino_vm.Asm.r1, 0); Kcall "nfs.reply" ];
+  Nfsd.read_request nfsd ~fileid:7 ~block:3;
+  Kernel.run kernel;
+  Alcotest.(check int) "no reply logged" 0
+    (List.length (Nfsd.responses nfsd));
+  Alcotest.(check int) "one handler failure" 1
+    (Event_point.handler_failures (Port.event_point (Nfsd.port nfsd)))
+
 let test_audit_trail_of_event_points () =
   let kernel, nfsd = nfs_fixture () in
   Nfsd.read_request nfsd ~fileid:7 ~block:1;
@@ -260,6 +310,10 @@ let suite =
           test_nfs_reads_through_disk_and_cache;
         Alcotest.test_case "NFS error paths survive" `Quick
           test_nfs_error_paths;
+        Alcotest.test_case "aborted HTTP response not logged" `Quick
+          test_aborted_http_response_not_logged;
+        Alcotest.test_case "aborted NFS reply not logged" `Quick
+          test_aborted_nfs_reply_not_logged;
         Alcotest.test_case "event installs are audited" `Quick
           test_audit_trail_of_event_points;
         Alcotest.test_case "packet quota stops a flood (§2.2)" `Quick

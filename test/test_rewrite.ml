@@ -129,108 +129,10 @@ let test_expansion_cost_bounds () =
   Alcotest.(check bool) "growth within 2-3 insns per access" true
     (growth >= 4 && growth <= 6)
 
-let test_redundant_sandbox_elimination () =
-  (* two accesses to the same base+offset in a straight line need one
-     sandbox; a write to the base in between forces a second *)
-  let same_addr =
-    [| Insn.Ld (3, 1, 4); Insn.St (5, 1, 4); Insn.Halt |]
-  in
-  Alcotest.(check int) "one sandbox elided" 1
-    (Rewrite.eliminated_sandboxes same_addr);
-  let clobbered =
-    [| Insn.Ld (3, 1, 4); Insn.Alui (Insn.Add, 1, 1, 1); Insn.St (5, 1, 4);
-       Insn.Halt |]
-  in
-  Alcotest.(check int) "clobbered base re-sandboxed" 0
-    (Rewrite.eliminated_sandboxes clobbered);
-  (* a branch target between the accesses also kills the reuse *)
-  let target_between =
-    [| Insn.Ld (3, 1, 4); Insn.St (5, 1, 4); Insn.Jmp 1 |]
-  in
-  Alcotest.(check int) "branch target resets state" 0
-    (Rewrite.eliminated_sandboxes target_between)
-
 let count_sandbox code =
   Array.fold_left
     (fun acc i -> match i with Insn.Sandbox _ -> acc + 1 | _ -> acc)
     0 code
-
-let test_elimination_count_agrees_with_output () =
-  (* eliminated_sandboxes must agree with the instructions actually saved:
-     each elided sandbox removes its 2-instruction address sequence *)
-  let progs =
-    [
-      [| Insn.Ld (3, 1, 4); Insn.St (5, 1, 4); Insn.Halt |];
-      [| Insn.Ld (3, 1, 4); Insn.Alui (Insn.Add, 1, 1, 1);
-         Insn.St (5, 1, 4); Insn.Halt |];
-      [| Insn.St (2, 1, 0); Insn.St (3, 1, 0); Insn.St (4, 1, 0);
-         Insn.Ld (5, 1, 8); Insn.Halt |];
-    ]
-  in
-  List.iter
-    (fun prog ->
-      let plain = Rewrite.sandbox_memory prog in
-      let opt = Rewrite.sandbox_memory ~optimize:true prog in
-      let n = Rewrite.eliminated_sandboxes prog in
-      Alcotest.(check int) "sandbox count difference" n
-        (count_sandbox plain - count_sandbox opt);
-      Alcotest.(check int) "instruction count difference" (2 * n)
-        (Array.length plain - Array.length opt))
-    progs
-
-let test_optimize_load_clobbering_its_base () =
-  (* the load's destination is its own base register: the cached sandboxed
-     address is stale afterwards, so the next access must re-sandbox *)
-  let code =
-    [| Insn.Li (1, 4); Insn.Li (9, 55); Insn.Ld (1, 1, 4);
-       Insn.St (9, 1, 4); Insn.Halt |]
-  in
-  Alcotest.(check int) "no elision across the clobber" 0
-    (Rewrite.eliminated_sandboxes code);
-  let mem, seg = machine () in
-  (* the load reads 100, which becomes the store's base: 100+4 *)
-  Mem.store mem (Mem.sandbox seg 8) 100;
-  match Rewrite.process ~optimize:true code with
-  | Error e -> Alcotest.fail e
-  | Ok rewritten -> (
-      let cpu = Cpu.make ~mem ~seg () in
-      match Cpu.run Cpu.env_trusted cpu rewritten with
-      | Cpu.Halted ->
-          Alcotest.(check int) "store used the reloaded base" 55
-            (Mem.load mem (Mem.sandbox seg 104));
-          Alcotest.(check int) "old address not overwritten" 100
-            (Mem.load mem (Mem.sandbox seg 8))
-      | o -> Alcotest.failf "unexpected %a" Cpu.pp_outcome o)
-
-let test_optimize_branch_target_between_accesses () =
-  (* control re-enters between two same-address accesses with a different
-     base register: the second access must re-sandbox, or the loop's second
-     pass would write through the first pass's address *)
-  let code =
-    [|
-      Insn.Li (9, 1);                   (* pass counter *)
-      Insn.Li (1, 4);                   (* base *)
-      Insn.Ld (3, 1, 4);
-      Insn.Alui (Insn.Add, 7, 9, 10);   (* branch target: r7 = passes+10 *)
-      Insn.St (7, 1, 4);
-      Insn.Li (1, 100);                 (* different base for pass 2 *)
-      Insn.Alui (Insn.Sub, 9, 9, 1);
-      Insn.Br (Insn.Ge, 9, 8, 3);       (* r8 is zero *)
-      Insn.Halt;
-    |]
-  in
-  let mem, seg = machine () in
-  match Rewrite.process ~optimize:true code with
-  | Error e -> Alcotest.fail e
-  | Ok rewritten -> (
-      let cpu = Cpu.make ~mem ~seg () in
-      match Cpu.run Cpu.env_trusted cpu rewritten with
-      | Cpu.Halted ->
-          Alcotest.(check int) "pass 1 store at base 4" 11
-            (Mem.load mem (Mem.sandbox seg 8));
-          Alcotest.(check int) "pass 2 store at base 100" 10
-            (Mem.load mem (Mem.sandbox seg 104))
-      | o -> Alcotest.failf "unexpected %a" Cpu.pp_outcome o)
 
 let test_sandbox_memory_safe_predicate () =
   (* accesses the verifier proved keep their raw instruction *)
@@ -241,22 +143,6 @@ let test_sandbox_memory_safe_predicate () =
   | _ -> Alcotest.fail "proven access lost its raw form");
   Alcotest.(check int) "only the unproven access sandboxed" 1
     (count_sandbox rewritten)
-
-let test_optimized_rewrite_still_confines () =
-  let mem, seg = machine () in
-  let code =
-    [| Insn.Li (1, 99_999); Insn.St (1, 1, 0); Insn.Ld (2, 1, 0); Insn.Halt |]
-  in
-  match Rewrite.process ~optimize:true code with
-  | Error e -> Alcotest.fail e
-  | Ok rewritten -> (
-      let cpu = Cpu.make ~mem ~seg () in
-      match Cpu.run Cpu.env_trusted cpu rewritten with
-      | Cpu.Halted ->
-          Alcotest.(check int) "kernel memory untouched" 0 (Mem.load mem 0);
-          Alcotest.(check int) "load saw the confined store" 99_999
-            (Cpu.reg cpu 2)
-      | o -> Alcotest.failf "unexpected %a" Cpu.pp_outcome o)
 
 (* Property: for random straight-line store programs, rewritten execution
    never writes outside the graft segment. *)
@@ -306,18 +192,8 @@ let suite =
           test_indirect_kernel_calls_guarded;
         Alcotest.test_case "expansion cost within paper bounds" `Quick
           test_expansion_cost_bounds;
-        Alcotest.test_case "redundant sandboxes eliminated" `Quick
-          test_redundant_sandbox_elimination;
-        Alcotest.test_case "elimination count matches output" `Quick
-          test_elimination_count_agrees_with_output;
-        Alcotest.test_case "load clobbering its base re-sandboxes" `Quick
-          test_optimize_load_clobbering_its_base;
-        Alcotest.test_case "branch target between accesses" `Quick
-          test_optimize_branch_target_between_accesses;
         Alcotest.test_case "safe predicate keeps raw accesses" `Quick
           test_sandbox_memory_safe_predicate;
-        Alcotest.test_case "optimised rewrite still confines" `Quick
-          test_optimized_rewrite_still_confines;
         QCheck_alcotest.to_alcotest prop_rewritten_stores_confined;
       ] );
   ]

@@ -95,68 +95,16 @@ let prop_no_overlap =
       in
       !ok && Segalloc.used_words t = live_words)
 
-(* ------------------------- fresh-block list --------------------------- *)
+(* ------------------------- snapshot / restore ------------------------- *)
 
-let since t snap =
-  let acc = ref [] in
-  Segalloc.iter_fresh_since t snap (fun seg -> acc := seg :: !acc);
-  List.rev !acc
+let sorted segs =
+  List.sort compare
+    (List.map (fun (s : Mem.segment) -> (s.Mem.base, s.Mem.size)) segs)
 
-let test_fresh_since_snapshot () =
-  let t = Segalloc.create ~base:0 ~size:1024 in
-  let a = alloc_exn t 16 in
-  let snap = Segalloc.snapshot t in
-  Alcotest.(check int) "nothing since a fresh snapshot" 0
-    (List.length (since t snap));
-  let b = alloc_exn t 32 in
-  let c = alloc_exn t 64 in
-  Alcotest.(check bool) "since: the two new blocks, newest first" true
-    (since t snap = [ c; b ]);
-  Alcotest.(check bool)
-    "whole list" true
-    (Segalloc.fresh_blocks t = [ c; b; a ])
-
-let test_retouch_lists_nothing () =
-  let t = Segalloc.create ~base:0 ~size:64 in
-  let whole = alloc_exn t 64 in
-  Segalloc.free t whole;
-  let snap = Segalloc.snapshot t in
-  let words = Segalloc.touched_words t in
-  let small = alloc_exn t 8 in
-  Segalloc.free t small;
-  let (_ : Mem.segment) = alloc_exn t 32 in
-  Alcotest.(check int) "re-allocating touched chunks lists nothing" 0
-    (List.length (since t snap));
-  Alcotest.(check int) "list unchanged" 1
-    (List.length (Segalloc.fresh_blocks t));
-  Alcotest.(check int) "touched words unchanged" words
-    (Segalloc.touched_words t)
-
-let test_touched_words_cumulative_and_rewound () =
-  let t = Segalloc.create ~base:0 ~size:1024 in
-  let a = alloc_exn t 16 in
-  Segalloc.free t a;
-  Alcotest.(check int) "free does not un-touch" 16 (Segalloc.touched_words t);
-  let snap = Segalloc.snapshot t in
-  let (_ : Mem.segment) = alloc_exn t 128 in
-  let (_ : Mem.segment) = alloc_exn t 8 in
-  let grown = Segalloc.touched_words t in
-  Alcotest.(check bool) "grows with new chunks" true (grown > 16);
-  Segalloc.restore t snap;
-  Alcotest.(check int) "restore rewinds" 16 (Segalloc.touched_words t);
-  Alcotest.(check int) "restore rewinds the list" 0
-    (List.length (since t snap));
-  let (_ : Mem.segment) = alloc_exn t 128 in
-  let (_ : Mem.segment) = alloc_exn t 8 in
-  Alcotest.(check int) "the replay touches the same words again" grown
-    (Segalloc.touched_words t)
-
-(* Property: against a reference chunk set, the allocator lists exactly
-   the blocks whose allocation touched a new chunk and counts the touched
-   words exactly; after a restore, replaying the same operations yields
-   the same segments, the same since-list and the same count (the dirty
-   map rewound exactly, neither more nor less). Sizes of 0 free the oldest
-   live segment. *)
+(* Property: [blocks] lists exactly the live segments, and after a restore
+   replaying the same operations yields the same segments (the allocation
+   addresses replay exactly) and the same block list. Sizes of 0 free the
+   oldest live segment. *)
 let prop_fresh_blocks_exact =
   QCheck2.Test.make ~name:"fresh-block list exact; restore rewinds it"
     ~count:150
@@ -166,8 +114,7 @@ let prop_fresh_blocks_exact =
         (list_size (int_range 1 40) (int_range 0 100)))
     (fun (prefix, suffix) ->
       let t = Segalloc.create ~base:0 ~size:4096 in
-      let chunks = Hashtbl.create 64 in
-      let live = ref [] and expected = ref [] in
+      let live = ref [] and handed = ref [] in
       let step words =
         if words = 0 then (
           match List.rev !live with
@@ -180,36 +127,24 @@ let prop_fresh_blocks_exact =
           | Error `No_memory -> ()
           | Ok seg ->
               live := seg :: !live;
-              let fresh = ref false in
-              let first = seg.Mem.base / 8 in
-              for c = first to first + (seg.Mem.size / 8) - 1 do
-                if not (Hashtbl.mem chunks c) then begin
-                  Hashtbl.replace chunks c ();
-                  fresh := true
-                end
-              done;
-              if !fresh then expected := seg :: !expected
+              handed := seg :: !handed
       in
-      let exact () =
-        Segalloc.touched_words t = 8 * Hashtbl.length chunks
-      in
+      let exact () = sorted (Segalloc.blocks t) = sorted !live in
       List.iter step prefix;
-      let listed_ok = Segalloc.fresh_blocks t = !expected && exact () in
+      let listed_ok = exact () in
       let snap = Segalloc.snapshot t in
-      let chunks0 = Hashtbl.copy chunks and live0 = !live in
+      let live0 = !live in
       let run_suffix () =
-        expected := [];
+        handed := [];
         List.iter step suffix;
-        (!live, since t snap, !expected, exact ())
+        (!handed, exact ())
       in
       let first = run_suffix () in
       Segalloc.restore t snap;
-      Hashtbl.reset chunks;
-      Hashtbl.iter (Hashtbl.replace chunks) chunks0;
       live := live0;
+      let rewound = exact () in
       let second = run_suffix () in
-      let _, since1, expected1, exact1 = first in
-      listed_ok && since1 = expected1 && exact1 && first = second)
+      listed_ok && snd first && rewound && first = second)
 
 let suite =
   [
@@ -225,12 +160,6 @@ let suite =
           test_double_free_rejected;
         Alcotest.test_case "non-zero arena base" `Quick test_nonzero_base;
         QCheck_alcotest.to_alcotest prop_no_overlap;
-        Alcotest.test_case "since-snapshot iteration: new-chunk blocks" `Quick
-          test_fresh_since_snapshot;
-        Alcotest.test_case "re-allocating touched chunks lists nothing"
-          `Quick test_retouch_lists_nothing;
-        Alcotest.test_case "touched words cumulative, rewound on restore"
-          `Quick test_touched_words_cumulative_and_rewound;
         QCheck_alcotest.to_alcotest prop_fresh_blocks_exact;
       ] );
   ]

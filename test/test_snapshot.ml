@@ -201,6 +201,42 @@ let test_restore_whole_state () =
       (first_difference mem0 dirty <> None || total1 <> total0)
   done
 
+(* Two captures with graft segments live. A restore must zero the
+   segments live now and lay back the ones live at its capture, whichever
+   capture was restored last. *)
+let test_restore_live_segments_two_captures () =
+  let k = Kernel.create ~mem_words:(1 lsl 12) () in
+  let image =
+    match Kernel.seal k (Asm.assemble_exn [ Li (Asm.r0, 0); Ret ]) with
+    | Ok image -> image
+    | Error e -> Alcotest.fail e
+  in
+  let load_and_fill v =
+    match Vino_core.Linker.load k ~words:64 image with
+    | Error e -> Alcotest.fail e
+    | Ok l ->
+        let seg = l.Vino_core.Linker.seg in
+        Mem.fill k.Kernel.mem seg.Mem.base seg.Mem.size v
+  in
+  let memory () = Mem.blit_out k.Kernel.mem 0 (Mem.size k.Kernel.mem) in
+  let expect what captured =
+    match first_difference captured (memory ()) with
+    | None -> ()
+    | Some addr ->
+        Alcotest.failf "%s: word %d differs from the capture" what addr
+  in
+  let snap_a = Kernel.snapshot k and mem_a = memory () in
+  load_and_fill 7;
+  let snap_b = Kernel.snapshot k and mem_b = memory () in
+  load_and_fill 9;
+  Kernel.restore k snap_a;
+  expect "A after B's branch" mem_a;
+  Kernel.restore k snap_b;
+  expect "B after A" mem_b;
+  load_and_fill 11;
+  Kernel.restore k snap_a;
+  expect "A after B's second branch" mem_a
+
 (* ------------------------ kcall registrations ------------------------- *)
 
 let nop_kcall (_ : Kcall.ctx) = Kcall.ok
@@ -319,6 +355,8 @@ let suite =
           test_double_restore;
         Alcotest.test_case "restore: memory and audit trail equal the capture"
           `Quick test_restore_whole_state;
+        Alcotest.test_case "restore with live segments, two captures" `Quick
+          test_restore_live_segments_two_captures;
         Alcotest.test_case "restore drops kcalls registered since" `Quick
           test_restore_drops_new_kcalls;
         Alcotest.test_case "restore kcalls across two captures" `Quick

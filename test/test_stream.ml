@@ -118,25 +118,6 @@ let test_crashing_stream_graft_falls_back_to_bcopy () =
   Alcotest.(check (array int)) "fell back to plain copy" data out;
   Alcotest.(check bool) "graft removed" false (Channel.grafted channel)
 
-let test_optimized_seal_same_output () =
-  (* sealing with redundant-sandbox elimination must not change what the
-     graft computes *)
-  let kernel, channel = fixture ~buffer_words:64 () in
-  let obj = Vino_vm.Asm.assemble_exn (Grafts.xor_encrypt_source ~key:0x3C) in
-  (match
-     Channel.install channel ~cred:app
-       (match Kernel.seal ~optimize:true kernel obj with
-       | Ok i -> i
-       | Error e -> Alcotest.fail e)
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let data = Array.init 64 (fun k -> k * 11) in
-  let out = transfer_in_kernel kernel channel data in
-  Array.iteri
-    (fun k v -> Alcotest.(check int) "same transform" (data.(k) lxor 0x3C) v)
-    out
-
 let suite =
   [
     ( "stream",
@@ -153,7 +134,5 @@ let suite =
           test_oversized_transfer_rejected;
         Alcotest.test_case "crashing stream graft falls back to bcopy"
           `Quick test_crashing_stream_graft_falls_back_to_bcopy;
-        Alcotest.test_case "optimised seal computes identically" `Quick
-          test_optimized_seal_same_output;
       ] );
   ]

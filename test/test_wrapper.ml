@@ -223,16 +223,13 @@ let prop_rewrite_preserves_semantics =
             Some (List.init 10 (Cpu.reg cpu), Mem.blit_out mem 0 256)
         | _ -> None
       in
-      match
-        ( Vino_misfit.Rewrite.process ~optimize:false code,
-          Vino_misfit.Rewrite.process ~optimize:true code )
-      with
-      | Ok rewritten, Ok optimized -> (
-          match (run code, run rewritten, run optimized) with
-          | Some (regs1, mem1), Some (regs2, mem2), Some (regs3, mem3) ->
-              regs1 = regs2 && mem1 = mem2 && regs1 = regs3 && mem1 = mem3
-          | _, _, _ -> false)
-      | _, _ -> false)
+      match Vino_misfit.Rewrite.process code with
+      | Ok rewritten -> (
+          match (run code, run rewritten) with
+          | Some (regs1, mem1), Some (regs2, mem2) ->
+              regs1 = regs2 && mem1 = mem2
+          | _, _ -> false)
+      | Error _ -> false)
 
 let test_timeout_calibration () =
   let module TC = Vino_measure.Timeout_calib in
