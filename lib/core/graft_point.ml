@@ -11,7 +11,7 @@ module Span = Vino_trace.Span
 let h_graft_invocations = Vino_trace.Counters.handle "graft.invocations"
 let h_graft_runs = Vino_trace.Counters.handle "graft.runs"
 
-let trace_ctx () = Engine.proc_id (Engine.self ())
+let trace_ctx kernel = Engine.proc_id (Engine.self kernel.Kernel.engine)
 
 type grafted = {
   loaded : Linker.loaded;
@@ -144,7 +144,7 @@ let invoke t kernel ~cred:_ arg =
       let inv_start = Engine.now kernel.Kernel.engine in
       if Trace.enabled () then begin
         Trace.incr_h h_graft_runs;
-        Trace.push_frame ~ctx:(trace_ctx ()) ~point:t.gname ~now:inv_start
+        Trace.push_frame ~ctx:(trace_ctx kernel) ~point:t.gname ~now:inv_start
       end;
       let result =
         Wrapper.invoke kernel g.loaded ~name:t.gname ~cred:g.cred
@@ -163,7 +163,7 @@ let invoke t kernel ~cred:_ arg =
          not graft time. *)
       if Trace.enabled () then begin
         let now = Engine.now kernel.Kernel.engine in
-        Trace.pop_frame ~ctx:(trace_ctx ()) ~now;
+        Trace.pop_frame ~ctx:(trace_ctx kernel) ~now;
         Trace.span Span.Graft_invoke ~label:t.gname ~start:inv_start
           ~dur:(now - inv_start)
       end;

@@ -128,7 +128,7 @@ let exec kernel (loaded : Linker.loaded) ~txn ~cred ~limits
     end;
     if sb + cc > 0 then
       Trace.charge
-        ~ctx:(Engine.proc_id (Engine.self ()))
+        ~ctx:(Engine.proc_id (Engine.self kernel.Kernel.engine))
         Profile.Sandbox (sb + cc)
   end;
   result

@@ -66,6 +66,7 @@ type report = {
   rejected : int;
   admission_audited : int;
   handler_failures : int;
+  proc_failures : int;
   transmitted : int;
   quota_denials : int;
   jit_hits : int;
@@ -218,6 +219,7 @@ type shard_out = {
   s_rejected : int;
   s_audited : int;
   s_failures : int;
+  s_proc_failures : int;
   s_transmitted : int;
   s_denials : int;
   s_jit : Kernel.jit_cache_stats;
@@ -233,6 +235,7 @@ let empty_shard =
     s_rejected = 0;
     s_audited = 0;
     s_failures = 0;
+    s_proc_failures = 0;
     s_transmitted = 0;
     s_denials = 0;
     s_jit =
@@ -486,6 +489,7 @@ let run_shard cfg shard =
       s_rejected = Array.fold_left ( + ) 0 rejected;
       s_audited = audited;
       s_failures = failures;
+      s_proc_failures = List.length (Engine.failures kernel.Kernel.engine);
       s_transmitted = Netout.transmitted netout;
       s_denials = Netout.quota_denials netout;
       s_jit = Kernel.jit_cache_stats kernel;
@@ -530,6 +534,7 @@ let run ?pool cfg =
     rejected = sum (fun o -> o.s_rejected);
     admission_audited = sum (fun o -> o.s_audited);
     handler_failures = sum (fun o -> o.s_failures);
+    proc_failures = sum (fun o -> o.s_proc_failures);
     transmitted = sum (fun o -> o.s_transmitted);
     quota_denials = sum (fun o -> o.s_denials);
     jit_hits = sum (fun o -> o.s_jit.Kernel.jit_hits);

@@ -81,6 +81,11 @@ type report = {
   admission_audited : int;
       (** [Admission_rejected] entries across all shard audit trails *)
   handler_failures : int;
+  proc_failures : int;
+      (** engine processes that died with an uncaught exception, summed
+          over shard kernels ({!Vino_sim.Engine.failures}); a served
+          request's worker must never die, so this is 0 on every healthy
+          run. No CLI report prints it. *)
   transmitted : int;  (** packets that reached the simulated wire *)
   quota_denials : int;  (** [net.send]s refused by the tenant's slice *)
   jit_hits : int;

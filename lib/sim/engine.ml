@@ -1,4 +1,5 @@
 module Trace = Vino_trace.Trace
+open Effect.Deep
 
 (* Counter handles, interned once at load: the emit sites below
    bump a flat per-sink array instead of hashing a dotted name. *)
@@ -8,16 +9,28 @@ let h_proc_failures = Vino_trace.Counters.handle "sim.proc_failures"
 
 exception Stopped
 
-type proc = {
+(* [Parked] until its delay's entry or a waker comes; [Woken] or
+   [Interrupted] (by [kill]) once its resume is queued. *)
+type state =
+  | Ready of (unit -> unit)
+  | Running
+  | Parked of (unit, unit) continuation
+  | Woken of (unit, unit) continuation
+  | Interrupted of (unit, unit) continuation
+  | Dead
+
+(* A queue entry is a timer, or a process's own [wake] tagged with its
+   generation; a cancelled timer's [fn] is [cancelled]. *)
+type event = Timer of { mutable fn : unit -> unit } | Wake of proc
+
+and proc = {
   id : int;
   name : string;
-  mutable dead : bool;
+  mutable state : state;
+  mutable gen : int;
   mutable kill_requested : bool;
-  mutable interrupt : (exn -> unit) option;
-      (* set while suspended: injects an exception into the continuation *)
+  mutable wake : event; (* [Wake] of this process, set at spawn *)
 }
-
-type event = { mutable cancelled : bool; mutable thunk : unit -> unit }
 
 type t = {
   mutable clock : int;
@@ -35,129 +48,127 @@ type t = {
   mutable failures : (string * exn) list;
   mutable next_id : int;
   mutable has_run : bool;
+  mutable current : proc; (* the process last resumed; see [resume] *)
+  mutable delay_n : int; (* the argument of the [Delay] being handled *)
+  handler : (unit, unit) handler; (* shared by every process *)
+  on_delay : ((unit, unit) continuation -> unit) option;
 }
 
 type cancel = unit -> unit
 
 type _ Effect.t +=
   | Delay : int -> unit Effect.t
-  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Self : proc Effect.t
+  | Suspend : (t -> proc -> unit) -> unit Effect.t
 
 let min_sweep = 64
+let cancelled () = ()
+
+let rec nobody =
+  {
+    id = -1;
+    name = "";
+    state = Dead;
+    gen = 0;
+    kill_requested = false;
+    wake = Wake nobody;
+  }
+
+let check_time t time =
+  if time < t.clock then invalid_arg "Engine.at: cannot schedule in the past"
+
+(* The handler's cases run for [t.current], the process that performed. *)
+let park_delay t k =
+  let p = t.current in
+  if p.kill_requested then discontinue k Stopped
+  else begin
+    check_time t (t.clock + t.delay_n);
+    p.state <- Parked k;
+    Pqueue.add t.queue ~key:(t.clock + t.delay_n) ~gen:p.gen p.wake
+  end
+
+let effc t (type a) (eff : a Effect.t) :
+    ((a, unit) continuation -> unit) option =
+  match eff with
+  | Delay n ->
+      t.delay_n <- n;
+      t.on_delay
+  | Suspend register ->
+      Some
+        (fun k ->
+          let p = t.current in
+          if p.kill_requested then discontinue k Stopped
+          else begin
+            p.state <- Parked k;
+            register t p
+          end)
+  | _ -> None
 
 let create () =
-  {
-    clock = 0;
-    queue = Pqueue.create ();
-    procs = [];
-    nprocs = 0;
-    sweep_at = min_sweep;
-    failures = [];
-    next_id = 0;
-    has_run = false;
-  }
+  let rec t =
+    {
+      clock = 0;
+      queue = Pqueue.create ();
+      procs = [];
+      nprocs = 0;
+      sweep_at = min_sweep;
+      failures = [];
+      next_id = 0;
+      has_run = false;
+      current = nobody;
+      delay_n = 0;
+      handler =
+        {
+          retc = (fun () -> t.current.state <- Dead);
+          exnc =
+            (fun e ->
+              t.current.state <- Dead;
+              if e != Stopped then begin
+                Trace.incr_h h_proc_failures;
+                t.failures <- (t.current.name, e) :: t.failures
+              end);
+          effc = (fun eff -> effc t eff);
+        };
+      on_delay = Some (fun k -> park_delay t k);
+    }
+  in
+  t
 
 let now t = t.clock
 let now_us t = Vino_vm.Costs.us_of_cycles t.clock
 
-let do_nothing () = ()
-
 let at t time f =
-  if time < t.clock then
-    invalid_arg "Engine.at: cannot schedule in the past";
-  let ev = { cancelled = false; thunk = f } in
-  Pqueue.add t.queue ~key:time ev;
-  fun () ->
-    ev.cancelled <- true;
-    (* drop the closure so cancelled events don't retain memory *)
-    ev.thunk <- do_nothing
+  check_time t time;
+  let ev = Timer { fn = f } in
+  Pqueue.add t.queue ~key:time ~gen:0 ev;
+  fun () -> match ev with Timer r -> r.fn <- cancelled | Wake _ -> ()
 
 let after t delta f = at t (t.clock + delta) f
-
-(* Schedule and discard the cancellation handle. *)
-let schedule t time f =
-  let (_ : cancel) = at t time f in
-  ()
-
-let proc_name p = p.name
 let proc_id p = p.id
-let alive p = not p.dead
-
+let alive p = p.state != Dead
 let delay n = Effect.perform (Delay n)
-let suspend f = Effect.perform (Suspend f)
-let self () = Effect.perform Self
 
-(* Run [f] as the body of process [p], handling its scheduling effects. *)
-let start t p body =
-  let open Effect.Deep in
-  (* Resume a stored continuation from the event loop on behalf of [p]. *)
-  let resuming k v =
-    p.interrupt <- None;
-    continue k v
-  in
-  let discontinuing k e =
-    p.interrupt <- None;
-    discontinue k e
-  in
-  let handle_delay n k =
-    if p.kill_requested then discontinue k Stopped
-    else begin
-      let fired = ref false in
-      let cancel =
-        at t (t.clock + n) (fun () ->
-            if not !fired then begin
-              fired := true;
-              resuming k ()
-            end)
-      in
-      p.interrupt <-
-        Some
-          (fun e ->
-            if not !fired then begin
-              fired := true;
-              cancel ();
-              schedule t t.clock (fun () -> discontinuing k e)
-            end)
-    end
-  in
-  let handle_suspend f k =
-    if p.kill_requested then discontinue k Stopped
-    else begin
-      let fired = ref false in
-      p.interrupt <-
-        Some
-          (fun e ->
-            if not !fired then begin
-              fired := true;
-              schedule t t.clock (fun () -> discontinuing k e)
-            end);
-      f (fun v ->
-          if not !fired then begin
-            fired := true;
-            (* resume from the event loop, not the waker's stack *)
-            schedule t t.clock (fun () -> resuming k v)
-          end)
-    end
-  in
-  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-    function
-    | Delay n -> Some (fun k -> handle_delay n k)
-    | Suspend f -> Some (fun k -> handle_suspend f k)
-    | Self -> Some (fun k -> continue k p)
-    | _ -> None
-  in
-  let retc () = p.dead <- true in
-  let exnc = function
-    | Stopped -> p.dead <- true
-    | e ->
-        p.dead <- true;
-        Trace.incr_h h_proc_failures;
-        t.failures <- (p.name, e) :: t.failures
-  in
-  match_with
-    (fun () -> if p.kill_requested then raise Stopped else body ())
-    () { retc; exnc; effc }
+(* The waker acts only while its own suspension is [Parked]: a later
+   suspension has another generation. The value waits in [v] for the
+   resume, which runs from the event loop, not the waker's stack. *)
+let suspend f =
+  let v = ref None in
+  Effect.perform
+    (Suspend
+       (fun t p ->
+         let gen = p.gen in
+         f (fun x ->
+             match p.state with
+             | Parked k when p.gen = gen ->
+                 v := Some x;
+                 p.state <- Woken k;
+                 Pqueue.add t.queue ~key:t.clock ~gen p.wake
+             | _ -> ())));
+  Option.get !v
+
+let self t =
+  if t.current.state != Running then
+    invalid_arg "Engine.self: not inside a process";
+  t.current
 
 let spawn t ?name body =
   let id = t.next_id in
@@ -165,9 +176,8 @@ let spawn t ?name body =
   let name =
     match name with Some n -> n | None -> Printf.sprintf "proc-%d" id
   in
-  let p =
-    { id; name; dead = false; kill_requested = false; interrupt = None }
-  in
+  let p = { nobody with id; name; state = Ready body } in
+  p.wake <- Wake p;
   if t.nprocs >= t.sweep_at then begin
     t.procs <- List.filter alive t.procs;
     t.nprocs <- List.length t.procs;
@@ -176,106 +186,112 @@ let spawn t ?name body =
   t.procs <- p :: t.procs;
   t.nprocs <- t.nprocs + 1;
   Trace.incr_h h_procs_spawned;
-  schedule t t.clock (fun () -> start t p body);
+  Pqueue.add t.queue ~key:t.clock ~gen:0 p.wake;
   p
 
-let kill _t p =
-  if not p.dead then begin
-    p.kill_requested <- true;
-    match p.interrupt with
-    | Some inject -> inject Stopped
-    | None -> () (* flag is honoured at the next suspension point *)
-  end
+let kill t p =
+  match p.state with
+  | Dead -> ()
+  | Parked k ->
+      p.kill_requested <- true;
+      p.state <- Interrupted k;
+      p.gen <- p.gen + 1;
+      Pqueue.add t.queue ~key:t.clock ~gen:p.gen p.wake
+  | _ -> p.kill_requested <- true
 
-let step t =
-  match Pqueue.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-      t.has_run <- true;
-      t.clock <- max t.clock time;
-      if not ev.cancelled then begin
+(* Run [p] until it parks or ends. [t.current] keeps the process last
+   resumed, which is no longer [Running] once it returns here; it is
+   put back only if it is, i.e. a process ran the engine itself. *)
+let resume t p =
+  let outer = t.current in
+  t.current <- p;
+  (match p.state with
+  | Ready _ when p.kill_requested -> p.state <- Dead
+  | Ready body ->
+      p.state <- Running;
+      match_with body () t.handler
+  | (Parked k | Woken k | Interrupted k) as parked -> (
+      p.state <- Running;
+      p.gen <- p.gen + 1;
+      match parked with
+      | Interrupted _ -> discontinue k Stopped
+      | _ -> continue k ())
+  | Running | Dead -> ());
+  if outer.state == Running then t.current <- outer
+
+(* An entry is stale if its timer was cancelled or its process has moved
+   to another generation; it still moves the clock. *)
+let run ?(until = max_int) t =
+  let q = t.queue in
+  while (not (Pqueue.is_empty q)) && Pqueue.peek_key q <= until do
+    let time = Pqueue.peek_key q and gen = Pqueue.peek_gen q in
+    let ev = Pqueue.pop q in
+    t.has_run <- true;
+    if time > t.clock then t.clock <- time;
+    match ev with
+    | Timer r when r.fn != cancelled ->
         Trace.incr_h h_events_executed;
-        ev.thunk ()
-      end;
-      true
-
-let run ?until t =
-  let continue_past time =
-    match until with None -> true | Some limit -> time <= limit
-  in
-  let rec loop () =
-    match Pqueue.peek_key t.queue with
-    | None -> ()
-    | Some time when not (continue_past time) -> ()
-    | Some _ ->
-        ignore (step t);
-        loop ()
-  in
-  loop ()
+        r.fn ()
+    | Wake p when gen = p.gen ->
+        Trace.incr_h h_events_executed;
+        resume t p
+    | Timer _ | Wake _ -> ()
+  done
 
 let failures t = List.rev t.failures
 let has_run t = t.has_run
 
 (* ------------------------- snapshot / restore ------------------------- *)
 
-(* Only a never-run engine can be snapshotted: once [step] has executed an
-   event, live one-shot continuations may be parked in the queue and those
-   cannot be forked. Before the first step the queue holds only re-runnable
-   closures — [start t p body] spawn thunks and plain [at] thunks — so
-   capturing them by reference is a faithful fork point.
-
-   Event records are shared mutable state (a cancel closure mutates the
-   record in place), so the snapshot stores their fields by value and
-   [restore] rebuilds fresh records: a trial cancelling a pre-snapshot
-   event must not corrupt the capture. Insertion order is preserved via
-   {!Pqueue.entries}/{!Pqueue.clear}, which reproduces pop order exactly. *)
+(* Only a never-run engine can be snapshotted: after the first event,
+   processes may hold parked one-shot continuations, which cannot be
+   forked. Before it, every process is [Ready] with a re-runnable body.
+   A cancel writes a timer in place, so the snapshot and each restore
+   copy the timers; a restore also moves each process to a new
+   generation, so no waker from the abandoned run can wake it. *)
 
 type snap = {
-  s_clock : int;
-  s_next_id : int;
-  s_failures : (string * exn) list;
-  s_procs : proc list;
-  s_nprocs : int;
-  s_sweep_at : int;
-  s_events : (int * bool * (unit -> unit)) list;
+  fields : t; (* a shallow copy: clock, counters, process list *)
+  states : (proc * state) list;
+  events : (int * event) list;
 }
+
+let copy = function Timer r -> Timer { fn = r.fn } | Wake _ as w -> w
 
 let snapshot t =
   if t.has_run then
     invalid_arg "Engine.snapshot: engine has already executed events";
   {
-    s_clock = t.clock;
-    s_next_id = t.next_id;
-    s_failures = t.failures;
-    s_procs = t.procs;
-    s_nprocs = t.nprocs;
-    s_sweep_at = t.sweep_at;
-    s_events =
-      List.map
-        (fun (key, ev) -> (key, ev.cancelled, ev.thunk))
-        (Pqueue.entries t.queue);
+    fields = { t with clock = t.clock };
+    states = List.map (fun p -> (p, p.state)) t.procs;
+    events = List.map (fun (k, ev) -> (k, copy ev)) (Pqueue.entries t.queue);
   }
 
-let restore t s =
-  t.clock <- s.s_clock;
-  t.next_id <- s.s_next_id;
-  t.failures <- s.s_failures;
-  t.procs <- s.s_procs;
-  t.nprocs <- s.s_nprocs;
-  t.sweep_at <- s.s_sweep_at;
+let restore t { fields = s; states; events } =
+  t.clock <- s.clock;
+  t.next_id <- s.next_id;
+  t.failures <- s.failures;
+  t.procs <- s.procs;
+  t.nprocs <- s.nprocs;
+  t.sweep_at <- s.sweep_at;
   List.iter
-    (fun p ->
-      p.dead <- false;
-      p.kill_requested <- false;
-      p.interrupt <- None)
-    s.s_procs;
+    (fun (p, state) ->
+      p.state <- state;
+      p.gen <- p.gen + 1;
+      p.kill_requested <- false)
+    states;
   Pqueue.clear t.queue;
   List.iter
-    (fun (key, cancelled, thunk) -> Pqueue.add t.queue ~key { cancelled; thunk })
-    s.s_events;
+    (fun (key, ev) ->
+      let gen = match ev with Wake p -> p.gen | Timer _ -> 0 in
+      Pqueue.add t.queue ~key ~gen (copy ev))
+    events;
   t.has_run <- false
 
 let blocked t =
   t.procs
-  |> List.filter (fun p -> (not p.dead) && p.interrupt <> None)
+  |> List.filter (fun p ->
+         match p.state with
+         | Parked _ | Woken _ | Interrupted _ -> true
+         | Ready _ | Running | Dead -> false)
   |> List.rev_map (fun p -> p.name)

@@ -9,7 +9,17 @@
     one deterministic timeline.
 
     Simultaneous events execute in FIFO spawn/schedule order, which makes
-    every experiment reproducible. *)
+    every experiment reproducible.
+
+    {b Cost model.} Events scheduled before the first event runs, or
+    after a {!restore}, form a run sorted once and popped at O(1); later
+    events enter a heap as deep as the events in flight ({!Pqueue}). A
+    process owns its wake entry, its parked continuation and a
+    generation, which every resume and every {!kill} of a parked process
+    bumps: outdated entries and wakers are stale, with no cancel closure.
+    One effect handler serves all processes. A delay is one
+    perform/continue round trip and one heap push and pop, and allocates
+    at most 12 minor words; a spawn and exit at most 40. *)
 
 type t
 
@@ -39,14 +49,14 @@ val spawn : t -> ?name:string -> (unit -> unit) -> proc
     time slot. Inside the body, {!delay}, {!suspend} and {!self} may be
     used. An uncaught exception in the body is recorded (see {!failures}). *)
 
-val proc_name : proc -> string
 val proc_id : proc -> int
 val alive : proc -> bool
 
 val kill : t -> proc -> unit
 (** Make the process raise {!Stopped} at its next suspension point (if it is
-    blocked, it is woken immediately). A crude mechanism; transaction abort
-    (the paper's mechanism) is layered above in {!Vino_txn.Txn}. *)
+    blocked, it is woken immediately, and only once). A crude mechanism;
+    transaction abort (the paper's mechanism) is layered above in
+    {!Vino_txn.Txn}. *)
 
 (* Within a process: *)
 
@@ -56,40 +66,38 @@ val delay : int -> unit
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend f] blocks the calling process. [f waker] is called immediately;
     the process resumes with [v] when some other event calls [waker v].
-    Calling the waker more than once is harmless (later calls are ignored),
+    Later calls of the waker, even during a later suspension, are ignored,
     which lets a timeout and a signal race safely. *)
 
-val self : unit -> proc
+val self : t -> proc
+(** The running process. Raises [Invalid_argument] outside a process. *)
 
 val run : ?until:int -> t -> unit
 (** Execute events in time order until the queue drains (or [until] is
     passed). Returns normally even if processes remain blocked (deadlock);
     use {!blocked} to detect that. *)
 
-val step : t -> bool
-(** Execute the single earliest event; [false] if the queue was empty. *)
-
 val failures : t -> (string * exn) list
 (** Processes that died with an uncaught exception, oldest first. *)
 
 val has_run : t -> bool
-(** Whether {!step} has ever executed an event on this engine. *)
+(** Whether {!run} has ever executed an event on this engine. *)
 
 type snap
 (** Captured pre-run engine state: clock, process table, and the pending
     event queue in insertion order. *)
 
 val snapshot : t -> snap
-(** Capture a never-run engine. Raises [Invalid_argument] once {!step}
-    has executed any event — after that, parked one-shot continuations
-    may sit in the queue and cannot be forked. Before the first step the
-    queue holds only re-runnable spawn/timer thunks, so the capture is a
-    faithful fork point. *)
+(** Capture a never-run engine. Raises [Invalid_argument] once {!run}
+    has executed any event — after that, processes may hold parked
+    one-shot continuations, which cannot be forked. Before the first step
+    every process is unstarted and the queue holds only timers and start
+    entries, so the capture is a faithful fork point. *)
 
 val restore : t -> snap -> unit
-(** Rewind the engine to the snapshot: clock, processes (flags reset)
-    and event queue are restored; the engine may then {!run} again.
-    Safe to call repeatedly with the same snapshot. *)
+(** Rewind the engine to the snapshot: clock, processes (flags reset, a
+    new generation each) and event queue are restored; the engine may then
+    {!run} again. Safe to call repeatedly with the same snapshot. *)
 
 val blocked : t -> string list
 (** Names of processes that are alive but have no pending event — after

@@ -1,81 +1,136 @@
-type 'a entry = { key : int; seq : int; value : 'a }
-
+(* Both sources hold slot numbers only. Until the first pop since
+   [clear] the entries are exactly slots [0, nslots) in insertion order,
+   which the first peek or pop sorts into the run. *)
 type 'a t = {
-  mutable data : 'a entry array;
-  mutable size : int;
+  mutable keys : int array;
+  mutable seqs : int array;
+  mutable gens : int array;
+  mutable values : 'a array;
+  mutable free : int array; (* slots of popped entries, a stack *)
+  mutable nfree : int;
+  mutable nslots : int; (* slots handed out since [clear] *)
+  mutable run : int array; (* the run's slots in pop order *)
+  mutable rpos : int; (* the run's next entry; -1 until it is sorted *)
+  mutable heap : int array; (* slots added since: a min-heap *)
+  mutable hsize : int;
   mutable next_seq : int;
 }
 
-let create () = { data = [||]; size = 0; next_seq = 0 }
-let is_empty t = t.size = 0
-let length t = t.size
+let create () =
+  {
+    keys = [||];
+    seqs = [||];
+    gens = [||];
+    values = [||];
+    free = [||];
+    nfree = 0;
+    nslots = 0;
+    run = [||];
+    rpos = -1;
+    heap = [||];
+    hsize = 0;
+    next_seq = 0;
+  }
 
-let precedes a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+let length t =
+  if t.rpos < 0 then t.nslots else Array.length t.run - t.rpos + t.hsize
 
-let grow t entry =
-  let capacity = Array.length t.data in
-  if t.size = capacity then begin
-    let fresh = Array.make (max 8 (2 * capacity)) entry in
-    Array.blit t.data 0 fresh 0 t.size;
-    t.data <- fresh
+let is_empty t = length t = 0
+
+let precedes t a b =
+  let ka = t.keys.(a) and kb = t.keys.(b) in
+  ka < kb || (ka = kb && t.seqs.(a) < t.seqs.(b))
+
+(* Move parents down until slot [s] fits the hole at [k]. *)
+let rec sift_up t s k =
+  let parent = (k - 1) / 2 in
+  if k > 0 && precedes t s t.heap.(parent) then begin
+    t.heap.(k) <- t.heap.(parent);
+    sift_up t s parent
   end
+  else t.heap.(k) <- s
 
-let rec sift_up t k =
-  if k > 0 then begin
-    let parent = (k - 1) / 2 in
-    if precedes t.data.(k) t.data.(parent) then begin
-      let tmp = t.data.(k) in
-      t.data.(k) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
+let rec sift_down t s k =
+  let l = (2 * k) + 1 in
+  let c =
+    if l + 1 < t.hsize && precedes t t.heap.(l + 1) t.heap.(l) then l + 1
+    else l
+  in
+  if c < t.hsize && precedes t t.heap.(c) s then begin
+    t.heap.(k) <- t.heap.(c);
+    sift_down t s c
+  end
+  else t.heap.(k) <- s
+
+let grow t v =
+  let extend a x = Array.append a (Array.make (max 16 (Array.length a)) x) in
+  t.keys <- extend t.keys 0;
+  t.seqs <- extend t.seqs 0;
+  t.gens <- extend t.gens 0;
+  t.free <- extend t.free 0;
+  t.heap <- extend t.heap 0;
+  t.values <- extend t.values v
+
+let add t ~key ~gen v =
+  let s =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
     end
-  end
-
-let rec sift_down t k =
-  let left = (2 * k) + 1 and right = (2 * k) + 2 in
-  let smallest = ref k in
-  if left < t.size && precedes t.data.(left) t.data.(!smallest) then
-    smallest := left;
-  if right < t.size && precedes t.data.(right) t.data.(!smallest) then
-    smallest := right;
-  if !smallest <> k then begin
-    let tmp = t.data.(k) in
-    t.data.(k) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let add t ~key value =
-  let entry = { key; seq = t.next_seq; value } in
+    else begin
+      if t.nslots = Array.length t.keys then grow t v;
+      t.nslots <- t.nslots + 1;
+      t.nslots - 1
+    end
+  in
+  t.keys.(s) <- key;
+  t.seqs.(s) <- t.next_seq;
+  t.gens.(s) <- gen;
+  t.values.(s) <- v;
   t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  t.data.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  if t.rpos >= 0 then begin
+    t.hsize <- t.hsize + 1;
+    sift_up t s (t.hsize - 1)
+  end
+
+(* The slot that pops next: the run's head unless the heap's head has a
+   strictly smaller key (every heap entry is younger). *)
+let head t =
+  if is_empty t then invalid_arg "Pqueue: empty queue";
+  if t.rpos < 0 then begin
+    t.run <- Array.init t.nslots Fun.id;
+    Array.stable_sort (fun a b -> compare t.keys.(a) t.keys.(b)) t.run;
+    t.rpos <- 0
+  end;
+  let r = if t.rpos < Array.length t.run then t.run.(t.rpos) else -1 in
+  if r >= 0 && (t.hsize = 0 || t.keys.(r) <= t.keys.(t.heap.(0))) then r
+  else t.heap.(0)
+
+let peek_key t = t.keys.(head t)
+let peek_gen t = t.gens.(head t)
 
 let pop t =
-  if t.size = 0 then None
+  let s = head t in
+  if t.rpos < Array.length t.run && t.run.(t.rpos) = s then
+    t.rpos <- t.rpos + 1
   else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some (top.key, top.value)
-  end
-
-let peek_key t = if t.size = 0 then None else Some t.data.(0).key
+    t.hsize <- t.hsize - 1;
+    if t.hsize > 0 then sift_down t t.heap.(t.hsize) 0
+  end;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1;
+  t.values.(s)
 
 let clear t =
-  t.data <- [||];
-  t.size <- 0;
+  t.nfree <- 0;
+  t.nslots <- 0;
+  t.rpos <- -1;
+  t.run <- [||];
+  t.hsize <- 0;
   t.next_seq <- 0
 
-(* Live entries in insertion order. Pop order is fully determined by the
-   (key, seq) total order, so a queue rebuilt by [add]ing these back in
-   sequence behaves identically regardless of heap layout. *)
+(* A pop leaves its slot free or has an [add] reuse it. *)
 let entries t =
-  let live = Array.sub t.data 0 t.size in
-  Array.sort (fun a b -> compare a.seq b.seq) live;
-  Array.to_list (Array.map (fun e -> (e.key, e.value)) live)
+  if t.nfree > 0 || t.next_seq > t.nslots then
+    invalid_arg "Pqueue.entries: entries were popped";
+  List.init t.nslots (fun s -> (t.keys.(s), t.values.(s)))

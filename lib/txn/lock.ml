@@ -12,8 +12,6 @@ let h_lock_contentions = Vino_trace.Counters.handle "lock.contentions"
 let h_lock_timeouts = Vino_trace.Counters.handle "lock.timeouts"
 let h_lock_fruitless_giveups = Vino_trace.Counters.handle "lock.fruitless_giveups"
 
-let trace_ctx () = Engine.proc_id (Engine.self ())
-
 type owner = { name : string; request_abort : (string -> unit) option }
 
 let plain_owner name = { name; request_abort = None }
@@ -187,7 +185,9 @@ let acquire t mode owner ?(poll = fun () -> None) () =
     Trace.span Span.Lock_acquire ~label:t.lname
       ~start:(Engine.now t.engine - acquisition_charge)
       ~dur:acquisition_charge;
-    Trace.charge ~ctx:(trace_ctx ()) Profile.Txn acquisition_charge
+    Trace.charge
+      ~ctx:(Engine.proc_id (Engine.self t.engine))
+      Profile.Txn acquisition_charge
   end;
   match poll () with
   | Some reason -> Gave_up reason

@@ -14,11 +14,6 @@ let h_txn_commits_nested = Vino_trace.Counters.handle "txn.commits_nested"
 let h_txn_commits = Vino_trace.Counters.handle "txn.commits"
 let h_txn_deferred_failures = Vino_trace.Counters.handle "txn.deferred_failures"
 
-(* The engine process this code runs on behalf of — the profiler's frame
-   key. Only called when a sink is installed, and only from code that
-   already performs engine effects (so always inside a process). *)
-let trace_ctx () = Engine.proc_id (Engine.self ())
-
 type state = Active | Committed | Aborted of string
 
 type mgr = {
@@ -55,6 +50,11 @@ and t = {
   mutable deferred : (unit -> unit) list; (* run at top-level commit only *)
   mutable parked : bool; (* already returned to the arena *)
 }
+
+(* The engine process this code runs on behalf of — the profiler's frame
+   key. Only called when a sink is installed, and only from code that
+   already performs engine effects (so always inside a process). *)
+let trace_ctx m = Engine.proc_id (Engine.self m.engine)
 
 let default_undo_slots = 64
 let default_frame_slots = 64
@@ -143,7 +143,7 @@ let begin_ m ?parent ~name () =
     Trace.span Span.Txn_begin ~label:name
       ~start:(Engine.now m.engine - cost)
       ~dur:cost;
-    Trace.charge ~ctx:(trace_ctx ()) Profile.Txn cost
+    Trace.charge ~ctx:(trace_ctx m) Profile.Txn cost
   end;
   let (T t) =
     Arena.take m.frames ~otherwise:(fun () ->
@@ -205,7 +205,7 @@ let push_undo t ?cost ~label undo =
   Engine.delay t.mgr.costs.undo_push;
   if Trace.enabled () then begin
     Trace.incr_h h_undo_pushes;
-    Trace.charge ~ctx:(trace_ctx ()) Profile.Undo t.mgr.costs.undo_push
+    Trace.charge ~ctx:(trace_ctx t.mgr) Profile.Undo t.mgr.costs.undo_push
   end
 
 let request_abort t reason =
@@ -265,7 +265,7 @@ let abort t ~reason =
           Trace.span Span.Undo_replay ~label:t.tname
             ~start:(now - replay_cost) ~dur:replay_cost
         end;
-        let ctx = trace_ctx () in
+        let ctx = trace_ctx t.mgr in
         Trace.charge ~ctx Profile.Txn t.mgr.costs.txn_abort;
         Trace.charge ~ctx Profile.Undo replay_cost
       end
@@ -304,7 +304,7 @@ let commit t =
                   Trace.span Span.Txn_commit ~label:t.tname
                     ~start:(Engine.now t.mgr.engine - t.mgr.costs.nested_commit)
                     ~dur:t.mgr.costs.nested_commit;
-                  Trace.charge ~ctx:(trace_ctx ()) Profile.Txn
+                  Trace.charge ~ctx:(trace_ctx t.mgr) Profile.Txn
                     t.mgr.costs.nested_commit
                 end;
                 []
@@ -322,7 +322,7 @@ let commit t =
                   Trace.span Span.Txn_commit ~label:t.tname
                     ~start:(Engine.now t.mgr.engine - t.mgr.costs.txn_commit)
                     ~dur:t.mgr.costs.txn_commit;
-                  Trace.charge ~ctx:(trace_ctx ()) Profile.Txn
+                  Trace.charge ~ctx:(trace_ctx t.mgr) Profile.Txn
                     t.mgr.costs.txn_commit
                 end;
                 d
@@ -348,12 +348,14 @@ let commit t =
 (* The transaction the calling engine process is currently executing
    under, if any (set by the invocation wrapper). *)
 let current m =
-  match Hashtbl.find_opt m.current (Engine.proc_id (Engine.self ())) with
+  match
+    Hashtbl.find_opt m.current (Engine.proc_id (Engine.self m.engine))
+  with
   | Some (T t) when is_active t -> Some t
   | Some _ | None -> None
 
 let with_current m t f =
-  let pid = Engine.proc_id (Engine.self ()) in
+  let pid = Engine.proc_id (Engine.self m.engine) in
   let saved = Hashtbl.find_opt m.current pid in
   Hashtbl.replace m.current pid (T t);
   let restore () =

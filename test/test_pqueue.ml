@@ -6,6 +6,12 @@
 
 module Pqueue = Vino_sim.Pqueue
 
+let pop_opt q =
+  if Pqueue.is_empty q then None
+  else
+    let k = Pqueue.peek_key q in
+    Some (k, Pqueue.pop q)
+
 type op = Add of int | Pop
 
 let gen_ops =
@@ -29,7 +35,7 @@ let prop_matches_model =
         (fun op ->
           match op with
           | Add k ->
-              Pqueue.add q ~key:k !seq;
+              Pqueue.add q ~key:k ~gen:0 !seq;
               (* stable insert: strictly-greater keys stay behind us *)
               let rec insert = function
                 | (k', s') :: rest when k' <= k -> (k', s') :: insert rest
@@ -39,7 +45,7 @@ let prop_matches_model =
               incr seq;
               Pqueue.length q = List.length !model
           | Pop -> (
-              match (Pqueue.pop q, !model) with
+              match (pop_opt q, !model) with
               | None, [] -> true
               | Some (k, v), (mk, ms) :: rest ->
                   model := rest;
@@ -51,7 +57,7 @@ let prop_matches_model =
       &&
       (* drain: whatever remains must still come out in model order *)
       let rec drain () =
-        match (Pqueue.pop q, !model) with
+        match (pop_opt q, !model) with
         | None, [] -> Pqueue.is_empty q
         | Some (k, v), (mk, ms) :: rest ->
             model := rest;
@@ -65,20 +71,74 @@ let prop_peek_consistent =
     QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 10))
     (fun keys ->
       let q = Pqueue.create () in
-      List.iteri (fun i k -> Pqueue.add q ~key:k i) keys;
+      List.iteri (fun i k -> Pqueue.add q ~key:k ~gen:0 i) keys;
       let rec loop () =
-        match Pqueue.peek_key q with
-        | None -> Pqueue.pop q = None
-        | Some pk -> (
-            match Pqueue.pop q with
-            | Some (k, _) -> k = pk && loop ()
-            | None -> false)
+        Pqueue.is_empty q
+        ||
+        let pk = Pqueue.peek_key q in
+        match pop_opt q with Some (k, _) -> k = pk && loop () | None -> false
       in
       loop ())
+
+(* Adds and pops interleaved, so both sources hold entries. *)
+let build ops =
+  let q = Pqueue.create () in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Add k -> Pqueue.add q ~key:k ~gen:(i * 7) i
+      | Pop -> ignore (pop_opt q))
+    ops;
+  q
+
+let drain q =
+  let rec go acc =
+    if Pqueue.is_empty q then List.rev acc
+    else
+      let k = Pqueue.peek_key q and g = Pqueue.peek_gen q in
+      go ((k, g, Pqueue.pop q) :: acc)
+  in
+  go []
+
+let prop_gens_travel =
+  QCheck2.Test.make ~name:"each pop's generation is its entry's" ~count:300
+    ~print:print_ops gen_ops (fun ops ->
+      List.for_all (fun (_, g, v) -> g = v * 7) (drain (build ops)))
+
+(* Entries come back in insertion order before any pop, whether or not
+   a peek has already sealed the run, and rebuild the same pop order. *)
+let prop_entries_rebuild =
+  QCheck2.Test.make ~name:"entries re-added after clear keep pop order"
+    ~count:300 ~print:print_ops gen_ops (fun ops ->
+      let q = Pqueue.create () and added = ref [] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Add k ->
+              Pqueue.add q ~key:k ~gen:(i * 7) i;
+              added := (k, i) :: !added
+          | Pop -> if not (Pqueue.is_empty q) then ignore (Pqueue.peek_key q))
+        ops;
+      let live = Pqueue.entries q in
+      let rebuilt = Pqueue.create () in
+      List.iter (fun (k, v) -> Pqueue.add rebuilt ~key:k ~gen:(v * 7) v) live;
+      let order = drain q in
+      live = List.rev !added
+      && order = drain rebuilt
+      && (order = []
+         ||
+         match Pqueue.entries q with
+         | _ -> false
+         | exception Invalid_argument _ -> true))
 
 let suite =
   [
     ( "pqueue",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_matches_model; prop_peek_consistent ] );
+        [
+          prop_matches_model;
+          prop_peek_consistent;
+          prop_gens_travel;
+          prop_entries_rebuild;
+        ] );
   ]

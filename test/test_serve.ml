@@ -157,6 +157,33 @@ let test_golden_digest () =
       (256, 0, (0, 16, 0), "568ea939c7552c51f49259ced1130ccf");
     ]
 
+(* No request's worker process may die: [proc_failures] counts engine
+   process failures over the shard kernels. Checked on the CLI's default
+   shape and on the deepest pre-run schedule, 16 x 4000 with a warm
+   translation cache and no reinstalls. *)
+let test_no_dead_workers () =
+  List.iter
+    (fun (label, cfg) ->
+      let r = Serve.run cfg in
+      Alcotest.(check int)
+        (label ^ ": no dead worker")
+        0 r.Serve.proc_failures;
+      Alcotest.(check int)
+        (label ^ ": every arrival served or shed")
+        (cfg.Serve.tenants * cfg.Serve.requests)
+        (r.Serve.served + r.Serve.rejected))
+    [
+      ("default", Serve.default);
+      ( "16 x 4000",
+        {
+          Serve.default with
+          tenants = 16;
+          requests = 4000;
+          jit_cache_cap = 256;
+          reinstall_every = 0;
+        } );
+    ]
+
 let test_config_validation () =
   List.iter
     (fun cfg ->
@@ -188,6 +215,8 @@ let suite =
         Alcotest.test_case "churn drives the translation cache" `Quick
           test_cache_churn;
         Alcotest.test_case "config validation" `Quick test_config_validation;
+        Alcotest.test_case "no worker process dies" `Quick
+          test_no_dead_workers;
         Alcotest.test_case "virtual results match the recorded digests" `Quick
           test_golden_digest;
       ] );
