@@ -99,7 +99,6 @@ let mem t id =
 
 let cardinal t = t.count
 let load_factor t = float_of_int t.count /. float_of_int (Array.length t.slots)
-let probes_recorded t = t.probes
 
 let average_probes t =
   if t.lookups = 0 then 0.

@@ -18,7 +18,6 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 val load_factor : t -> float
 
-val probes_recorded : t -> int
 val average_probes : t -> float
 
 val saver : t -> unit -> unit -> unit

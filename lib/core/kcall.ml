@@ -59,9 +59,6 @@ let id_limit r = r.next_id
 let epoch r = r.epoch
 let find_by_name r name = Hashtbl.find_opt r.by_name name
 
-let callable_ids r =
-  r.fns |> List.filter (fun f -> f.callable) |> List.rev_map (fun f -> f.id)
-
 let names r = List.rev_map (fun f -> f.name) r.fns
 
 (* Bring the name and id tables from the current registration list to

@@ -60,7 +60,6 @@ val epoch : registry -> int
     other. The linker keys its cached verdicts by it
     ({!Kernel.link_verdict}). *)
 
-val callable_ids : registry -> int list
 val names : registry -> string list
 
 val saver : registry -> unit -> unit -> unit

@@ -355,3 +355,16 @@ let make_lock t ?policy ?timeout ~name () =
   in
   on_snapshot t (Vino_txn.Lock.saver lock);
   lock
+
+let graft_lock t ~timeout ~name ~kcall =
+  let lock = make_lock t ~timeout ~name () in
+  let (_ : Kcall.fn) =
+    register_kcall t ~name:kcall (fun ctx ->
+        match ctx.Kcall.txn with
+        | None -> Kcall.abort (kcall ^ " outside a transaction")
+        | Some txn -> (
+            match Vino_txn.Txn.acquire_lock txn lock Exclusive with
+            | Ok () -> Kcall.ok
+            | Error reason -> Kcall.abort reason))
+  in
+  lock

@@ -223,6 +223,13 @@ val make_lock :
 (** A lock on this kernel's engine/wheel/costs, automatically enrolled
     in the snapshot registry. *)
 
+val graft_lock :
+  t -> timeout:int -> name:string -> kcall:string -> Vino_txn.Lock.t
+(** {!make_lock}, then a graft-callable kernel function named [kcall]
+    that takes the lock [Exclusive] under the caller's transaction, where
+    two-phase locking holds it until commit or abort. The function aborts
+    the graft when it runs outside a transaction or the lock is refused. *)
+
 (* Crash-consistent snapshots. *)
 
 type snap

@@ -1,4 +1,5 @@
 module Cpu = Vino_vm.Cpu
+module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
 module Tick = Vino_sim.Tick
 module Txn = Vino_txn.Txn
@@ -18,7 +19,17 @@ let env ?flow kernel ~txn ~cred ~limits =
     match Kcall.find kernel.Kernel.registry id with
     | None -> Cpu.K_fault (Cpu.Bad_kcall id)
     | Some fn when not fn.Kcall.callable -> Cpu.K_fault (Cpu.Bad_kcall id)
-    | Some fn -> fn.Kcall.impl { Kcall.cpu; txn; cred; limits }
+    | Some fn -> (
+        (* A kernel function that raises on a graft's argument aborts the
+           graft (Rule 9), not the calling kernel thread. A kill, and a
+           fault the run loop maps to [Faulted], still propagate. *)
+        match fn.Kcall.impl { Kcall.cpu; txn; cred; limits } with
+        | status -> status
+        | exception ((Engine.Stopped | Cpu.Fault_exn _ | Mem.Fault _) as e) ->
+            raise e
+        | exception e ->
+            Cpu.K_abort
+              (Printf.sprintf "%s: %s" fn.Kcall.name (Printexc.to_string e)))
   in
   let kcall =
     match flow with

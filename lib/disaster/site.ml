@@ -68,7 +68,8 @@ let fresh_kernel () = Kernel.create ~mem_words ~tick:tick_cycles ()
 let register_rig kernel =
   let state_cell = ref 0 in
   let rig_lock =
-    Kernel.make_lock kernel ~timeout:rig_lock_timeout ~name:"disaster-rig" ()
+    Kernel.graft_lock kernel ~timeout:rig_lock_timeout ~name:"disaster-rig"
+      ~kcall:"disaster.lock"
   in
   let reg name ?callable impl =
     Kernel.register_kcall kernel ~name ?callable impl
@@ -77,13 +78,6 @@ let register_rig kernel =
     match ctx.Kcall.txn with
     | None -> Kcall.abort "disaster rig: no current transaction"
     | Some txn -> f txn
-  in
-  let (_ : Kcall.fn) =
-    reg "disaster.lock" (fun ctx ->
-        in_txn ctx (fun txn ->
-            match Txn.acquire_lock txn rig_lock Exclusive with
-            | Ok () -> Kcall.ok
-            | Error reason -> Kcall.abort reason))
   in
   let (_ : Kcall.fn) =
     reg "disaster.alloc" (fun ctx ->

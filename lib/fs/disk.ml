@@ -131,4 +131,3 @@ let saver t () =
 let requests_served t = t.served
 let writes_served t = t.writes
 let sequential_hits t = t.sequential
-let queue_depth t = List.length t.queue

@@ -37,7 +37,6 @@ val service_time : t -> block:int -> int
 val requests_served : t -> int
 val writes_served : t -> int
 val sequential_hits : t -> int
-val queue_depth : t -> int
 
 val saver : t -> unit -> unit -> unit
 (** [saver t ()] captures the request queue, head position, statistics

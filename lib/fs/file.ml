@@ -1,9 +1,7 @@
 module Cpu = Vino_vm.Cpu
 module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
-module Txn = Vino_txn.Txn
 module Kernel = Vino_core.Kernel
-module Kcall = Vino_core.Kcall
 module Graft_point = Vino_core.Graft_point
 
 type ra_request = {
@@ -91,21 +89,12 @@ let openf ~kernel ~cache ~disk ~name ~first_block ~blocks ?(ra_window = 1)
   let instance =
     Printf.sprintf "%s#%d" name (1 + Atomic.fetch_and_add open_counter 1)
   in
+  let lock_name = Printf.sprintf "ra.lock:%s" instance in
   let lock =
-    Kernel.make_lock kernel
+    Kernel.graft_lock kernel
       ~timeout:(Vino_txn.Tcosts.us 500.)
       ~name:(Printf.sprintf "pattern-buffer:%s" instance)
-      ()
-  in
-  let lock_name = Printf.sprintf "ra.lock:%s" instance in
-  let (_ : Kcall.fn) =
-    Kernel.register_kcall kernel ~name:lock_name (fun ctx ->
-        match ctx.Kcall.txn with
-        | None -> Kcall.abort "pattern-buffer lock outside a transaction"
-        | Some txn -> (
-            match Txn.acquire_lock txn lock Exclusive with
-            | Ok () -> Kcall.ok
-            | Error reason -> Kcall.abort reason))
+      ~kcall:lock_name
   in
   let ra =
     Graft_point.create

@@ -83,7 +83,6 @@ let note_consumed t _block =
 let pending t = List.length t.queue
 let issued t = t.n_issued
 let dropped t = t.n_dropped
-let in_flight t = t.n_inflight
 
 let saver t () =
   let restore_work = Waitq.saver t.work () in

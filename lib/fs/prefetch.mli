@@ -29,7 +29,6 @@ val note_consumed : t -> int -> unit
 val pending : t -> int
 val issued : t -> int
 val dropped : t -> int
-val in_flight : t -> int
 
 val saver : t -> unit -> unit -> unit
 (** [saver t ()] captures the prefetch queue, budget accounting and

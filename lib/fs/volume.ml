@@ -12,7 +12,6 @@ type t = {
   bitmap : Bytes.t; (* one byte per block: 0 free, 1 used *)
   total : int;
   bitmap_lock : Lock.t;
-  lock_name : string;
   directory : (string, entry) Hashtbl.t;
   mutable used : int;
 }
@@ -43,7 +42,6 @@ let create kernel ~disk ?(blocks = 65_536) ?syncer_threshold () =
           ~timeout:(Vino_txn.Tcosts.us 200.)
           ~name:(Printf.sprintf "fs-bitmap-%d" volume)
           ();
-      lock_name = Printf.sprintf "fs-bitmap-%d" volume;
       directory = Hashtbl.create 32;
       used = 0;
     }
@@ -63,7 +61,6 @@ let create kernel ~disk ?(blocks = 65_536) ?syncer_threshold () =
 
 let cache t = t.vcache
 let syncer t = t.vsyncer
-let bitmap_lock_name t = t.lock_name
 let free_blocks t = t.total - t.used
 let used_blocks t = t.used
 

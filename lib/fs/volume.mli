@@ -22,7 +22,6 @@ val create :
 
 val cache : t -> Cache.t
 val syncer : t -> Syncer.t
-val bitmap_lock_name : t -> string
 
 val create_file :
   t -> name:string -> blocks:int -> (File.t, string) result

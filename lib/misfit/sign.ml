@@ -1,22 +1,6 @@
 type t = int
 
-(* 64-bit FNV-1a over the key bytes then the word stream (8 bytes/word). *)
-let fnv_offset = 0x3f29ce484222325
-let fnv_prime = 0x100000001b3
-
-let byte h b = (h lxor b) * fnv_prime
-
-let digest ~key words =
-  let h = ref fnv_offset in
-  String.iter (fun c -> h := byte !h (Char.code c)) key;
-  Array.iter
-    (fun w ->
-      for shift = 0 to 7 do
-        h := byte !h ((w lsr (8 * shift)) land 0xff)
-      done)
-    words;
-  !h
-
+let digest = Vino_vm.Fnv.digest
 let equal = Int.equal
 let forge n = n
 (* [%x] formats the int as unsigned (63-bit two's complement), so this is

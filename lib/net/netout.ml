@@ -80,11 +80,9 @@ let create kernel () =
   in
   t
 
-let send_from_kernel t ~dest = enqueue t dest
 let transmitted t = t.n_transmitted
 
 let transmitted_to t ~dest =
   Option.value ~default:0 (Hashtbl.find_opt t.by_dest dest)
 
 let quota_denials t = t.n_denied
-let queue_depth t = List.length t.queue

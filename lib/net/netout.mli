@@ -18,12 +18,8 @@ val create : Vino_core.Kernel.t -> unit -> t
     destination tag; returns 1 = queued, 0 = quota denied) and starts the
     NIC transmit process, which puts one packet on the wire every 12 us. *)
 
-val send_from_kernel : t -> dest:int -> unit
-(** Trusted kernel-side send (no quota, immediate queueing). *)
-
 val transmitted : t -> int
 (** Packets that actually left on the (simulated) wire. *)
 
 val transmitted_to : t -> dest:int -> int
 val quota_denials : t -> int
-val queue_depth : t -> int

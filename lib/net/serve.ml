@@ -19,12 +19,6 @@ let path_name = function
   | Translated -> "translated"
   | Verified -> "verified-translated"
 
-let path_of_name = function
-  | "interp" -> Some Interp
-  | "translated" -> Some Translated
-  | "verified-translated" | "verified" -> Some Verified
-  | _ -> None
-
 let all_paths = [ Interp; Translated; Verified ]
 
 type config = {

@@ -35,7 +35,6 @@ type path = Interp | Translated | Verified
 val path_name : path -> string
 (** ["interp"] / ["translated"] / ["verified-translated"]. *)
 
-val path_of_name : string -> path option
 val all_paths : path list
 
 type config = {

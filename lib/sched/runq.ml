@@ -2,16 +2,13 @@ module Cpu = Vino_vm.Cpu
 module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
 module Kernel = Vino_core.Kernel
-module Kcall = Vino_core.Kcall
 module Graft_point = Vino_core.Graft_point
 module Calltable = Vino_core.Calltable
-module Txn = Vino_txn.Txn
 
 type delegate_request = { self : int; runnable : int list }
 
 type task = {
   tid : int;
-  tname : string;
   delegate : (delegate_request, int) Graft_point.t;
   mutable group : int option;
 }
@@ -44,21 +41,12 @@ let instances = Atomic.make 0
 let create kernel ?(switch_cost = Vino_txn.Tcosts.us 27.)
     ?(graft_support = true) ?delegate_budget () =
   let instance = 1 + Atomic.fetch_and_add instances 1 in
+  let lock_name = Printf.sprintf "sched.proclist-lock:%d" instance in
   let lock =
-    Kernel.make_lock kernel
+    Kernel.graft_lock kernel
       ~timeout:(Vino_txn.Tcosts.us 200.)
       ~name:(Printf.sprintf "process-list-%d" instance)
-      ()
-  in
-  let lock_name = Printf.sprintf "sched.proclist-lock:%d" instance in
-  let (_ : Kcall.fn) =
-    Kernel.register_kcall kernel ~name:lock_name (fun ctx ->
-        match ctx.Kcall.txn with
-        | None -> Kcall.abort "process-list lock outside a transaction"
-        | Some txn -> (
-            match Txn.acquire_lock txn lock Exclusive with
-            | Ok () -> Kcall.ok
-            | Error reason -> Kcall.abort reason))
+      ~kcall:lock_name
   in
   let t =
     {
@@ -126,7 +114,7 @@ let spawn_task t ~name =
       ~read_result:(fun cpu _ -> Ok (Cpu.reg cpu 0))
       ()
   in
-  let task = { tid; tname = name; delegate; group = None } in
+  let task = { tid; delegate; group = None } in
   Hashtbl.replace t.tasks tid task;
   Calltable.add t.valid_tids tid;
   Queue.push tid t.queue;
@@ -134,7 +122,6 @@ let spawn_task t ~name =
   task
 
 let task_id task = task.tid
-let task_name task = task.tname
 let delegate_point task = task.delegate
 
 let remove_task t task =

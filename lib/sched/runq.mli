@@ -44,7 +44,6 @@ val proclist_lock_name : t -> string
 
 val spawn_task : t -> name:string -> task
 val task_id : task -> int
-val task_name : task -> string
 val remove_task : t -> task -> unit
 
 val delegate_point :

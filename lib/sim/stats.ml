@@ -121,11 +121,3 @@ let percentile t p =
     let frac = rank -. float_of_int low in
     (sorted.(low) *. (1. -. frac)) +. (sorted.(high) *. frac)
   end
-
-module Counter = struct
-  type t = int ref
-
-  let create () = ref 0
-  let incr ?(by = 1) t = t := !t + by
-  let value t = !t
-end

@@ -19,11 +19,3 @@ val trimmed_stddev : ?fraction:float -> t -> float
 val min_value : t -> float
 val max_value : t -> float
 val percentile : t -> float -> float
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-end

@@ -26,12 +26,3 @@ let xor_encrypt_source ~key =
   transform_loop [ Alui (Xor, Asm.r7, Asm.r7, key) ]
 
 let copy_source = transform_loop []
-
-let rot13ish_source =
-  transform_loop
-    [
-      Alui (Add, Asm.r7, Asm.r7, 13);
-      Alui (Xor, Asm.r7, Asm.r7, 0x5A5A);
-      Alui (Shl, Asm.r9, Asm.r7, 1);
-      Alu (Add, Asm.r7, Asm.r7, Asm.r9);
-    ]

@@ -9,7 +9,3 @@ val xor_encrypt_source : key:int -> Vino_vm.Asm.item list
 val copy_source : Vino_vm.Asm.item list
 (** The most trivial stream graft: copy input to output untransformed; the
     highest possible store ratio. *)
-
-val rot13ish_source : Vino_vm.Asm.item list
-(** A slightly heavier transform (add a constant, xor, shift) to show SFI
-    overhead shrinking as computation per access grows. *)

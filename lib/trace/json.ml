@@ -236,7 +236,6 @@ let member name = function
   | _ -> None
 
 let to_list = function List items -> items | _ -> []
-let string_value = function String s -> Some s | _ -> None
 
 let int_value = function
   | Int n -> Some n

@@ -29,6 +29,5 @@ val of_string : string -> (t, string) result
 
 val member : string -> t -> t option
 val to_list : t -> t list
-val string_value : t -> string option
 val int_value : t -> int option
 (** Ints, and floats with no fractional part. *)

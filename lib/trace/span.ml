@@ -24,12 +24,6 @@ let kind_name = function
   | Lock_wait -> "lock.wait"
   | Lock_timeout -> "lock.timeout"
 
-let all_kinds =
-  [
-    Graft_invoke; Dispatch; Sfi_sandbox; Sfi_checkcall; Txn_begin; Txn_commit;
-    Txn_abort; Undo_replay; Lock_acquire; Lock_wait; Lock_timeout;
-  ]
-
 type t = { kind : kind; label : string; start : int; dur : int }
 
 let pp ppf t =

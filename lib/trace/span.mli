@@ -20,7 +20,6 @@ type kind =
   | Lock_timeout  (** a lock time-out fired (instantaneous) *)
 
 val kind_name : kind -> string
-val all_kinds : kind list
 
 type t = {
   kind : kind;

@@ -10,7 +10,6 @@ type t = {
   lock_release_abort : int;
   undo_push : int;
   policy_indirection : int;
-  limit_check : int;
 }
 
 let us = Vino_vm.Costs.cycles_of_us
@@ -28,5 +27,4 @@ let default =
     lock_release_abort = us 10.;
     undo_push = us 1.5;
     policy_indirection = 35;
-    limit_check = us 0.5;
   }

@@ -22,7 +22,6 @@ type t = {
   policy_indirection : int;
       (** one encapsulated policy decision point (a ~35-cycle function call,
           §6 / Fig 5) *)
-  limit_check : int;  (** one resource-limit debit/credit *)
 }
 
 val default : t

@@ -75,24 +75,14 @@ let deserialise words =
             Error "negative id in proof call list"
           else Ok { words = seg_words; safe; calls = List.sort_uniq compare calls }
 
-(* Unkeyed FNV-1a over the serialised words (same byte folding as
-   {!Vino_misfit.Sign}). Authenticity comes from the image signature,
-   which covers the proof; the hash only has to separate translation
-   cache entries. Never 0: that value is reserved for "no proof". *)
-
-let fnv_offset = 0x3f29ce484222325
-let fnv_prime = 0x100000001b3
-let byte h b = (h lxor b) * fnv_prime
-
+(* Unkeyed FNV-1a over the serialised words ({!Vino_vm.Fnv}, which also
+   digests image signatures). Authenticity comes from the image
+   signature, which covers the proof; the hash only has to separate
+   translation cache entries. Never 0: that value is reserved for "no
+   proof". *)
 let hash t =
-  let h = ref fnv_offset in
-  Array.iter
-    (fun w ->
-      for shift = 0 to 7 do
-        h := byte !h ((w lsr (8 * shift)) land 0xff)
-      done)
-    (serialise t);
-  if !h = 0 then 1 else !h
+  let h = Vino_vm.Fnv.digest ~key:"" (serialise t) in
+  if h = 0 then 1 else h
 
 let hash_opt = function None -> 0 | Some t -> hash t
 

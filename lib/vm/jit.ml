@@ -8,8 +8,8 @@
      branch/jump/call target, every instruction after a terminator);
    - every instruction is compiled to a pre-resolved closure; a window
      is the chain of those closures (direct threading);
-   - hot superinstructions are fused (the MiSFIT access group with the
-     ALU ops around it, [Li]+[Alu(i)], [Alu(i)]+[Br] and similar pairs);
+   - the MiSFIT access group is fused with the ALU ops around it and a
+     loop-closing [Jmp], as is the canonical transform-loop pass;
    - the fuel and abort-poll checks run once per window, not once per
      instruction.
 
@@ -569,34 +569,12 @@ module Fast_body = struct
                           effects ctx;
                           g ctx)
                 | _ -> assert false)
-        | Li (rd, v) -> (
-            match if next < stop then Some prog.(next) else None with
-            | Some i2 when Option.is_some (alu_parts i2) ->
-                incr fused;
-                let o, d2, a2, x2, imm2 = Option.get (alu_parts i2) in
-                let after =
-                  comp (pc + 2) (dc + cost_of next) (di + 1) pend_a pend_s
-                in
-                fun ctx ->
-                  let r = (ctx.cpu : Cpu.t).regs in
-                  r.(rd) <- v;
-                  r.(d2) <- eval_opc o r.(a2) (operand r imm2 x2);
-                  after ctx
-            | Some (Br (c, ba, bb, target)) when pc + 2 >= stop ->
-                incr fused;
-                let cmp = cond_fn c in
-                let dc = dc + cost_of next and di = di + 1 and fall = pc + 2 in
-                fun ctx ->
-                  let t : Cpu.t = ctx.cpu in
-                  let r = t.regs in
-                  r.(rd) <- v;
-                  flush t pend_s dc di pend_a;
-                  if cmp r.(ba) r.(bb) then target else fall
-            | _ ->
-                let after = comp next dc di pend_a pend_s in
-                fun ctx ->
-                  (ctx.cpu : Cpu.t).regs.(rd) <- v;
-                  after ctx)
+        (* ---- straight-line instructions ---- *)
+        | Li (rd, v) ->
+            let after = comp next dc di pend_a pend_s in
+            fun ctx ->
+              (ctx.cpu : Cpu.t).regs.(rd) <- v;
+              after ctx
         | (Alu (op, rd, ra, x) | Alui (op, rd, ra, x)) as i -> (
             let imm = match i with Alui _ -> true | _ -> false in
             match opcode op with
@@ -610,53 +588,12 @@ module Fast_body = struct
                   let r = t.regs in
                   r.(rd) <- faulting_alu op r.(ra) (operand r imm x);
                   after ctx
-            | Some o -> (
-                match if next < stop then Some prog.(next) else None with
-                | Some (Br (c, ba, bb, target)) when pc + 2 >= stop ->
-                    incr fused;
-                    let cmp = cond_fn c in
-                    let dc = dc + cost_of next and di = di + 1 in
-                    let fall = pc + 2 in
-                    fun ctx ->
-                      let t : Cpu.t = ctx.cpu in
-                      let r = t.regs in
-                      r.(rd) <- eval_opc o r.(ra) (operand r imm x);
-                      flush t pend_s dc di pend_a;
-                      if cmp r.(ba) r.(bb) then target else fall
-                | Some (Jmp target) -> (
-                    incr fused;
-                    let dc = dc + cost_of next and di = di + 1 in
-                    match chain with
-                    | None -> fun ctx ->
-                        let t : Cpu.t = ctx.cpu in
-                        let r = t.regs in
-                        r.(rd) <- eval_opc o r.(ra) (operand r imm x);
-                        flush t pend_s dc di pend_a;
-                        target
-                    | Some kont ->
-                        let g = kont dc di pend_a pend_s in
-                        fun ctx ->
-                          let r = (ctx.cpu : Cpu.t).regs in
-                          r.(rd) <- eval_opc o r.(ra) (operand r imm x);
-                          g ctx)
-                | Some i2 when Option.is_some (alu_parts i2) ->
-                    incr fused;
-                    let o2, d2, a2, x2, imm2 = Option.get (alu_parts i2) in
-                    let after =
-                      comp (pc + 2) (dc + cost_of next) (di + 1) pend_a pend_s
-                    in
-                    fun ctx ->
-                      let r = (ctx.cpu : Cpu.t).regs in
-                      r.(rd) <- eval_opc o r.(ra) (operand r imm x);
-                      r.(d2) <- eval_opc o2 r.(a2) (operand r imm2 x2);
-                      after ctx
-                | _ ->
-                    let after = comp next dc di pend_a pend_s in
-                    fun ctx ->
-                      let r = (ctx.cpu : Cpu.t).regs in
-                      r.(rd) <- eval_opc o r.(ra) (operand r imm x);
-                      after ctx))
-        (* ---- straight-line instructions ---- *)
+            | Some o ->
+                let after = comp next dc di pend_a pend_s in
+                fun ctx ->
+                  let r = (ctx.cpu : Cpu.t).regs in
+                  r.(rd) <- eval_opc o r.(ra) (operand r imm x);
+                  after ctx)
         | Mov (rd, rs) ->
             let after = comp next dc di pend_a pend_s in
             fun ctx ->

@@ -1,9 +1,7 @@
 module Cpu = Vino_vm.Cpu
 module Mem = Vino_vm.Mem
 module Kernel = Vino_core.Kernel
-module Kcall = Vino_core.Kcall
 module Graft_point = Vino_core.Graft_point
-module Txn = Vino_txn.Txn
 
 type evict_request = { victim : int; candidates : int list }
 
@@ -60,21 +58,12 @@ let create kernel ?evict_budget ~name () =
   (* the lock guarding the application-shared hot-page window; eviction
      grafts acquire it through this graft-callable function and two-phase
      locking releases it at commit/abort *)
+  let lock_name = Printf.sprintf "evict.lock:%s" name in
   let lock =
-    Kernel.make_lock kernel
+    Kernel.graft_lock kernel
       ~timeout:(Vino_txn.Tcosts.us 500.)
       ~name:(Printf.sprintf "hot-pages:%s" name)
-      ()
-  in
-  let lock_name = Printf.sprintf "evict.lock:%s" name in
-  let (_ : Kcall.fn) =
-    Kernel.register_kcall kernel ~name:lock_name (fun ctx ->
-        match ctx.Kcall.txn with
-        | None -> Kcall.abort "hot-page lock outside a transaction"
-        | Some txn -> (
-            match Txn.acquire_lock txn lock Exclusive with
-            | Ok () -> Kcall.ok
-            | Error reason -> Kcall.abort reason))
+      ~kcall:lock_name
   in
   let t =
     {

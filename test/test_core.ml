@@ -249,6 +249,73 @@ let test_fault_rolls_back_kernel_state () =
       Alcotest.(check int) "default result" 10 v;
       Alcotest.(check int) "counter restored by undo (Rule 9)" 0 !(fx.counter))
 
+(* A kernel function that raises on a graft's argument aborts the graft,
+   not the calling kernel thread (Rule 9). The graft bumps the undo-logged
+   counter, takes a lock, then asks for element 99 of a 3-element table
+   while a second transaction queues on the lock. [~until] bounds the run:
+   a transaction orphaned by a dead caller would hold the lock forever. *)
+let test_raising_kcall_aborts_graft () =
+  let fx = make_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  let lock =
+    Kernel.graft_lock kernel ~timeout:(Vino_txn.Tcosts.us 1000.)
+      ~name:"probe-lock" ~kcall:"probe.lock"
+  in
+  let table = [| 10; 20; 30 |] in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"probe.get" (fun ctx ->
+        Engine.delay (Vino_txn.Tcosts.us 200.);
+        Kcall.return ctx.Kcall.cpu table.(Kcall.arg ctx.Kcall.cpu 0);
+        Kcall.ok)
+  in
+  let result = ref None and waiter = ref None in
+  ignore
+    (Engine.spawn engine ~name:"caller" (fun () ->
+         install_exn fx
+           (seal_exn kernel
+              [
+                Li (Asm.r1, 1);
+                Kcall "counter.incr";
+                Kcall "probe.lock";
+                Li (Asm.r1, 99);
+                Kcall "probe.get";
+                Ret;
+              ]);
+         result :=
+           Some (Graft_point.invoke fx.adder kernel ~cred:(user fx) 4)));
+  ignore
+    (Engine.spawn engine ~name:"waiter" (fun () ->
+         while Vino_txn.Lock.holders lock = [] do
+           Engine.delay 120
+         done;
+         let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"waiter" () in
+         match Txn.acquire_lock txn lock Exclusive with
+         | Ok () -> waiter := Some (Txn.commit txn)
+         | Error reason -> Txn.abort txn ~reason));
+  Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
+  Alcotest.(check (option int)) "invoke returns the default" (Some 5) !result;
+  Alcotest.(check int) "counter restored by undo" 0 !(fx.counter);
+  Alcotest.(check int) "waiter queued behind the graft" 1
+    (Vino_txn.Lock.contentions lock);
+  Alcotest.(check bool) "waiter got the lock and committed" true
+    (!waiter = Some (Ok ()));
+  Alcotest.(check bool) "graft removed" false (Graft_point.grafted fx.adder);
+  let failed =
+    List.filter_map
+      (fun (e : Vino_core.Audit.entry) ->
+        match e.event with
+        | Graft_failed { point = "adder.compute"; reason } -> Some reason
+        | _ -> None)
+      (Vino_core.Audit.entries kernel.Kernel.audit)
+  in
+  Alcotest.(check (list string)) "one Graft_failed audited"
+    [ {|probe.get: Invalid_argument("index out of bounds")|} ]
+    failed;
+  Alcotest.(check int) "no process failed" 0
+    (List.length (Engine.failures engine));
+  Alcotest.(check (list string))
+    "no process blocked" [] (Engine.blocked engine)
+
 let test_successful_graft_commits_kernel_state () =
   in_kernel (fun fx ->
       let image =
@@ -897,6 +964,8 @@ let suite =
           `Quick test_infinite_loop_cut_off_and_undone;
         Alcotest.test_case "fault rolls back kernel state (Rule 9)" `Quick
           test_fault_rolls_back_kernel_state;
+        Alcotest.test_case "raising kcall aborts its graft (Rule 9)" `Quick
+          test_raising_kcall_aborts_graft;
         Alcotest.test_case "successful graft commits kernel state" `Quick
           test_successful_graft_commits_kernel_state;
         Alcotest.test_case "result validation failure falls back" `Quick

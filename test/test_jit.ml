@@ -535,10 +535,10 @@ let test_translation_shape () =
         (3, 5, 0) );
       ( "evict",
         wall_sealed (Vino_vmem.Grafts.protect_hot_pages_source ()),
-        (10, 9, 0) );
+        (10, 7, 0) );
       ( "sched",
         wall_sealed (Vino_sched.Grafts.scan_and_return_self_source ()),
-        (6, 4, 0) );
+        (6, 3, 0) );
       ("crypt", wall_sealed crypt_source, (3, 9, 0));
       ( "crypt-verified",
         wall_sealed ~verifier:crypt_verifier crypt_source,
