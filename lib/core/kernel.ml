@@ -163,7 +163,10 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
    to the same image across loads — paired with the hash of the carried
    proof (0 when there is none): the same post-link stream translated
    with and without a certificate compiles differently, and a changed
-   proof must never serve a stale compiled graft. The mutex makes the
+   proof must never serve a stale compiled graft. The digest only picks
+   the slot: a hit must also find the same code in the translation
+   ({!Vino_vm.Jit.source}), as for link verdicts below, so any code
+   difference misses even when two digests collide. The mutex makes the
    cache safe under concurrent loads from a domain pool ([Pool.map] /
    [-j N]); OCaml's Hashtbl is not. Holding it across [Jit.translate] is
    cheap: translation builds only static tables, with every window left
@@ -201,7 +204,8 @@ let evict_over_cap t =
   done
 
 let code_digest t code =
-  Vino_misfit.Sign.digest ~key:t.key (Vino_vm.Encode.to_words code)
+  Vino_misfit.Sign.fold ~key:t.key (fun step h ->
+      Vino_vm.Encode.fold step h code)
 
 let translate t ?proof ?sign code =
   let sign = match sign with Some s -> s | None -> code_digest t code in
@@ -209,17 +213,17 @@ let translate t ?proof ?sign code =
   Mutex.protect t.translations_mu @@ fun () ->
   t.jit_clock <- t.jit_clock + 1;
   match Hashtbl.find_opt t.translations key with
-  | Some c ->
+  | Some c when Vino_vm.Jit.source c.tr = code ->
       t.jit_hits <- t.jit_hits + 1;
       Trace.incr_h h_jit_hits;
       c.last_use <- t.jit_clock;
       c.tr
-  | None ->
+  | Some _ | None ->
       t.jit_misses <- t.jit_misses + 1;
       Trace.incr_h h_jit_misses;
       let safe = Option.map Vino_verify.Proof.safe proof in
       let tr = Vino_vm.Jit.translate ~costs:t.vm_costs ?safe code in
-      Hashtbl.add t.translations key { tr; last_use = t.jit_clock };
+      Hashtbl.replace t.translations key { tr; last_use = t.jit_clock };
       evict_over_cap t;
       tr
 

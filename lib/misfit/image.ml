@@ -13,22 +13,23 @@ type t = {
 
 (* Canonical word stream covered by the signature: code, reloc table, then
    the serialised proof (if any) — so a tampered certificate is caught
-   exactly like tampered code. *)
-let proof_words = function
-  | None -> [||]
-  | Some p -> Proof.serialise p
+   exactly like tampered code. [fold_signed] walks the stream without
+   building it; [serialise] writes the same words. *)
+let fold_relocs f acc relocs =
+  List.fold_left
+    (fun acc { Asm.index; name } ->
+      String.fold_left
+        (fun acc c -> f acc (Char.code c))
+        (f (f acc index) (String.length name))
+        name)
+    acc relocs
 
-let signed_words code relocs proof =
-  let code_words = Encode.to_words code in
-  let reloc_words =
-    List.concat_map
-      (fun { Asm.index; name } ->
-        index :: String.length name
-        :: List.init (String.length name) (fun k -> Char.code name.[k]))
-      relocs
-  in
-  Array.concat
-    [ code_words; Array.of_list reloc_words; proof_words proof ]
+let fold_signed f acc code relocs proof =
+  let acc = fold_relocs f (Encode.fold f acc code) relocs in
+  match proof with None -> acc | Some p -> Proof.fold f acc p
+
+let signature ~key code relocs proof =
+  Sign.fold ~key (fun step h -> fold_signed step h code relocs proof)
 
 (* After rewriting, the placeholder [Kcall (-1)] instructions appear in the
    same order as in the source; re-derive their indices. *)
@@ -54,7 +55,7 @@ let make ~key ?proof code relocs =
     code;
     relocs;
     proof;
-    signature = Sign.digest ~key (signed_words code relocs proof);
+    signature = signature ~key code relocs proof;
   }
 
 let seal ?verifier ~key (obj : Asm.obj) =
@@ -65,8 +66,7 @@ let seal ?verifier ~key (obj : Asm.obj) =
 let seal_unsafe ~key (obj : Asm.obj) = make ~key obj.code obj.relocs
 
 let verify ~key t =
-  Sign.equal t.signature
-    (Sign.digest ~key (signed_words t.code t.relocs t.proof))
+  Sign.equal t.signature (signature ~key t.code t.relocs t.proof)
 
 let tamper t =
   let code = Array.copy t.code in
@@ -88,13 +88,18 @@ let tamper_proof t =
       }
 
 let serialise t =
-  let body = signed_words t.code t.relocs None in
-  let code_words = Array.length (Encode.to_words t.code) in
-  let pwords = proof_words t.proof in
+  let code = Encode.to_words t.code in
+  let relocs =
+    Array.of_list (List.rev (fold_relocs (fun ws w -> w :: ws) [] t.relocs))
+  in
+  let pwords =
+    match t.proof with None -> [||] | Some p -> Proof.serialise p
+  in
   Array.concat
     [
-      [| code_words; Array.length body |];
-      body;
+      [| Array.length code; Array.length code + Array.length relocs |];
+      code;
+      relocs;
       [| Array.length pwords |];
       pwords;
       [| (t.signature :> int) |];
@@ -141,7 +146,7 @@ let deserialise words =
           { code; relocs; proof; signature = Sign.forge words.(n - 1) })
         (read_relocs [] (2 + code_words)))
 
-let magic = "VINOIMG2"
+let magic = "VINOIMG3"
 
 let save t ~path =
   Out_channel.with_open_text path (fun oc ->

@@ -1,9 +1,6 @@
 module Insn = Vino_vm.Insn
 
-let uses_reserved_register prog =
-  Array.exists
-    (fun i -> List.mem Insn.scratch (Insn.registers_used i))
-    prog
+let uses_reserved_register prog = Array.exists Insn.uses_scratch prog
 
 (* Expand each instruction into a list, then remap every control-flow target
    from its old index to the start of that instruction's expansion. The

@@ -450,14 +450,16 @@ let run_shard cfg shard =
         done)
       tenants;
     Kernel.run kernel;
+    (* consed back to front, so the list reads in (tenant, request)
+       order *)
     let samples = ref [] in
-    List.iteri
-      (fun li i ->
-        for r = cfg.requests - 1 downto 0 do
-          if slots.(li).(r) >= 0. then
-            samples := (i, r, slots.(li).(r)) :: !samples
-        done)
-      tenants;
+    let ids = Array.of_list tenants in
+    for li = n - 1 downto 0 do
+      for r = cfg.requests - 1 downto 0 do
+        if slots.(li).(r) >= 0. then
+          samples := (ids.(li), r, slots.(li).(r)) :: !samples
+      done
+    done;
     let audited =
       List.length
         (List.filter
@@ -507,9 +509,15 @@ let run ?pool cfg =
   let outs =
     Pool.map_scoped ?pool (run_shard cfg) (List.init cfg.shards Fun.id)
   in
+  (* each shard's samples are already in (tenant, request) order *)
   let samples =
-    List.concat_map (fun o -> o.s_samples) outs
-    |> List.sort (fun (t1, r1, _) (t2, r2, _) -> compare (t1, r1) (t2, r2))
+    List.fold_left
+      (fun acc o ->
+        List.merge
+          (fun (t1, r1, _) (t2, r2, _) ->
+            if t1 <> t2 then Int.compare t1 t2 else Int.compare r1 r2)
+          acc o.s_samples)
+      [] outs
   in
   let per_tenant =
     List.concat_map (fun o -> o.s_per_tenant) outs

@@ -104,6 +104,12 @@ val family_name : int -> string
 (** Handler family installed for a tenant index: ["ra"], ["evict"],
     ["sched"] or ["http"] (runaway tenants report ["flood"]). *)
 
+val graft_source : tenant:int -> flood:bool -> Vino_vm.Asm.item list
+(** The handler a tenant installs: its family's body ([flood] selects the
+    runaway body) between the prologue that bakes the tenant id into a
+    dead register and takes the tenant lock through ["serve.acquire"], and
+    the epilogue that reports through ["serve.done"]. *)
+
 val run : ?pool:Vino_par.Pool.t -> config -> report
 (** Run the scenario. Deterministic: the report depends only on the
     config, never on [pool] (shards are merged in index order).

@@ -12,7 +12,7 @@ let h_lock_contentions = Vino_trace.Counters.handle "lock.contentions"
 let h_lock_timeouts = Vino_trace.Counters.handle "lock.timeouts"
 let h_lock_fruitless_giveups = Vino_trace.Counters.handle "lock.fruitless_giveups"
 
-type owner = { name : string; request_abort : (string -> unit) option }
+type owner = { name : string; request_abort : (string -> bool) option }
 
 let plain_owner name = { name; request_abort = None }
 
@@ -52,10 +52,12 @@ type outcome = Granted of held | Gave_up of string
 
 let default_timeout = Tcosts.us 1000.
 
-(* How many consecutive time-outs finding no abortable holder a waiter
-   tolerates before giving up. An unabortable holder usually releases soon
-   (plain kernel threads hold locks briefly), so a little patience is right;
-   but if nothing we can abort ever shows up, waiting forever is a livelock:
+(* How many consecutive time-outs finding no holder to ask afresh a
+   waiter tolerates before giving up. An unabortable holder usually
+   releases soon (plain kernel threads hold locks briefly), and an asked
+   one aborts at its next poll point, so a little patience is right; but
+   if nothing we can abort ever shows up, or an asked holder never gets
+   to poll (its process was killed), waiting forever is a livelock:
    nothing will ever wake us. *)
 let fruitless_timeout_bound = 25
 
@@ -137,18 +139,20 @@ let grant t mode owner =
   h
 
 (* Ask every abortable holder's transaction to abort: the paper's
-   time-constrained-resource recovery (§3.2). Returns how many holders could
-   be asked — zero means nothing this waiter does can free the lock. *)
+   time-constrained-resource recovery (§3.2). Returns how many holders had
+   no abort pending before — zero means nothing this waiter does now can
+   free the lock. *)
 let abort_holders t =
   List.fold_left
-    (fun asked h ->
+    (fun fresh h ->
       match h.howner.request_abort with
       | Some f ->
           t.n_holder_aborts <- t.n_holder_aborts + 1;
           Trace.incr_h h_lock_holder_aborts;
-          f (Printf.sprintf "lock %S held past its time-out" t.lname);
-          asked + 1
-      | None -> asked)
+          if f (Printf.sprintf "lock %S held past its time-out" t.lname) then
+            fresh + 1
+          else fresh
+      | None -> fresh)
     0 t.holders
 
 (* One blocking episode for waiter [w]: returns the signal that ended it. *)
@@ -210,10 +214,12 @@ let acquire t mode owner ?(poll = fun () -> None) () =
         in
         enqueue t w;
         (* [fruitless] counts consecutive time-outs on which no holder was
-           abortable. Any wake (a release happened: progress) resets it; so
-           does a time-out that found someone to abort. Giving up after the
-           bound keeps a waiter from re-arming the timer forever against
-           holders nothing can abort. *)
+           asked afresh: none was abortable, or every abortable one already
+           had an abort pending. Any wake (a release happened: progress)
+           resets it; so does a time-out that asked some holder for the
+           first time. Giving up after the bound keeps a waiter from
+           re-arming the timer forever against holders nothing can abort,
+           or whose process died before it could poll. *)
         let rec wait_loop fruitless =
           let signal = sleep t w in
           match poll () with
@@ -247,7 +253,8 @@ let acquire t mode owner ?(poll = fun () -> None) () =
                       end_wait ();
                       Gave_up
                         (Printf.sprintf
-                           "lock %S: no abortable holder after %d time-outs"
+                           "lock %S: no holder left to abort after %d \
+                            time-outs"
                            t.lname (fruitless + 1))
                     end
                     else wait_loop (fruitless + 1)

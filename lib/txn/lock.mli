@@ -15,9 +15,11 @@
 
 type owner = {
   name : string;
-  request_abort : (string -> unit) option;
+  request_abort : (string -> bool) option;
       (** [Some f] iff the owner is executing a transaction; [f reason]
-          asks that transaction to abort at its next poll point. *)
+          asks that transaction to abort at its next poll point, and
+          returns [false] when an abort was already pending (the request
+          changes nothing). *)
 }
 
 val plain_owner : string -> owner
@@ -31,13 +33,16 @@ type outcome =
   | Granted of held
   | Gave_up of string
       (** the caller's own transaction was asked to abort while waiting, or
-          {!fruitless_timeout_bound} consecutive time-outs found no
-          abortable holder (waiting longer could never succeed) *)
+          {!fruitless_timeout_bound} consecutive time-outs found no holder
+          to ask afresh (waiting longer could never succeed) *)
 
 val fruitless_timeout_bound : int
-(** How many consecutive time-outs finding no abortable holder a waiter
-    tolerates before {!acquire} returns [Gave_up]. A wake (some holder
-    released) resets the count. *)
+(** How many consecutive fruitless time-outs a waiter tolerates before
+    {!acquire} returns [Gave_up]. A time-out is fruitless when no holder
+    is abortable, or every abortable holder already has an abort pending:
+    a holder whose process was killed never polls, so it never aborts. A
+    wake (some holder released) resets the count, and so does a time-out
+    that asks some holder for the first time. *)
 
 val create :
   Vino_sim.Engine.t ->
@@ -60,8 +65,8 @@ val acquire :
   outcome
 (** Block until granted. While blocked, each expiry of the lock's time-out
     asks every abortable holder's transaction to abort, then keeps waiting;
-    after {!fruitless_timeout_bound} consecutive expiries with no abortable
-    holder it returns [Gave_up] instead of livelocking. [poll] is consulted
+    after {!fruitless_timeout_bound} consecutive fruitless expiries it
+    returns [Gave_up] instead of livelocking. [poll] is consulted
     at every wake-up so a waiter whose own transaction has been aborted
     gives up promptly. Must run inside an engine process. *)
 
@@ -89,7 +94,8 @@ val timeouts_fired : t -> int
 val holder_aborts_requested : t -> int
 
 val fruitless_giveups : t -> int
-(** How many waiters gave up because no holder was ever abortable. *)
+(** How many waiters gave up after {!fruitless_timeout_bound} fruitless
+    time-outs. *)
 
 val saver : t -> unit -> unit -> unit
 (** [saver t ()] captures the statistics; the returned thunk

@@ -222,7 +222,15 @@ let rec chain_abort_reason t =
 let poll t () = if is_active t then chain_abort_reason t else None
 
 let owner t =
-  { Lock.name = t.tname; request_abort = Some (fun r -> request_abort t r) }
+  {
+    Lock.name = t.tname;
+    request_abort =
+      Some
+        (fun r ->
+          let fresh = is_active t && t.abort_reason = None in
+          request_abort t r;
+          fresh);
+  }
 
 let resolve t = t.mgr.n_live <- t.mgr.n_live - 1
 

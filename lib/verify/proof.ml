@@ -28,23 +28,30 @@ let equal a b = a.words = b.words && a.safe = b.safe && a.calls = b.calls
 let version = 1
 let bits_per_word = 32
 
+let fold f acc t =
+  let nbits = Array.length t.safe in
+  let acc = ref (f (f (f acc version) t.words) nbits) in
+  let base = ref 0 in
+  while !base < nbits do
+    let w = ref 0 in
+    for k = 0 to min bits_per_word (nbits - !base) - 1 do
+      if t.safe.(!base + k) then w := !w lor (1 lsl k)
+    done;
+    acc := f !acc !w;
+    base := !base + bits_per_word
+  done;
+  List.fold_left f (f !acc (List.length t.calls)) t.calls
+
 let serialise t =
   let nbits = Array.length t.safe in
   let nwords = (nbits + bits_per_word - 1) / bits_per_word in
-  let bitmap = Array.make nwords 0 in
-  Array.iteri
-    (fun k b ->
-      if b then
-        bitmap.(k / bits_per_word) <-
-          bitmap.(k / bits_per_word) lor (1 lsl (k mod bits_per_word)))
-    t.safe;
-  Array.concat
-    [
-      [| version; t.words; nbits |];
-      bitmap;
-      [| List.length t.calls |];
-      Array.of_list t.calls;
-    ]
+  let out = Array.make (3 + nwords + 1 + List.length t.calls) 0 in
+  let put k w =
+    out.(k) <- w;
+    k + 1
+  in
+  ignore (fold put 0 t : int);
+  out
 
 let deserialise words =
   let n = Array.length words in
@@ -75,13 +82,13 @@ let deserialise words =
             Error "negative id in proof call list"
           else Ok { words = seg_words; safe; calls = List.sort_uniq compare calls }
 
-(* Unkeyed FNV-1a over the serialised words ({!Vino_vm.Fnv}, which also
-   digests image signatures). Authenticity comes from the image
-   signature, which covers the proof; the hash only has to separate
-   translation cache entries. Never 0: that value is reserved for "no
-   proof". *)
+(* Unkeyed FNV-1a folded over the serialised words as [fold] walks them
+   ({!Vino_vm.Fnv}, which also digests image signatures). Authenticity
+   comes from the image signature, which covers the proof; the hash only
+   has to separate translation cache entries. Never 0: that value is
+   reserved for "no proof". *)
 let hash t =
-  let h = Vino_vm.Fnv.digest ~key:"" (serialise t) in
+  let h = fold Vino_vm.Fnv.word (Vino_vm.Fnv.init ~key:"") t in
   if h = 0 then 1 else h
 
 let hash_opt = function None -> 0 | Some t -> hash t

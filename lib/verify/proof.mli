@@ -38,11 +38,16 @@ val safe_count : t -> int
 val length : t -> int
 val equal : t -> t -> bool
 
+val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+(** [fold f acc t] folds [f] over the words of [serialise t], in order,
+    without building them. *)
+
 val serialise : t -> int array
 val deserialise : int array -> (t, string) result
 
 val hash : t -> int
-(** FNV-1a over {!serialise}. Never 0 (reserved for "no proof"). *)
+(** Unkeyed {!Vino_vm.Fnv} over {!fold}'s words. Never 0 (reserved for
+    "no proof"). *)
 
 val hash_opt : t option -> int
 (** [hash] of the proof, or 0 for [None]. *)

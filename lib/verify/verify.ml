@@ -271,7 +271,7 @@ let reserved_register_diags conf prog =
       let ds = ref [] in
       Array.iteri
         (fun k i ->
-          if List.mem Insn.scratch (Insn.registers_used i) then
+          if Insn.uses_scratch i then
             ds :=
               Report.error ~index:k
                 (Printf.sprintf

@@ -42,36 +42,44 @@ let cond_of_code = function
   | 5 -> Ok Insn.Ge
   | n -> Error (Printf.sprintf "bad condition code %d" n)
 
-let cell : Insn.t -> int * int * int * int = function
-  | Li (r, v) -> (0, r, v, 0)
-  | Mov (a, b) -> (1, a, b, 0)
-  | Alu (op, d, a, b) -> (2, alu_code op, d, (a lsl 8) lor b)
-  | Alui (op, d, a, v) -> (3, (alu_code op lsl 8) lor d, a, v)
-  | Ld (d, b, o) -> (4, d, b, o)
-  | St (v, b, o) -> (5, v, b, o)
-  | Br (c, a, b, t) -> (6, (cond_code c lsl 8) lor a, b, t)
-  | Jmp t -> (7, t, 0, 0)
-  | Call t -> (8, t, 0, 0)
-  | Callr r -> (9, r, 0, 0)
-  | Ret -> (10, 0, 0, 0)
-  | Kcall id -> (11, id, 0, 0)
-  | Kcallr r -> (12, r, 0, 0)
-  | Push r -> (13, r, 0, 0)
-  | Pop r -> (14, r, 0, 0)
-  | Sandbox r -> (15, r, 0, 0)
-  | Checkcall r -> (16, r, 0, 0)
-  | Halt -> (17, 0, 0, 0)
+(* The four words of one instruction, fed to [f] in stream order: the
+   single definition of the cell layout, shared by [to_words] and by
+   every digest that folds the stream without building it. *)
+let fold_cell f acc (i : Insn.t) =
+  match i with
+  | Li (r, v) -> f (f (f (f acc 0) r) v) 0
+  | Mov (a, b) -> f (f (f (f acc 1) a) b) 0
+  | Alu (op, d, a, b) -> f (f (f (f acc 2) (alu_code op)) d) ((a lsl 8) lor b)
+  | Alui (op, d, a, v) -> f (f (f (f acc 3) ((alu_code op lsl 8) lor d)) a) v
+  | Ld (d, b, o) -> f (f (f (f acc 4) d) b) o
+  | St (v, b, o) -> f (f (f (f acc 5) v) b) o
+  | Br (c, a, b, t) -> f (f (f (f acc 6) ((cond_code c lsl 8) lor a)) b) t
+  | Jmp t -> f (f (f (f acc 7) t) 0) 0
+  | Call t -> f (f (f (f acc 8) t) 0) 0
+  | Callr r -> f (f (f (f acc 9) r) 0) 0
+  | Ret -> f (f (f (f acc 10) 0) 0) 0
+  | Kcall id -> f (f (f (f acc 11) id) 0) 0
+  | Kcallr r -> f (f (f (f acc 12) r) 0) 0
+  | Push r -> f (f (f (f acc 13) r) 0) 0
+  | Pop r -> f (f (f (f acc 14) r) 0) 0
+  | Sandbox r -> f (f (f (f acc 15) r) 0) 0
+  | Checkcall r -> f (f (f (f acc 16) r) 0) 0
+  | Halt -> f (f (f (f acc 17) 0) 0) 0
+
+let fold f acc prog =
+  let acc = ref acc in
+  for k = 0 to Array.length prog - 1 do
+    acc := fold_cell f !acc prog.(k)
+  done;
+  !acc
 
 let to_words prog =
   let out = Array.make (Array.length prog * words_per_insn) 0 in
-  Array.iteri
-    (fun k i ->
-      let op, a, b, c = cell i in
-      out.(4 * k) <- op;
-      out.((4 * k) + 1) <- a;
-      out.((4 * k) + 2) <- b;
-      out.((4 * k) + 3) <- c)
-    prog;
+  let put k w =
+    out.(k) <- w;
+    k + 1
+  in
+  ignore (fold put 0 prog : int);
   out
 
 let decode_cell op a b c : (Insn.t, string) result =

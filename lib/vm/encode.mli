@@ -6,6 +6,10 @@
 
 val words_per_insn : int
 
+val fold : ('a -> int -> 'a) -> 'a -> Insn.t array -> 'a
+(** [fold f acc prog] folds [f] over the words of [to_words prog], in
+    order, without building them. *)
+
 val to_words : Insn.t array -> int array
 (** Serialise a program. *)
 

@@ -1,15 +1,8 @@
 let offset = 0x3f29ce484222325
 let prime = 0x100000001b3
-let[@inline] byte h b = (h lxor b) * prime
+let[@inline] step h b = (h lxor b) * prime
 
-let digest ~key words =
-  let h =
-    ref (String.fold_left (fun h c -> byte h (Char.code c)) offset key)
-  in
-  for i = 0 to Array.length words - 1 do
-    let w = words.(i) in
-    for shift = 0 to 7 do
-      h := byte !h ((w lsr (8 * shift)) land 0xff)
-    done
-  done;
-  !h
+(* Low half, then high half: no input reaches the state's top bit. *)
+let[@inline] word h w = step (step h (w land 0xffff_ffff)) (w lsr 32)
+let init ~key = String.fold_left (fun h c -> step h (Char.code c)) offset key
+let digest ~key words = Array.fold_left word (init ~key) words

@@ -69,26 +69,34 @@ let map_targets f = function
     | Kcallr _ | Push _ | Pop _ | Sandbox _ | Checkcall _ | Halt ) as i ->
       i
 
-let registers_used = function
-  | Li (r, _) -> [ r ]
-  | Mov (a, b) -> [ a; b ]
-  | Alu (_, a, b, c) -> [ a; b; c ]
-  | Alui (_, a, b, _) -> [ a; b ]
-  | Ld (a, b, _) -> [ a; b ]
-  | St (a, b, _) -> [ a; b ]
-  | Br (_, a, b, _) -> [ a; b ]
-  | Jmp _ | Call _ | Kcall _ | Ret | Halt -> []
-  | Callr r | Kcallr r | Push r | Pop r | Sandbox r | Checkcall r -> [ r ]
+let fold_registers f acc = function
+  | Li (r, _) | Callr r | Kcallr r | Push r | Pop r | Sandbox r | Checkcall r
+    ->
+      f acc r
+  | Mov (a, b)
+  | Alui (_, a, b, _)
+  | Ld (a, b, _)
+  | St (a, b, _)
+  | Br (_, a, b, _) ->
+      f (f acc a) b
+  | Alu (_, a, b, c) -> f (f (f acc a) b) c
+  | Jmp _ | Call _ | Kcall _ | Ret | Halt -> acc
+
+let registers_used i = List.rev (fold_registers (fun rs r -> r :: rs) [] i)
+
+let registers_in_range i =
+  fold_registers (fun ok r -> ok && r >= 0 && r < num_regs) true i
+
+let uses_scratch i = fold_registers (fun hit r -> hit || r = scratch) false i
 
 let validate ~program_length i =
-  let bad_reg = List.exists (fun r -> r < 0 || r >= num_regs) in
   let target_of = function
     | Br (_, _, _, t) | Jmp t | Call t -> Some t
     | Li _ | Mov _ | Alu _ | Alui _ | Ld _ | St _ | Callr _ | Ret | Kcall _
     | Kcallr _ | Push _ | Pop _ | Sandbox _ | Checkcall _ | Halt ->
         None
   in
-  if bad_reg (registers_used i) then Error "register number out of range"
+  if not (registers_in_range i) then Error "register number out of range"
   else
     match target_of i with
     | Some t when t < 0 || t >= program_length ->

@@ -63,8 +63,19 @@ val map_targets : (int -> int) -> t -> t
 (** Apply a function to every control-flow target (used by the rewriter to
     remap branch targets after instruction insertion). *)
 
+val fold_registers : ('a -> reg -> 'a) -> 'a -> t -> 'a
+(** [fold_registers f acc i] folds [f] over every register the
+    instruction reads or writes, in operand order, without building a
+    list: the one operand table the helpers below derive from. *)
+
 val registers_used : t -> reg list
 (** Every register the instruction reads or writes. *)
+
+val registers_in_range : t -> bool
+(** Every register the instruction names is in [0, num_regs). *)
+
+val uses_scratch : t -> bool
+(** The instruction names {!scratch}, the register MiSFIT reserves. *)
 
 val validate : program_length:int -> t -> (unit, string) result
 (** Check register numbers and static control-flow targets. *)

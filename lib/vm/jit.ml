@@ -20,7 +20,10 @@
    charge per length [k]. {!translate} does only the O(n) part, at link
    time: leaders and a cycle-cost prefix sum. {!drive} builds a row the
    first time it dispatches from its pc and compiles a slot the first
-   time it runs it, so a graft pays to compile only the code it runs.
+   time it runs it, so a graft pays to compile only the code it runs. A
+   second table, [shapes.(pc)], keeps the fusion shape last found at [pc]
+   with the range end it was found under, so the chained copies of a loop
+   body find their shapes once.
 
    Equivalence with the interpreter is maintained exactly; the argument
    (DESIGN.md §11) rests on two mechanisms:
@@ -82,9 +85,42 @@ type row = {
   head : int;
 }
 
+(* A recognized access-group superinstruction. Two cores qualify:
+   - confined: the access reads or writes the register the preceding
+     [Sandbox] just confined, at offset 0 — the only address shapes
+     MiSFIT emits — so when the segment lies inside memory the access
+     cannot fault;
+   - bare: a proof-elided access ([safe_at]), non-faulting by carried
+     certificate, at any base/offset.
+   Either way the whole group compiles as one straight-line,
+   non-flushing closure. An ALU op forming the address before the group
+   and an ALU op after it (consuming a load's datum, or the loop
+   bookkeeping after a store) fuse into the same closure. *)
+type confined = {
+  c_pre : (int * int * int * int * bool) option;
+      (* (opcode, rd, ra, operand, operand_is_immediate) *)
+  c_sb : int;  (* pc of the Sandbox, for its cycle attribution;
+                  -1 for a bare (proof-elided) core *)
+  c_dst : int;  (* register receiving the sandboxed address *)
+  c_src : int;  (* register holding the raw address (confined) or the
+                  access base register (bare) *)
+  c_off : int;  (* access offset: 0 for confined cores, any for bare *)
+  c_acc : int;  (* pc of the Ld/St *)
+  c_tail : (int * int * int * int * bool) option;
+  c_stop : int;  (* first pc after the group *)
+}
+
+(* The access group and the canonical loop pass that start at one pc
+   (see {!confined_at} and {!canonical_pass}), derived under the window
+   end [under]: both depend on where the compiled range stops. *)
+type shape = {
+  under : int;
+  group : confined option;
+  pass : (confined * confined) option;
+}
+
 type t = {
   source : Insn.t array;
-  costs : Costs.t;
   safe_at : int -> bool;
   (* Every register number is in range: this licenses the fast bodies'
      unchecked register indexing. A program without it runs on
@@ -99,6 +135,11 @@ type t = {
   (* Starts as {!unbuilt} everywhere; {!drive} builds a pc's row on its
      first dispatch from it. *)
   rows : row array;
+  (* Starts as {!no_shape} everywhere; a compile that reaches a pc under
+     a range end other than the slot's derives the pc's shape and replaces
+     the slot, and every later compile under that end (each chained copy
+     of a loop body, each window ending there) reads it back. *)
+  shapes : shape array;
 }
 
 let source t = t.source
@@ -164,31 +205,6 @@ let terminates : Insn.t -> bool = function
 (* -------------------------------------------------------------------- *)
 (* Fast path: window bodies                                              *)
 (* -------------------------------------------------------------------- *)
-
-(* A recognized access-group superinstruction. Two cores qualify:
-   - confined: the access reads or writes the register the preceding
-     [Sandbox] just confined, at offset 0 — the only address shapes
-     MiSFIT emits — so when the segment lies inside memory the access
-     cannot fault;
-   - bare: a proof-elided access ([safe_at]), non-faulting by carried
-     certificate, at any base/offset.
-   Either way the whole group compiles as one straight-line,
-   non-flushing closure. An ALU op forming the address before the group
-   and an ALU op after it (consuming a load's datum, or the loop
-   bookkeeping after a store) fuse into the same closure. *)
-type confined = {
-  c_pre : (int * int * int * int * bool) option;
-      (* (opcode, rd, ra, operand, operand_is_immediate) *)
-  c_sb : int;  (* pc of the Sandbox, for its cycle attribution;
-                  -1 for a bare (proof-elided) core *)
-  c_dst : int;  (* register receiving the sandboxed address *)
-  c_src : int;  (* register holding the raw address (confined) or the
-                  access base register (bare) *)
-  c_off : int;  (* access offset: 0 for confined cores, any for bare *)
-  c_acc : int;  (* pc of the Ld/St *)
-  c_tail : (int * int * int * int * bool) option;
-  c_stop : int;  (* first pc after the group *)
-}
 
 (* A non-faulting [Alu]/[Alui] as (opcode, rd, ra, operand,
    operand_is_immediate). *)
@@ -290,6 +306,40 @@ let canonical_pass prog ~safe_at ~stop pc =
       | _ -> None)
   | _ -> None
 
+let no_shape = { under = -1; group = None; pass = None }
+
+(* [pc]'s shape for a range ending at [stop], from the table when it was
+   derived under the same end. Only an ALU op, a move, a sandbox, an
+   access or a branch can start a group or a pass; every other pc gets
+   {!no_shape} without touching the table. Domains racing on a fill may
+   overwrite each other's entry, which only costs a later re-derivation,
+   as for {!rows}. *)
+let shape_at t ~stop pc =
+  match (t.source.(pc) : Insn.t) with
+  | (Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _ | Br _) as i ->
+      let s = t.shapes.(pc) in
+      if s.under = stop then s
+      else
+        let safe_at = t.safe_at in
+        let s =
+          {
+            under = stop;
+            group = confined_at t.source ~safe_at ~stop pc;
+            pass =
+              (match i with
+              | Br _ -> canonical_pass t.source ~safe_at ~stop pc
+              | _ -> None);
+          }
+        in
+        t.shapes.(pc) <- s;
+        s
+  | Li _ | Jmp _ | Call _ | Callr _ | Ret | Kcall _ | Kcallr _ | Push _
+  | Pop _ | Checkcall _ | Halt ->
+      no_shape
+
+(* Cycle cost of the instructions [lo, hi). *)
+let[@inline] cost t lo hi = t.cost_prefix.(hi) - t.cost_prefix.(lo)
+
 (* Fast bodies index the register file with compile-time register
    numbers that [translate] validates up front (a program that fails
    validation runs on {!Cpu.run}), and the program array with indices
@@ -329,8 +379,8 @@ module Fast_body = struct
      charge (the interpreter charges an instruction before executing
      it). [pend_s] holds the sandbox cycles of fused access groups, dumped
      at the same flush points. *)
-  let compile_block ~costs ~safe_at ?chain ?(extra_back = 0)
-      ?(pend0 = (0, 0, 0, 0)) prog ~start ~stop ~fused ~elided =
+  let compile_block ?chain ?(extra_back = 0) ?(pend0 = (0, 0, 0, 0)) t
+      ~start ~stop ~fused ~elided =
     (* [chain] turns this block into one copy of an unrolled self-loop:
        the block-final [Jmp] (whose target is the loop head by
        construction at the call site) falls straight into the next copy's
@@ -345,24 +395,21 @@ module Fast_body = struct
        single block. [extra_back] is the instruction count of the copies
        that follow, added to an inline branch's not-run remainder so the
        driver's poll arithmetic covers the whole unrolled sequence. *)
-    let cost_of pc = Costs.insn costs prog.(pc) in
-    let rec cost_between lo hi =
-      if lo >= hi then 0 else cost_of lo + cost_between (lo + 1) hi
-    in
+    let prog = t.source in
     let rec comp pc pend_c pend_i pend_a pend_s : ctx -> int =
       if pc >= stop then fun ctx ->
         flush ctx.cpu pend_s pend_c pend_i pend_a;
         pc
       else
-        let own = cost_of pc in
         let next = pc + 1 in
+        let own = cost t pc next in
         (* the counts through this instruction, for an arm flushing at it *)
         let dc = pend_c + own and di = pend_i + 1 in
+        let shape = shape_at t ~stop pc in
         match (prog.(pc) : Insn.t) with
         (* ---- fused superinstructions ---- *)
         | Br (_, bra, brb, btarget)
-          when Option.is_some chain
-               && Option.is_some (canonical_pass prog ~safe_at ~stop pc) ->
+          when Option.is_some chain && Option.is_some shape.pass ->
             (* The canonical transform-loop pass (see {!canonical_pass})
                as one closure, when it is one copy of an unrolled window.
                Both groups are non-faulting (confined or proof-elided, see
@@ -372,11 +419,13 @@ module Fast_body = struct
                test and opcode is resolved here, at build time; the
                register writes are the interpreter's, in its order. The
                taken guard exits early exactly like an inline [Br]. *)
-            let g1, g2 = Option.get (canonical_pass prog ~safe_at ~stop pc) in
+            let g1, g2 = Option.get shape.pass in
             let bare = g1.c_sb < 0 in
             fused := !fused + (stop - pc - 1);
             if bare then elided := !elided + 2;
-            let sb (g : confined) = if g.c_sb < 0 then 0 else cost_of g.c_sb in
+            let sb (g : confined) =
+              if g.c_sb < 0 then 0 else cost t g.c_sb (g.c_sb + 1)
+            in
             let back = stop - next + extra_back in
             let taken ctx =
               flush ctx.cpu pend_s dc di pend_a;
@@ -397,7 +446,7 @@ module Fast_body = struct
             let p2src = g2.c_src and p2dst = g2.c_dst and p2off = g2.c_off in
             let g =
               (Option.get chain)
-                (pend_c + cost_between pc stop)
+                (pend_c + cost t pc stop)
                 (pend_i + (stop - pc))
                 (pend_a + 2)
                 (pend_s + sb g1 + sb g2)
@@ -433,7 +482,7 @@ module Fast_body = struct
                 g ctx
               end
         | (Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _)
-          when Option.is_some (confined_at prog ~safe_at ~stop pc) -> (
+          when Option.is_some shape.group -> (
             (* An access-group superinstruction (see {!confined_at}): the
                accessed address is the just-sandboxed register at offset
                0, so it is inside the segment by construction — or the
@@ -451,14 +500,14 @@ module Fast_body = struct
                interpreter would, so the whole compute/sandbox/access/
                consume rhythm of a MiSFIT (or verified) loop body is one
                closure. *)
-            match confined_at prog ~safe_at ~stop pc with
+            match shape.group with
             | None -> assert false
             | Some c ->
                 let count = c.c_stop - pc in
                 fused := !fused + (count - 1);
                 if c.c_sb < 0 then incr elided;
-                let sb = if c.c_sb < 0 then 0 else cost_of c.c_sb in
-                let pend_c = pend_c + cost_between pc c.c_stop
+                let sb = if c.c_sb < 0 then 0 else cost t c.c_sb (c.c_sb + 1) in
+                let pend_c = pend_c + cost t pc c.c_stop
                 and pend_i = pend_i + count
                 and pend_a = pend_a + 1 in
                 let ps = pend_s + sb in
@@ -557,7 +606,8 @@ module Fast_body = struct
                       if has_tail then
                         r.(d2) <- eval_opc o2 r.(a2) (operand r imm2 x2)
                     in
-                    let dc = pend_c + cost_of c.c_stop and di = pend_i + 1 in
+                    let dc = pend_c + cost t c.c_stop (c.c_stop + 1)
+                    and di = pend_i + 1 in
                     match chain with
                     | None -> fun ctx ->
                         effects ctx;
@@ -763,8 +813,8 @@ let unbuilt = { slots = [||]; charge = [||]; stop = 0; head = -1 }
 let scrap = ref 0
 
 let compile_range ?chain ?extra_back ?pend0 t start stop =
-  compile_block ~costs:t.costs ~safe_at:t.safe_at ?chain ?extra_back ?pend0
-    t.source ~start ~stop ~fused:scrap ~elided:scrap
+  compile_block ?chain ?extra_back ?pend0 t ~start ~stop ~fused:scrap
+    ~elided:scrap
 
 (* The end of the straight-line run from [pc], at most [max_window]
    instructions on: a run extends through a conditional branch (its
@@ -787,8 +837,9 @@ let run_stop t pc =
    [Jmp] to a head [h <= pc] whose own run ends at the same place; then
    every window length up to [max_window] exists, and a window longer
    than the rest of the pass chains whole copies of the body and a prefix
-   of the last pass. Charges come from the cost prefix sum: the rest of
-   the pass, whole passes, the final prefix. *)
+   of the last pass. Each charge adds one instruction's cost to the one
+   before it, walking the rest of the pass and then the body again from
+   the head. *)
 let build_row t pc =
   let stop = run_stop t pc in
   let head =
@@ -796,18 +847,12 @@ let build_row t pc =
     | Jmp h when h >= 0 && h <= pc && run_stop t h = stop -> h
     | _ -> -1
   in
-  let p = stop - pc in
-  let reach = if head >= 0 then max_window else p in
-  let cost lo hi = t.cost_prefix.(hi) - t.cost_prefix.(lo) in
+  let reach = if head >= 0 then max_window else stop - pc in
   let charge = Array.make (reach + 1) 0 in
+  let q = ref pc in
   for k = 1 to reach do
-    charge.(k) <-
-      (if k <= p then cost pc (pc + k)
-       else
-         let rest = k - p and flen = stop - head in
-         cost pc stop
-         + (rest / flen * cost head stop)
-         + cost head (head + (rest mod flen)))
+    charge.(k) <- charge.(k - 1) + cost t !q (!q + 1);
+    q := if !q + 1 = stop then head else !q + 1
   done;
   let row = { slots = Array.make (reach + 1) uncompiled; charge; stop; head } in
   t.rows.(pc) <- row;
@@ -850,14 +895,7 @@ let translate ?(costs = Costs.default) ?safe prog =
      a program with an out-of-range register number (impossible through
      the assembler, but [translate] is a public API) runs on the
      interpreter, which raises exactly what it raises. *)
-  let regs_ok =
-    Array.for_all
-      (fun i ->
-        List.for_all
-          (fun r -> r >= 0 && r < Insn.num_regs)
-          (Insn.registers_used i))
-      source
-  in
+  let regs_ok = Array.for_all Insn.registers_in_range source in
   let leader = Array.make (n + 1) false in
   leader.(0) <- true;
   leader.(n) <- true;
@@ -880,12 +918,12 @@ let translate ?(costs = Costs.default) ?safe prog =
   done;
   {
     source;
-    costs;
     safe_at;
     regs_ok;
     leader;
     cost_prefix;
     rows = Array.make n unbuilt;
+    shapes = Array.make n no_shape;
   }
 
 let block_count t =
@@ -907,8 +945,7 @@ let census t =
     for pc = 0 to Array.length t.source - 1 do
       if t.leader.(pc) then
         ignore
-          (compile_block ~costs:t.costs ~safe_at:t.safe_at t.source ~start:pc
-             ~stop:(run_stop t pc) ~fused ~elided
+          (compile_block t ~start:pc ~stop:(run_stop t pc) ~fused ~elided
             : ctx -> int)
     done;
   (!fused, !elided)

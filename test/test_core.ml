@@ -316,6 +316,72 @@ let test_raising_kcall_aborts_graft () =
   Alcotest.(check (list string))
     "no process blocked" [] (Engine.blocked engine)
 
+(* A graft whose calling process is killed while the graft holds a lock
+   leaves an orphaned holder: its transaction never reaches another poll
+   point, so it never aborts. The first time-out asks it to abort; every
+   later one finds that abort already pending and is fruitless, so the
+   waiter gives up after the bound instead of re-arming its timer forever.
+   The run is bounded in virtual time, so a livelock fails the test rather
+   than hanging it. *)
+let test_orphaned_holder_cannot_stall_waiter () =
+  let fx = make_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  let lock =
+    Kernel.graft_lock kernel ~timeout:(Vino_txn.Tcosts.us 1000.)
+      ~name:"probe-lock" ~kcall:"probe.lock"
+  in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"probe.slow" (fun _ ->
+        Engine.delay (Vino_txn.Tcosts.us 200.);
+        Kcall.ok)
+  in
+  let waiter = ref None in
+  let caller =
+    Engine.spawn engine ~name:"caller" (fun () ->
+        install_exn fx
+          (seal_exn kernel
+             [
+               Li (Asm.r1, 1);
+               Kcall "counter.incr";
+               Kcall "probe.lock";
+               Kcall "probe.slow";
+               Ret;
+             ]);
+        ignore (Graft_point.invoke fx.adder kernel ~cred:(user fx) 4 : int))
+  in
+  ignore
+    (Engine.spawn engine ~name:"killer" (fun () ->
+         while Vino_txn.Lock.holders lock = [] do
+           Engine.delay 120
+         done;
+         Engine.kill engine caller));
+  ignore
+    (Engine.spawn engine ~name:"waiter" (fun () ->
+         while Vino_txn.Lock.holders lock = [] do
+           Engine.delay 120
+         done;
+         let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"waiter" () in
+         match Txn.acquire_lock txn lock Exclusive with
+         | Ok () -> waiter := Some (Txn.commit txn)
+         | Error reason ->
+             waiter := Some (Error reason);
+             Txn.abort txn ~reason));
+  Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
+  Alcotest.(check bool) "caller killed" false (Engine.alive caller);
+  Alcotest.(check bool) "orphan still holds the lock" true
+    (Vino_txn.Lock.holders lock <> []);
+  (match !waiter with
+  | Some (Error _) -> ()
+  | Some (Ok ()) -> Alcotest.fail "waiter got a lock nobody released"
+  | None -> Alcotest.fail "waiter never gave up");
+  Alcotest.(check int) "one fruitless give-up" 1
+    (Vino_txn.Lock.fruitless_giveups lock);
+  Alcotest.(check int) "one fresh time-out, then the bound"
+    (Vino_txn.Lock.fruitless_timeout_bound + 1)
+    (Vino_txn.Lock.timeouts_fired lock);
+  Alcotest.(check (list string))
+    "no process blocked" [] (Engine.blocked engine)
+
 let test_successful_graft_commits_kernel_state () =
   in_kernel (fun fx ->
       let image =
@@ -966,6 +1032,8 @@ let suite =
           test_fault_rolls_back_kernel_state;
         Alcotest.test_case "raising kcall aborts its graft (Rule 9)" `Quick
           test_raising_kcall_aborts_graft;
+        Alcotest.test_case "orphaned lock holder cannot stall a waiter"
+          `Quick test_orphaned_holder_cannot_stall_waiter;
         Alcotest.test_case "successful graft commits kernel state" `Quick
           test_successful_graft_commits_kernel_state;
         Alcotest.test_case "result validation failure falls back" `Quick

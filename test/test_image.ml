@@ -196,6 +196,120 @@ let test_signature_sensitivity () =
         (Sign.equal base (Sign.digest ~key mutated)))
     words
 
+(* Property: one flipped bit of one word, or one changed byte of the key,
+   changes the digest. Each step is an xor-multiply by an odd prime, a
+   bijection of the state, and a word's two steps take its two halves, so
+   this holds for every input, not just with high probability. *)
+let prop_digest_bit_and_key_sensitive =
+  QCheck2.Test.make ~name:"digest changes with any bit or the key"
+    ~count:300
+    ~print:QCheck2.Print.(
+      quad (array int) string (pair int int) (pair int int))
+    QCheck2.Gen.(
+      quad
+        (array_size (int_range 1 64) int)
+        (string_size ~gen:printable (int_range 1 12))
+        (pair nat (int_range 0 (Sys.int_size - 1)))
+        (pair nat (int_range 1 255)))
+    (fun (words, key, (at, bit), (kat, kdelta)) ->
+      let base = Sign.digest ~key words in
+      let flipped = Array.copy words in
+      let at = at mod Array.length words in
+      flipped.(at) <- flipped.(at) lxor (1 lsl bit);
+      let kat = kat mod String.length key in
+      let other =
+        String.mapi
+          (fun i c ->
+            if i = kat then Char.chr ((Char.code c + kdelta) land 0xff) else c)
+          key
+      in
+      (not (Sign.equal base (Sign.digest ~key flipped)))
+      && not (Sign.equal base (Sign.digest ~key:other words)))
+
+(* Flipping bit 62 is adding [2^62] mod [2^63], and every odd multiply
+   keeps that difference as it is: a step that fed a whole word into the
+   state would carry one such flip to the end unchanged, whatever the
+   key, so two flips would cancel and one flip would show only as bit 62
+   of the digest. Both edits must change the digest. *)
+let prop_digest_top_bit_flips =
+  QCheck2.Test.make ~name:"bit-62 flips are not invisible" ~count:300
+    ~print:QCheck2.Print.(triple (array int) string (pair int int))
+    QCheck2.Gen.(
+      triple
+        (array_size (int_range 2 64) int)
+        (string_size ~gen:printable (int_range 0 12))
+        (pair nat nat))
+    (fun (words, key, (i, j)) ->
+      let n = Array.length words in
+      let i = i mod n in
+      let j = (i + 1 + (j mod (n - 1))) mod n in
+      let base = Sign.digest ~key words in
+      let one = Array.copy words in
+      one.(i) <- one.(i) lxor min_int;
+      let two = Array.copy one in
+      two.(j) <- two.(j) lxor min_int;
+      (not (Sign.equal base (Sign.digest ~key two)))
+      && not
+           (Sign.equal
+              (Sign.forge ((base :> int) lxor min_int))
+              (Sign.digest ~key one)))
+
+(* The same edit on a saved image, made without the key: bit 62 of an
+   [Li] immediate, and of an access offset, flipped together with bit 62
+   of the stored signature. The image must fail its check. *)
+let test_top_bit_edit_rejected () =
+  let image = seal_exn (sample_obj ()) in
+  let w = Image.serialise image in
+  let n = Array.length w in
+  let edits = ref 0 in
+  Array.iteri
+    (fun k (i : Insn.t) ->
+      let operand =
+        match i with
+        | Li _ -> Some 2
+        | Ld _ | St _ -> Some 3
+        | _ -> None
+      in
+      Option.iter
+        (fun o ->
+          let e = Array.copy w in
+          e.(2 + (4 * k) + o) <- e.(2 + (4 * k) + o) lxor min_int;
+          e.(n - 1) <- e.(n - 1) lxor min_int;
+          incr edits;
+          match Image.deserialise e with
+          | Error _ -> ()
+          | Ok edited ->
+              Alcotest.(check bool)
+                (Printf.sprintf "bit-62 edit of instruction %d rejected" k)
+                false
+                (Image.verify ~key edited))
+        operand)
+    image.Image.code;
+  Alcotest.(check bool) "an immediate and an offset were edited" true
+    (!edits >= 2)
+
+(* The signature is folded over the code, relocations and proof as the
+   sealer walks them, without building the stream; it must equal the
+   digest of the stream [serialise] writes, or a saved image would fail
+   verification once loaded. *)
+let test_streamed_signature_matches_serialised () =
+  List.iter
+    (fun (what, image) ->
+      let w = Image.serialise image in
+      let body = w.(1) in
+      let plen = w.(2 + body) in
+      let stream =
+        Array.append (Array.sub w 2 body) (Array.sub w (3 + body) plen)
+      in
+      Alcotest.(check bool)
+        (what ^ ": signature is the serialised stream's digest")
+        true
+        (Sign.equal image.Image.signature (Sign.digest ~key stream)))
+    [
+      ("relocations", seal_exn (sample_obj ()));
+      ("proof", seal_verified_exn (verified_obj ()));
+    ]
+
 let suite =
   [
     ( "image",
@@ -221,5 +335,11 @@ let suite =
           test_proof_carried_and_roundtripped;
         Alcotest.test_case "forged certificate detected" `Quick
           test_proof_tamper_detected;
+        Alcotest.test_case "streamed signature matches serialised stream"
+          `Quick test_streamed_signature_matches_serialised;
+        QCheck_alcotest.to_alcotest prop_digest_bit_and_key_sensitive;
+        QCheck_alcotest.to_alcotest prop_digest_top_bit_flips;
+        Alcotest.test_case "bit-62 edit with re-flipped signature rejected"
+          `Quick test_top_bit_edit_rejected;
       ] );
   ]

@@ -549,8 +549,10 @@ let test_translation_shape () =
    rows and compiles the windows it enters, so translating the
    encryption graft and running it once stays within a small fixed
    allocation budget (3,550 words when written; 4,498 with per-pc tails,
-   a prefix ladder and exact-window tables). Allocation counts are
-   exact, so the bound holds on any machine. *)
+   a prefix ladder and exact-window tables; 2,423 once rows stopped
+   dividing and a translation kept each pc's window shape and the cost
+   prefix sum for its compiles).
+   Allocation counts are exact, so the bound holds on any machine. *)
 let test_first_entry_alloc () =
   let code, _ = wall_sealed crypt_source in
   let base = wall_seg_words in
@@ -568,10 +570,42 @@ let test_first_entry_alloc () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check bool) "halts" true (outcome = Cpu.Halted);
   Alcotest.(check bool)
-    (Printf.sprintf "translate + first run: %.0f minor words <= 4600" words)
-    true (words <= 4_600.);
+    (Printf.sprintf "translate + first run: %.0f minor words <= 2500" words)
+    true (words <= 2_500.);
   Alcotest.(check (triple int int int))
     "statistics unchanged by running" (3, 9, 0) (stats t)
+
+(* The eviction graft's first invocation walks the 64 x 64 protected-page
+   scan, so it enters many windows of its nested loops, each compiled
+   once (the wall bench's evict row, "1st wd"). When written: 15,569
+   words; 23,087 with division-built rows, and window shapes and cycle
+   costs re-derived per chained copy. Allocation counts are exact, so
+   the bound holds on any machine. *)
+let test_evict_first_entry_alloc () =
+  let code, _ = wall_sealed (Vino_vmem.Grafts.protect_hot_pages_source ()) in
+  let base = wall_seg_words in
+  let mem = Mem.create (2 * wall_seg_words) in
+  Mem.store mem base 64;
+  for k = 1 to 64 do
+    Mem.store mem (base + k) k
+  done;
+  for j = 0 to 63 do
+    Mem.store mem (base + 128 + j) (j + 1)
+  done;
+  let cpu = Cpu.make ~mem ~seg:(Mem.segment ~base ~size:wall_seg_words) () in
+  Cpu.set_reg cpu 1 1;
+  Cpu.set_reg cpu 2 (base + 128);
+  Cpu.set_reg cpu 3 64;
+  Cpu.set_reg cpu 4 base;
+  let w0 = Gc.minor_words () in
+  let t = Jit.translate code in
+  let outcome = Jit.run Cpu.env_trusted cpu t in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "halts" true (outcome = Cpu.Halted);
+  Alcotest.(check bool)
+    (Printf.sprintf "evict translate + first run: %.0f minor words <= 17000"
+       words)
+    true (words <= 17_000.)
 
 (* Minor words of one call of [f], after a warm-up call; the boxed float
    of each [Gc.minor_words] read is measured and subtracted. *)
@@ -661,6 +695,24 @@ let test_cache_proof_key () =
     (Kernel.translate k ~proof cache_code == t1);
   Alcotest.(check bool) "no proof hits its entry" true
     (Kernel.translate k cache_code == t0)
+
+(* The digest only picks the cache slot: two different programs under one
+   digest (forged here, as a 63-bit collision would give it) must each get
+   their own translation, never the other's compiled code. *)
+let test_cache_hit_compares_code () =
+  let k = Kernel.create ~mem_words:(1 lsl 16) () in
+  let sign = Vino_misfit.Sign.forge 42 in
+  let a = [| Insn.Li (0, 1); Insn.Halt |] in
+  let b = [| Insn.Li (0, 2); Insn.Halt |] in
+  let t_a = Kernel.translate k ~sign a in
+  let t_b = Kernel.translate k ~sign b in
+  Alcotest.(check bool) "colliding program gets its own translation" true
+    (t_a != t_b && Jit.source t_b = b);
+  Alcotest.(check bool) "a repeat of it hits" true
+    (Kernel.translate k ~sign b == t_b);
+  let s = Kernel.jit_cache_stats k in
+  Alcotest.(check (triple int int int)) "(misses, hits, entries)" (2, 1, 1)
+    (s.Kernel.jit_misses, s.Kernel.jit_hits, s.Kernel.jit_entries)
 
 (* The per-kernel cache under concurrent loads from a domain pool: 128
    translate calls over 8 distinct programs from 4 domains must neither
@@ -754,6 +806,8 @@ let suite =
           test_tables_golden;
         Alcotest.test_case "cache keyed by digest + proof hash" `Quick
           test_cache_proof_key;
+        Alcotest.test_case "cache hit compares the code" `Quick
+          test_cache_hit_compares_code;
         Alcotest.test_case "cache LRU bound: eviction, shrink, sorted stats"
           `Quick test_cache_lru_eviction;
         Alcotest.test_case "cache safe under a domain pool" `Quick
@@ -762,5 +816,7 @@ let suite =
           test_digest_hex_lossless;
         Alcotest.test_case "translate alone allocation" `Quick
           test_translate_alloc;
+        Alcotest.test_case "evict first invocation allocation" `Quick
+          test_evict_first_entry_alloc;
       ] );
   ]

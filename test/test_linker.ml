@@ -229,6 +229,99 @@ let test_reload_alloc () =
     (Printf.sprintf "reload: %.0f minor words <= 700" words)
     true (words <= 700.)
 
+(* Two sealed grafts whose immediates differ only in bit 62, in two
+   instructions. A digest step that fed whole words into the state would
+   carry the first flip unchanged to the second and cancel it there,
+   giving both grafts one cache key; each must still run its own code. *)
+let test_top_bit_twins_run_their_own_code () =
+  let k = fresh () in
+  let graft v = seal_exn k [ Li (Asm.r0, v); Li (Asm.r2, v); Ret ] in
+  let run v =
+    match Linker.load k ~words (graft v) with
+    | Error e -> Alcotest.fail e
+    | Ok l ->
+        let cpu = Cpu.make ~mem:k.Kernel.mem ~seg:l.Linker.seg () in
+        let outcome = Vino_vm.Jit.run Cpu.env_trusted cpu l.Linker.trans in
+        Linker.unload k l;
+        Alcotest.(check bool) "halts" true (outcome = Cpu.Halted);
+        Cpu.reg cpu Asm.r0
+  in
+  Alcotest.(check int) "first graft's result" (-1) (run (-1));
+  Alcotest.(check int) "second graft's result" max_int (run max_int);
+  Alcotest.(check int) "two translations" 2
+    (Kernel.jit_cache_stats k).Kernel.jit_misses
+
+(* One serve handler's translation-cache miss, as serve-churn pays it on
+   a reinstall: [Linker.load] with the verdict cached and the translation
+   evicted (signature check, patching, the post-link digest, translate),
+   then the first invocation, which builds the rows and compiles the
+   windows it enters. At 40 work iterations, when written: ra 5,112
+   words, evict 1,707, sched 5,157 and http 5,024; 9,875, 2,902, 9,646
+   and 9,177 with byte-at-a-time digests over built word arrays,
+   division-built rows, and window shapes and cycle costs re-derived
+   per chained copy.
+   Allocation counts are exact, so the bounds hold on any machine. *)
+let test_serve_miss_alloc () =
+  List.iter
+    (fun (tenant, bound) ->
+      let k = Kernel.create ~mem_words:(1 lsl 17) ~jit_cache_cap:1 () in
+      List.iter
+        (fun name -> ignore (register k name : Kcall.fn))
+        [ "serve.acquire"; "serve.done" ];
+      let handler t =
+        seal_exn k (Serve.graft_source ~tenant:t ~flood:false)
+      in
+      let image = handler tenant and other = handler (tenant + 4) in
+      let load image =
+        match Linker.load k ~words:288 image with
+        | Ok l -> l
+        | Error e -> Alcotest.fail e
+      in
+      let env =
+        {
+          Cpu.kcall = (fun _ _ -> Cpu.K_ok);
+          call_ok = (fun _ -> true);
+          poll = (fun () -> None);
+        }
+      in
+      let miss () =
+        let l = load image in
+        let mem = k.Kernel.mem and base = l.Linker.seg.Vino_vm.Mem.base in
+        List.iteri
+          (fun i w -> Vino_vm.Mem.store mem (base + i) w)
+          [ 0; tenant; 1; 40 ];
+        let cpu = Cpu.make ~mem ~seg:l.Linker.seg () in
+        Cpu.set_reg cpu 1 base;
+        Cpu.set_reg cpu 2 16;
+        (l, Vino_vm.Jit.run env cpu l.Linker.trans)
+      in
+      (* evicts [image]'s translation; the first round caches both
+         verdicts and grows the run-context pool *)
+      let evict () = Linker.unload k (load other) in
+      evict ();
+      Linker.unload k (fst (miss ()));
+      evict ();
+      let p0 = Gc.minor_words () in
+      let p1 = Gc.minor_words () in
+      let w0 = Gc.minor_words () in
+      let l, outcome = miss () in
+      let w1 = Gc.minor_words () in
+      Linker.unload k l;
+      let words = w1 -. w0 -. (p1 -. p0) in
+      let family = Serve.family_name tenant in
+      Alcotest.(check bool) (family ^ ": halts") true (outcome = Cpu.Halted);
+      check_stats (family ^ ": verdicts") (2, 2) k;
+      let j = Kernel.jit_cache_stats k in
+      Alcotest.(check (pair int int))
+        (family ^ ": translations (misses, hits)")
+        (4, 0)
+        (j.Kernel.jit_misses, j.Kernel.jit_hits);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s miss: %.0f minor words <= %d" family words bound)
+        true
+        (words <= float_of_int bound))
+    [ (0, 5_500); (1, 2_100); (2, 5_500); (3, 5_500) ]
+
 (* Property: free graft memory reads zero after any sequence of loads,
    segment fills (standing in for graft stores) and unloads, because
    [Linker.unload] zeroes a block before freeing it. Snapshot restores
@@ -297,6 +390,10 @@ let suite =
           `Quick test_reload_alloc;
         Alcotest.test_case "verdict: equal digest, other code misses" `Quick
           test_digest_collision;
+        Alcotest.test_case "bit-62 twins run their own code" `Quick
+          test_top_bit_twins_run_their_own_code;
+        Alcotest.test_case "serve handler miss: allocation" `Quick
+          test_serve_miss_alloc;
         QCheck_alcotest.to_alcotest prop_free_memory_reads_zero;
       ] );
   ]

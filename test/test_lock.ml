@@ -103,11 +103,12 @@ let test_timeout_aborts_holder () =
         Some
           (fun reason ->
             abort_asked := Some reason;
-            match !held with
+            (match !held with
             | Some h ->
                 held := None;
                 Lock.release ~during_abort:true h
             | None -> ());
+            true);
     }
   in
   ignore
