@@ -18,11 +18,12 @@
    and the outcome is asserted to be the row's expected one, so the
    numbers compare the same computation.
 
-   The encryption graft is additionally measured proof-carrying
+   The encryption graft is additionally measured verified
    ("crypt-verified"): sealed under the static verifier with the graft
-   point's entry facts, then translated with the carried proof so every
-   proven-safe access compiles to a bare superinstruction. Parity is
-   asserted against the interpreter on the same verified-sealed code.
+   point's entry facts, then translated with the bare set the linker's
+   analysis proves under the same facts, so every proven access compiles
+   to a bare superinstruction. Parity is asserted against the interpreter
+   on the same verified-sealed code.
 
    Windows compile on first entry, so the table also prices what a
    translation-cache miss costs each graft: the linker's load-time
@@ -33,7 +34,7 @@
    Usage:
      wall.exe [--check]    --check exits 1 unless translation is >= 5x
                            faster than the interpreter on the encryption
-                           graft, >= 6x on its proof-carrying variant and
+                           graft, >= 6x on its verified variant and
                            >= 10x on the runaway spin, and every
                            translated graft allocates 0 minor words per
                            invocation
@@ -168,7 +169,7 @@ let workloads =
     };
   ]
 
-(* The proof-carrying variant of the encryption graft: the same entry
+(* The verified variant of the encryption graft: the same entry
    facts Sc_crypt's Verified path establishes, scaled to this harness's
    segment. The interval analysis proves every load/store of the
    transform loop in-segment, so the whole per-word load+store pair
@@ -184,18 +185,17 @@ let crypt_verifier =
     ~words:seg_size ()
 
 (* The configuration the linker's load-time check analyses post-link
-   code under ([Vino_core.Linker.check_config]): no entry facts, the
+   code under ([Vino_core.Linker.load]): the installer's entry facts, the
    rewritten stage and the segment size, with every id callable as under
    [env]. *)
-let link_verifier =
-  Vino_verify.Verify.config ~words:seg_size
+let link_verifier ?entry () =
+  Vino_verify.Verify.config ?entry ~words:seg_size
     ~callable:(fun _ -> true)
     ~stage:`Rewritten ()
 
 (* Seal through MiSFIT (the safe path) and patch relocations to a stub
-   id, exactly as the linker would. Patching replaces the placeholder in
-   place, so the proof's per-pc safe map stays aligned. *)
-let rewritten_proved ?verifier w =
+   id, exactly as the linker would. *)
+let rewritten ?verifier w =
   let obj = Asm.assemble_exn w.source in
   match Vino_misfit.Image.seal ?verifier ~key:"wall-bench" obj with
   | Error e -> failwith (w.name ^ ": MiSFIT rejected: " ^ e)
@@ -204,9 +204,7 @@ let rewritten_proved ?verifier w =
       List.iter
         (fun r -> code.(r.Vino_vm.Asm.index) <- Insn.Kcall 1)
         image.Vino_misfit.Image.relocs;
-      (code, image.Vino_misfit.Image.proof)
-
-let rewritten w = fst (rewritten_proved w)
+      code
 
 type sample = {
   outcome : Cpu.outcome;
@@ -353,7 +351,7 @@ let minor_words_per_call run =
   let w1 = Gc.minor_words () in
   Float.max 0. (w1 -. w0 -. (p1 -. p0))
 
-let measure_code ~name ~code ~safe w =
+let measure_code ~name ~code ~link ~safe w =
   let trans = Jit.translate ?safe code in
   let mem = Mem.create mem_words in
   let seg = Mem.segment ~base:seg_base ~size:seg_size in
@@ -395,7 +393,7 @@ let measure_code ~name ~code ~safe w =
   let translate_s, first_s = time_pair translate translate_and_run in
   let verify () =
     ignore
-      (Vino_verify.Verify.analyse link_verifier code : Vino_verify.Report.t)
+      (Vino_verify.Verify.analyse link code : Vino_verify.Report.t)
   in
   let verify_s = time_one verify in
   {
@@ -416,11 +414,14 @@ let measure_code ~name ~code ~safe w =
     elided = Jit.elided_accesses trans;
   }
 
-let measure w = measure_code ~name:w.name ~code:(rewritten w) ~safe:None w
+let measure w =
+  measure_code ~name:w.name ~code:(rewritten w) ~link:(link_verifier ())
+    ~safe:None w
 
-(* Proof-carrying measurement: the same graft sealed under the verifier
+(* Verified measurement: the same graft sealed under the verifier
    (sandboxes already elided at rewrite time) and translated with the
-   carried proof, so the surviving proven accesses compile bare. Parity
+   bare set the linker proves under the same entry facts, so the
+   surviving raw accesses compile bare. Parity
    is asserted against the interpreter on the same verified-sealed code;
    the reported speedup, like every row in this table, is against the
    workload's sandboxed safe-path interpreter ([baseline]) — one common
@@ -428,14 +429,17 @@ let measure w = measure_code ~name:w.name ~code:(rewritten w) ~safe:None w
    pipeline buys over interpreting the safe path", the gap the ISSUE
    asks to close. *)
 let measure_verified w verifier ~baseline =
-  let code, proof = rewritten_proved ~verifier w in
-  match proof with
-  | None -> failwith (w.name ^ ": verifier produced no proof")
-  | Some p ->
+  let code = rewritten ~verifier w in
+  let link = link_verifier ~entry:verifier.Vino_verify.Verify.entry () in
+  match
+    Vino_verify.Report.bare_accesses
+      (Vino_verify.Verify.analyse link code)
+      code
+  with
+  | None -> failwith (w.name ^ ": the linker proves no raw access")
+  | Some _ as safe ->
       let m =
-        measure_code ~name:(w.name ^ "-verified") ~code
-          ~safe:(Some (Vino_verify.Proof.safe p))
-          w
+        measure_code ~name:(w.name ^ "-verified") ~code ~link ~safe w
       in
       {
         m with

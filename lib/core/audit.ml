@@ -9,7 +9,6 @@ type event =
   | Handler_added of { point : string; handler : int; user : string }
   | Handler_failed of { point : string; handler : int; reason : string }
   | Flow_violation of { point : string; last : string; next : string }
-  | Proof_stale of { point : string; reason : string }
   | Admission_rejected of { point : string; tenant : string; reason : string }
 
 type entry = { at_us : float; event : event }
@@ -26,7 +25,6 @@ let counter_name = function
   | Handler_added _ -> "audit.handler_added"
   | Handler_failed _ -> "audit.handler_failed"
   | Flow_violation _ -> "audit.flow_violation"
-  | Proof_stale _ -> "audit.proof_stale"
   | Admission_rejected _ -> "audit.admission_rejected"
 
 let record t ~now_us event =
@@ -42,7 +40,7 @@ let clear t = Ring.clear t.ring
 
 let is_failure = function
   | Load_rejected _ | Graft_failed _ | Handler_failed _ | Flow_violation _
-  | Proof_stale _ | Admission_rejected _ ->
+  | Admission_rejected _ ->
       true
   | Graft_installed _ | Graft_removed _ | Handler_added _ -> false
 
@@ -64,8 +62,6 @@ let pp_event ppf = function
   | Flow_violation { point; last; next } ->
       Format.fprintf ppf "kcall-flow violation in %s: %s after %s" point next
         last
-  | Proof_stale { point; reason } ->
-      Format.fprintf ppf "stale safety proof for %s: %s" point reason
   | Admission_rejected { point; tenant; reason } ->
       Format.fprintf ppf "admission rejected at %s for %s: %s" point tenant
         reason

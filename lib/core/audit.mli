@@ -22,11 +22,6 @@ type event =
       (** a graft attempted kcall [next] when the static kcall-flow table
           permits no [last]→[next] transition; [last] is ["<entry>"] when
           no kernel call had been made yet *)
-  | Proof_stale of { point : string; reason : string }
-      (** an image carried a safety proof whose load-time assumptions
-          (callable set, segment size) no longer hold against this
-          kernel — the load is refused rather than run with elided
-          checks the proof can no longer justify *)
   | Admission_rejected of { point : string; tenant : string; reason : string }
       (** the admission controller refused a request at [point] on
           behalf of [tenant] — e.g. the multi-tenant serve scenario's

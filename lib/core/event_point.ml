@@ -73,7 +73,18 @@ let add_handler t kernel ~cred ?order ?(payload_words = 2048)
          t.ename)
   else
     let words = payload_words + heap_words + 256 in
-    match Linker.load kernel ~words image with
+    (* what [run_handler] establishes: r1 = the payload window at the
+       segment base, r2 = a length of at most [payload_words] *)
+    let entry =
+      [
+        (1, Vino_verify.Verify.seg_window ());
+        (2, Vino_verify.Verify.arg_at_most payload_words);
+      ]
+    in
+    match
+      Linker.load ~entry ~privileged:(Cred.is_privileged cred) kernel ~words
+        image
+    with
     | Error reason as e ->
         Kernel.audit_event kernel
           (Audit.Load_rejected { point = t.ename; reason });

@@ -30,7 +30,11 @@ val add_handler :
   (int, string) result
 (** Returns a handler id. [order] positions the handler among those already
     added (lower runs first; default: after all). [payload_words] sizes the
-    window events are copied into (default 2048). *)
+    window events are copied into (default 2048). The linker analyses the
+    image under the entry convention {!dispatch} establishes (r1 = the
+    payload window at the segment base, r2 <= [payload_words]) and
+    refuses a memory access it cannot prove in-segment unless [cred] is
+    privileged. *)
 
 val remove_handler : t -> Kernel.t -> int -> unit
 

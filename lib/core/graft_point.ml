@@ -107,7 +107,9 @@ let replace t kernel ~cred ?(shared_words = 0) ?(heap_words = default_heap_words
          "graft point %S is restricted to privileged users (Rule 5)" t.gname)
   else
     let words = shared_words + heap_words + stack_words in
-    match Linker.load kernel ~words image with
+    match
+      Linker.load ~privileged:(Cred.is_privileged cred) kernel ~words image
+    with
     | Error reason as e ->
         Kernel.audit_event kernel
           (Audit.Load_rejected { point = t.gname; reason });

@@ -53,7 +53,10 @@ val replace :
 (** Install a graft (Figure 1's [replace]). [shared_words] reserves a
     window at the base of the graft segment that the installing application
     and the graft share; [limits] are the graft's resource limits (default:
-    zero — the installer must transfer or delegate, §3.2). Replaces any
+    zero — the installer must transfer or delegate, §3.2). The linker
+    analyses the image with no entry facts, since [setup] may put
+    anything in the argument registers, and refuses a memory access it
+    cannot prove in-segment unless [cred] is privileged. Replaces any
     previous graft. *)
 
 val shared_base : ('a, 'b) t -> int option

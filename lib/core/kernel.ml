@@ -17,7 +17,14 @@ type jit_cache_stats = {
   jit_entries : int;
 }
 
-type link_verdict = (Vino_verify.Kflow.table, string) result
+type linkable = {
+  flow : Vino_verify.Kflow.table;
+  bare : bool array option;
+  unproven : int option;
+}
+
+type link_verdict = (linkable, string) result
+
 type cached_verdict = {
   vcode : Vino_vm.Insn.t array;
   verdict : link_verdict;
@@ -40,14 +47,20 @@ type t = {
   key : string;
   vm_costs : Vino_vm.Costs.t;
   audit : Audit.t;
-  translations : (Vino_misfit.Sign.t * int, cached) Hashtbl.t;
+  translations : (Vino_misfit.Sign.t * bool array option, cached) Hashtbl.t;
   translations_mu : Mutex.t;
   mutable jit_cache_cap : int;
   mutable jit_clock : int;
   mutable jit_hits : int;
   mutable jit_misses : int;
   mutable jit_evictions : int;
-  verdicts : (Vino_misfit.Sign.t * int * int, cached_verdict) Hashtbl.t;
+  verdicts :
+    ( Vino_misfit.Sign.t
+      * int
+      * int
+      * (Vino_vm.Insn.reg * Vino_verify.Absval.t) list,
+      cached_verdict )
+    Hashtbl.t;
   mutable verdict_hits : int;
   mutable verdict_misses : int;
   mutable exec_mode : Vino_vm.Jit.mode;
@@ -101,7 +114,7 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
   (* Built-in savers, registered oldest-first so restore replays them in
      this order (engine first: everything else assumes virtual time is
      already rewound). The JIT translation cache is deliberately NOT
-     captured: translations are pure functions of (code, proof, costs),
+     captured: translations are pure functions of (code, bare set, costs),
      cost no virtual cycles, and staying warm across restores is the
      point of forking — only the trace-level hit/miss counters differ,
      which no fingerprint reads. Neither is the link-verdict table: its
@@ -160,11 +173,11 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
 (* Translations are cached per kernel, keyed by the signature of the
    post-link code (relocations already patched to concrete [Kcall] ids) —
    not the image signature, because the registry may assign different ids
-   to the same image across loads — paired with the hash of the carried
-   proof (0 when there is none): the same post-link stream translated
-   with and without a certificate compiles differently, and a changed
-   proof must never serve a stale compiled graft. The digest only picks
-   the slot: a hit must also find the same code in the translation
+   to the same image across loads — paired with the bare set, the raw
+   accesses the linker proved in-segment: the same post-link stream
+   compiles differently with and without bare accesses, and the table
+   compares the set on every lookup. The digest only picks the slot: a
+   hit must also find the same code in the translation
    ({!Vino_vm.Jit.source}), as for link verdicts below, so any code
    difference misses even when two digests collide. The mutex makes the
    cache safe under concurrent loads from a domain pool ([Pool.map] /
@@ -207,9 +220,9 @@ let code_digest t code =
   Vino_misfit.Sign.fold ~key:t.key (fun step h ->
       Vino_vm.Encode.fold step h code)
 
-let translate t ?proof ?sign code =
+let translate t ?safe ?sign code =
   let sign = match sign with Some s -> s | None -> code_digest t code in
-  let key = (sign, Vino_verify.Proof.hash_opt proof) in
+  let key = (sign, safe) in
   Mutex.protect t.translations_mu @@ fun () ->
   t.jit_clock <- t.jit_clock + 1;
   match Hashtbl.find_opt t.translations key with
@@ -221,22 +234,22 @@ let translate t ?proof ?sign code =
   | Some _ | None ->
       t.jit_misses <- t.jit_misses + 1;
       Trace.incr_h h_jit_misses;
-      let safe = Option.map Vino_verify.Proof.safe proof in
       let tr = Vino_vm.Jit.translate ~costs:t.vm_costs ?safe code in
       Hashtbl.replace t.translations key { tr; last_use = t.jit_clock };
       evict_over_cap t;
       tr
 
 (* Link verdicts are cached beside the translations, under the same
-   mutex, keyed by (post-link digest, segment words, registry epoch): the
-   static check depends on the code, the segment size and the callable
-   flags, the flow table on the code and the registry's id range, and
-   the epoch changes whenever either of the last two can. The digest
-   only picks the slot; a hit must also find the same code stored there,
-   since a 63-bit digest does not vouch for a safety verdict. The table
-   is cleared wholesale when it reaches [verdict_cap] entries. *)
-let link_verdict t ~sign ~words code compute =
-  let key = (sign, words, Kcall.epoch t.registry) in
+   mutex, keyed by the post-link digest, the segment words, the registry
+   epoch and the installer's entry facts: the analysis depends on the
+   code, the segment size, the facts and the callable flags, the flow
+   table on the code and the registry's id range, and the epoch changes
+   whenever either of the last two can. The digest only picks the slot;
+   a hit must also find the same code stored there, since a 63-bit
+   digest does not vouch for a safety verdict. The table is cleared
+   wholesale when it reaches [verdict_cap] entries. *)
+let link_verdict t ~sign ~words ~entry code compute =
+  let key = (sign, words, Kcall.epoch t.registry, entry) in
   Mutex.protect t.translations_mu @@ fun () ->
   match Hashtbl.find_opt t.verdicts key with
   | Some v when v.vcode = code ->
@@ -272,21 +285,25 @@ let jit_cache_stats t =
     jit_entries = Hashtbl.length t.translations;
   }
 
-(* Losslessly hex-format a digest or proof hash: [%x] prints the int as
-   unsigned 63-bit, so 16 digits are injective — masking with [max_int]
-   (the old bug) aliased values differing only in the top bit. *)
-let hex_int n = Printf.sprintf "%016x" n
-let digest_hex sign = hex_int (sign : Vino_misfit.Sign.t :> int)
+(* Losslessly hex-format a digest: [%x] prints the int as unsigned
+   63-bit, so 16 digits are injective — masking with [max_int] (the old
+   bug) aliased values differing only in the top bit. *)
+let digest_hex sign =
+  Printf.sprintf "%016x" (sign : Vino_misfit.Sign.t :> int)
+
+let bare_pcs bare =
+  List.filter (fun pc -> bare.(pc)) (List.init (Array.length bare) Fun.id)
+  |> List.map string_of_int |> String.concat ","
 
 (* Stable, CI-diffable listing of the translation cache: sorted by digest,
-   not hash-table iteration order. Proof-carrying entries render as
-   "<digest>/p<proof-hash>". *)
+   not hash-table iteration order. Entries with bare accesses render as
+   "<digest>/b<their pcs>". *)
 let translation_stats t =
   Mutex.protect t.translations_mu @@ fun () ->
   Hashtbl.fold
-    (fun (sign, phash) c acc ->
+    (fun (sign, bare) c acc ->
       ( (digest_hex sign
-         ^ if phash = 0 then "" else "/p" ^ hex_int phash),
+         ^ match bare with None -> "" | Some b -> "/b" ^ bare_pcs b),
         Vino_vm.Jit.block_count c.tr,
         Vino_vm.Jit.fused_pairs c.tr )
       :: acc)

@@ -18,10 +18,22 @@ type jit_cache_stats = {
   jit_entries : int;  (** live entries, [<= jit_cache_cap] *)
 }
 
-type link_verdict = (Vino_verify.Kflow.table, string) result
-(** What {!Linker.load} derives from post-link code alone: the
-    kcall-flow table of code that passed the link-time static check, or
-    the check's rejection reason. *)
+type linkable = {
+  flow : Vino_verify.Kflow.table;  (** the kcall-flow transition table *)
+  bare : bool array option;
+      (** {!Vino_verify.Report.bare_accesses}: the raw accesses proven
+          in-segment, which compile with no sandbox *)
+  unproven : int option;
+      (** {!Vino_verify.Report.unproven_access}: the pc of the first
+          reachable access not proven in-segment *)
+}
+(** What the link-time analysis found in code that passed it. *)
+
+type link_verdict = (linkable, string) result
+(** What {!Linker.load} derives from post-link code under the installer's
+    entry facts: what the analysis found, or its rejection reason. The
+    installer's privilege is not part of it: {!Linker.load} refuses an
+    [unproven] access for an unprivileged installer after the lookup. *)
 
 type cached_verdict = {
   vcode : Vino_vm.Insn.t array;  (** the post-link code it was derived for *)
@@ -46,13 +58,12 @@ type t = {
   key : string;  (** trusted toolchain signing key *)
   vm_costs : Vino_vm.Costs.t;  (** {!Vino_vm.Costs.default} *)
   audit : Audit.t;  (** trail of graft security events *)
-  translations : (Vino_misfit.Sign.t * int, cached) Hashtbl.t;
+  translations : (Vino_misfit.Sign.t * bool array option, cached) Hashtbl.t;
       (** translation cache, keyed by post-link code signature plus the
-          carried proof's hash (0 when there is none): sandboxed and
-          proof-carrying translations of the same code coexist, and a
-          changed proof can never serve a stale compiled graft. Guarded
-          by [translations_mu]; bounded by [jit_cache_cap] with LRU
-          eviction. *)
+          bare set: translations of the same code with and without bare
+          accesses coexist, and a hit compares both the code and the bare
+          set. Guarded by [translations_mu]; bounded by [jit_cache_cap]
+          with LRU eviction. *)
   translations_mu : Mutex.t;
       (** serialises cache access — concurrent [translate] on a shared
           kernel under a domain pool would race the non-thread-safe
@@ -65,11 +76,17 @@ type t = {
   mutable jit_hits : int;
   mutable jit_misses : int;
   mutable jit_evictions : int;
-  verdicts : (Vino_misfit.Sign.t * int * int, cached_verdict) Hashtbl.t;
+  verdicts :
+    ( Vino_misfit.Sign.t
+      * int
+      * int
+      * (Vino_vm.Insn.reg * Vino_verify.Absval.t) list,
+      cached_verdict )
+    Hashtbl.t;
       (** link-verdict table ({!link_verdict}), keyed by post-link code
-          digest, segment words and registry epoch. Guarded by
-          [translations_mu]; bounded by {!verdict_cap}; not captured by
-          snapshots. *)
+          digest, segment words, registry epoch and the installer's entry
+          facts. Guarded by [translations_mu]; bounded by {!verdict_cap};
+          not captured by snapshots. *)
   mutable verdict_hits : int;
   mutable verdict_misses : int;
   mutable exec_mode : Vino_vm.Jit.mode;
@@ -129,7 +146,8 @@ val translation_stats : t -> (string * int * int) list
     stable sorted order so the listing is CI-diffable. The key renders the
     code digest losslessly ([%016x] over the full 63-bit value — no
     [max_int] masking, which aliased digests differing in the top bit)
-    and appends ["/p<hash>"] for proof-carrying entries. *)
+    and appends ["/b"] and the bare pcs for entries with bare
+    accesses. *)
 
 val digest_hex : Vino_misfit.Sign.t -> string
 (** The lossless digest rendering used by {!translation_stats}. *)
@@ -141,37 +159,39 @@ val code_digest : t -> Vino_vm.Insn.t array -> Vino_misfit.Sign.t
 
 val translate :
   t ->
-  ?proof:Vino_verify.Proof.t ->
+  ?safe:bool array ->
   ?sign:Vino_misfit.Sign.t ->
   Vino_vm.Insn.t array ->
   Vino_vm.Jit.t
 (** Translation of [code] under this kernel's cost table, cached by the
-    {!code_digest} of the post-link instruction words plus the proof's
-    {!Vino_verify.Proof.hash}: loading the same graft twice compiles it
-    once, and the same code with a different (or no) certificate
-    compiles separately. [sign], when given, must be [code_digest t
-    code]; a caller that already holds it skips the recomputation. With
-    [proof], accesses its safe map marks are compiled to bare
+    {!code_digest} of the post-link instruction words plus [safe]:
+    loading the same graft twice compiles it once, and the same code
+    with a different (or no) bare set compiles separately. A hit
+    compares the stored code, not only the digest. The cache keeps
+    [safe], so the caller must not mutate it afterwards. [sign], when
+    given, must be [code_digest t code]; a caller that already holds it
+    skips the recomputation. Accesses [safe] marks are compiled to bare
     superinstructions ({!Vino_vm.Jit.translate}'s [safe]); the caller
-    must have validated the proof's assumptions against this kernel
-    first ({!Linker.load} does). Thread-safe. *)
+    must have proven them in-segment for the segment the code runs in
+    ({!Linker.load} passes its analysis's bare set). Thread-safe. *)
 
 val link_verdict :
   t ->
   sign:Vino_misfit.Sign.t ->
   words:int ->
+  entry:(Vino_vm.Insn.reg * Vino_verify.Absval.t) list ->
   Vino_vm.Insn.t array ->
   (unit -> link_verdict) ->
   link_verdict
-(** [link_verdict t ~sign ~words code compute] is the verdict cached for
-    post-link [code] ([sign] must be its {!code_digest}) linked into a
-    [words]-word segment under the registry's current {!Kcall.epoch}, or
-    [compute ()], stored for next time. A hit needs an equal stored
-    code, not just an equal digest. A miss that finds {!verdict_cap}
-    entries clears the table first. The epoch changes whenever the
-    callable flags or the id range can, so a hit returns what [compute]
-    would. Counts no trace counter and charges no virtual cycles.
-    Thread-safe. *)
+(** [link_verdict t ~sign ~words ~entry code compute] is the verdict
+    cached for post-link [code] ([sign] must be its {!code_digest}) linked
+    into a [words]-word segment under the entry facts [entry] and the
+    registry's current {!Kcall.epoch}, or [compute ()], stored for next
+    time. A hit needs an equal stored code, not just an equal digest. A
+    miss that finds {!verdict_cap} entries clears the table first. The
+    epoch changes whenever the callable flags or the id range can, so a
+    hit returns what [compute] would. Counts no trace counter and
+    charges no virtual cycles. Thread-safe. *)
 
 val verdict_stats : t -> verdict_stats
 (** Lifetime hit and miss counts and the current entry count of the
@@ -184,9 +204,11 @@ val register_kcall :
 
 val set_callable : t -> int -> bool -> unit
 (** Re-flag a registered function and keep the runtime call table in
-    sync. Loaded grafts are not revoked retroactively, but any image
-    whose proof assumed the old callable set is rejected at its next
-    {!Linker.load} (stale proof).
+    sync. Loaded grafts are not revoked retroactively; the next
+    {!Linker.load} of any image analyses it against the new callable set
+    (the epoch changes, so no cached verdict is reused). That refuses an
+    indirect call only where the installer's facts prove its id; the
+    dispatcher refuses any non-callable id at run time.
     @raise Invalid_argument on an unknown id. *)
 
 val seal :
@@ -196,11 +218,13 @@ val seal :
   (Vino_misfit.Image.t, string) result
 (** Run the toolchain (MiSFIT + signing) with this kernel's key.
 
-    With [verify], the static graft verifier runs first and proven-safe
-    sites keep their raw instructions ({!Vino_misfit.Rewrite.process}). If
-    the config carries no [callable] predicate, the kernel supplies one
-    from its registry, so constant indirect-call ids can be proven and
-    their [Checkcall] probes elided. *)
+    With [verify], the static graft verifier runs first and sites it
+    proves under [verify]'s entry facts keep their raw instructions
+    ({!Vino_misfit.Rewrite.process}). If the config carries no [callable]
+    predicate, the kernel supplies one from its registry, so constant
+    indirect-call ids can be proven and their [Checkcall] probes elided.
+    The facts bind nothing: {!Linker.load} proves each raw access again
+    under the installing point's own facts. *)
 
 val seal_unsafe : t -> Vino_vm.Asm.obj -> Vino_misfit.Image.t
 (** Sign without SFI — measurement configurations only. *)

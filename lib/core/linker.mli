@@ -1,6 +1,7 @@
 (** The dynamic linker (§3.3, §3.4).
 
-    Loading a graft image performs the static half of VINO's protection:
+    Loading a graft image performs the static half of VINO's protection,
+    and the linker is the only judge of confinement:
 
     - recompute the image checksum and compare it with the saved signature —
       code not processed by the trusted toolchain never enters the kernel
@@ -10,23 +11,28 @@
       (Rules 4 and 7) — direct calls are checked here, once, at link time;
     - check any raw function ids embedded in the code the same way;
     - run the static graft verifier ({!Vino_verify.Verify}) over the code
-      and reject hard errors: provably out-of-bounds memory accesses,
-      indirect calls through a provably unknown id, malformed or
-      fall-through code (its verdict is cached per kernel; see {!load});
-    - revalidate any carried safety proof's load-time assumptions: the
-      requested segment must be at least as large as the proof assumed,
-      and every kernel function a [Checkcall] elision relied on must
-      still be graft-callable — otherwise the proof is stale
-      ({!Audit.Proof_stale}) and the load is refused;
+      under the installer's entry facts and reject hard errors: provably
+      out-of-bounds memory accesses, indirect calls through a provably
+      unknown id, malformed or fall-through code (its verdict is cached
+      per kernel; see {!load});
+    - refuse, unless the installer is privileged, code with a reachable
+      memory access the analysis does not prove in-segment (Rule 3);
     - allocate the graft's segment (heap + stack + shared window) from
       kernel memory.
 
-    An image that passes with a proof is translated proof-carrying
-    ({!Kernel.translate} with the proof): proven-safe accesses compile to
-    bare superinstructions.
+    The raw accesses the analysis proves are translated bare
+    ({!Kernel.translate}'s [safe]); MiSFIT's sandboxed accesses never
+    are. The signature vouches for no memory-safety claim, so a forged
+    or falsely sealed image can at worst be refused here.
 
-    Indirect calls cannot be checked statically; MiSFIT's [Checkcall]
-    instructions handle those at run time against {!Calltable}. *)
+    An analysis degraded by a [Callr] (computed intra-graft control flow)
+    proves nothing, so such a graft loads only for a privileged
+    installer. No program loaded today contains a [Callr].
+
+    An indirect call whose id the analysis cannot prove is not refused:
+    MiSFIT's [Checkcall] checks it at run time against {!Calltable}, and
+    the dispatcher refuses a non-callable id whether or not a [Checkcall]
+    ran. *)
 
 type loaded = private {
   code : Vino_vm.Insn.t array;
@@ -45,19 +51,32 @@ type loaded = private {
 }
 
 val load :
-  Kernel.t -> words:int -> Vino_misfit.Image.t -> (loaded, string) result
+  ?entry:(Vino_vm.Insn.reg * Vino_verify.Absval.t) list ->
+  ?privileged:bool ->
+  Kernel.t ->
+  words:int ->
+  Vino_misfit.Image.t ->
+  (loaded, string) result
 (** [words] is the requested segment size (rounded up to a power of two).
+    [entry] is what the installing point's marshalling establishes in the
+    argument registers (default none); {!Event_point} passes the payload
+    window in r1 and a length of at most its payload words in r2, the
+    measurement rig its scenario's facts, and function graft points
+    none. [privileged] (default false) is whether the installer's
+    credential is privileged, the paper's trusted unsafe path.
 
     Every load checks the signature, patches the relocations, checks the
-    direct ids, revalidates any proof and allocates a segment, in that
-    order. Between the id check and the proof, it digests the post-link
-    code once. The digest keys two per-kernel caches:
+    direct ids, takes the analysis's verdict, refuses an unproven access
+    for an unprivileged installer and allocates a segment, in that order.
+    Between the id check and the verdict, it digests the post-link code
+    once. The digest keys two per-kernel caches:
 
-    - the link verdict ({!Kernel.link_verdict}): the static check's
-      result and, on a pass, the kcall-flow table. They are computed
-      once per distinct (post-link code, [words], {!Kcall.epoch}) and
-      reused while the stored code equals the load's;
-    - the translation ({!Kernel.translate}).
+    - the link verdict ({!Kernel.link_verdict}): the analysis's result
+      and, on a pass, the kcall-flow table, the bare set and the first
+      unproven access. They are computed once per distinct (post-link
+      code, [words], [entry], {!Kcall.epoch}) and reused while the stored
+      code equals the load's;
+    - the translation ({!Kernel.translate}), with the bare set.
 
     A cached rejection fails with the same message as a fresh one, and
     callers audit it the same way. *)
@@ -69,12 +88,14 @@ val patched :
   (Vino_vm.Insn.t array, string) result
 (** A copy of [code] with every named kernel-call relocation resolved to
     its registry id, as {!load} patches an image before checking it.
-    Fails on a missing or non-graft-callable target. *)
+    Fails on a missing or non-graft-callable target, or an index outside
+    [code]. *)
 
 val check_config : Kernel.t -> words:int -> Vino_verify.Verify.config
 (** The configuration {!load}'s static check analyses post-link code
-    under: no entry facts, the [`Rewritten] stage, the requested segment
-    size and the registry's graft-callable set. *)
+    under when the installer passes no entry facts: the [`Rewritten]
+    stage, the requested segment size and the registry's graft-callable
+    set. *)
 
 val unload : Kernel.t -> loaded -> unit
 (** Return the graft's segment to the allocator, zeroed, so the next

@@ -144,13 +144,26 @@ let exec kernel (loaded : Linker.loaded) ~txn ~cred ~limits
   end;
   result
 
+(* The invocation owns its transaction frame outright: nothing holds onto
+   [txn] once it is resolved, so it goes back to the manager's arena. *)
+let release kernel loaded txn =
+  Txn.recycle txn;
+  Linker.unpin kernel loaded
+
 let invoke kernel loaded ~name ~cred ~limits ?budget ?watchdog ?check_cost
     ~setup ~check () =
   let mgr = kernel.Kernel.txn_mgr in
   Linker.pin loaded;
   (* nest under the invoking graft's transaction, if any: "any graft can
      abort without aborting its calling graft" (§3.1) *)
-  let txn = Txn.begin_ mgr ?parent:(Txn.current mgr) ~name () in
+  let txn =
+    match Txn.begin_ mgr ?parent:(Txn.current mgr) ~name () with
+    | txn -> txn
+    | exception Engine.Stopped ->
+        (* killed before the transaction existed: only the pin to undo *)
+        Linker.unpin kernel loaded;
+        raise Engine.Stopped
+  in
   let cancel_watchdog =
     match watchdog with
     | None -> fun () -> ()
@@ -159,29 +172,46 @@ let invoke kernel loaded ~name ~cred ~limits ?budget ?watchdog ?check_cost
             Txn.request_abort txn
               (Printf.sprintf "graft point %S: watchdog expired" name))
   in
-  let cpu, outcome =
-    exec kernel loaded ~txn ~cred ~limits ?budget ~setup ()
-  in
-  cancel_watchdog ();
-  let result =
-    match outcome with
-    | Cpu.Halted -> (
-        Option.iter Engine.delay check_cost;
-        match check cpu with
-        | Ok _ as ok -> (
-            match Txn.commit txn with
-            | Ok () -> ok
-            | Error reason -> Error reason)
-        | Error _ as failed -> failed)
-    | Cpu.Faulted f -> Error (Format.asprintf "%a" Cpu.pp_fault f)
-    | Cpu.Aborted reason -> Error reason
-    | Cpu.Out_of_fuel -> Error "CPU budget exhausted"
-  in
-  (match result with
-  | Error reason when Txn.is_active txn -> Txn.abort txn ~reason
-  | Ok _ | Error _ -> ());
-  (* the invocation owns the frame outright: nothing holds onto [txn]
-     past this point, so it goes back to the manager's arena *)
-  Txn.recycle txn;
-  Linker.unpin kernel loaded;
-  result
+  match
+    match exec kernel loaded ~txn ~cred ~limits ?budget ~setup () with
+    | exception e ->
+        cancel_watchdog ();
+        raise e
+    | cpu, outcome ->
+        cancel_watchdog ();
+        let result =
+          match outcome with
+          | Cpu.Halted -> (
+              Option.iter Engine.delay check_cost;
+              match check cpu with
+              | Ok _ as ok -> (
+                  match Txn.commit txn with
+                  | Ok () -> ok
+                  | Error reason -> Error reason)
+              | Error _ as failed -> failed)
+          | Cpu.Faulted f -> Error (Format.asprintf "%a" Cpu.pp_fault f)
+          | Cpu.Aborted reason -> Error reason
+          | Cpu.Out_of_fuel -> Error "CPU budget exhausted"
+        in
+        (match result with
+        | Error reason when Txn.is_active txn -> Txn.abort txn ~reason
+        | Ok _ | Error _ -> ());
+        result
+  with
+  | result ->
+      release kernel loaded txn;
+      result
+  | exception Engine.Stopped ->
+      (* The calling process was killed. It cannot resolve the
+         transaction itself: resolving delays, and a delay in a killed
+         process raises [Stopped] again. A fresh process settles the
+         transaction (a commit the kill interrupted is finished, anything
+         else still active is aborted), recycles it and unpins the
+         graft. *)
+      let (_ : Engine.proc) =
+        Engine.spawn kernel.Kernel.engine ~name:(name ^ ":reaper")
+          (fun () ->
+            Txn.settle txn ~reason:"invoking process killed";
+            release kernel loaded txn)
+      in
+      raise Engine.Stopped

@@ -93,4 +93,13 @@ val invoke :
     + recycle the transaction frame and unpin the graft.
 
     Returns [check]'s value, or the reason the invocation failed. Must run
-    inside an engine process. *)
+    inside an engine process. If that process is killed
+    ({!Vino_sim.Engine.Stopped} leaves any step), [Stopped] is re-raised
+    once the invocation is cleaned up. A kill during the begin unpins
+    the graft at once, since no transaction exists yet. After that, the
+    watchdog is cancelled and a fresh process runs the last two steps.
+    It settles the transaction ({!Vino_txn.Txn.settle}): a commit the
+    kill interrupted is finished, and anything else still active is
+    aborted. It then recycles the frame and unpins the graft. A killed
+    caller, at any nesting depth, leaves no live transaction, held lock
+    or pinned graft behind (Rule 9). *)

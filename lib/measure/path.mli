@@ -1,5 +1,5 @@
 (** The six measured code paths of Table 2, plus two of ours: [Verified]
-    runs the full graft under MiSFIT with the static verifier's proofs
+    runs the full graft under MiSFIT with the static verifier's verdicts
     applied, so provably-safe loads, stores and indirect calls keep their
     raw instructions — the gap between [Safe] and [Verified] is the SFI
     overhead the offline analysis recovers. [FlowChecked] is [Safe] with

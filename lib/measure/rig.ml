@@ -12,8 +12,10 @@ type t = {
   mutable decided : int;
 }
 
-let load kernel ~words image =
-  match Linker.load kernel ~words image with
+(* The rig installs as [Cred.root], the trusted installer of the paper's
+   unsafe path. *)
+let load ?entry kernel ~words image =
+  match Linker.load ?entry ~privileged:true kernel ~words image with
   | Ok loaded ->
       {
         kernel;

@@ -20,8 +20,18 @@ type t = {
           commit/abort decision, after the result-checking charge *)
 }
 
-val load : Vino_core.Kernel.t -> words:int -> Vino_misfit.Image.t -> t
-(** @raise Failure on a linker error. *)
+val load :
+  ?entry:(Vino_vm.Insn.reg * Vino_verify.Absval.t) list ->
+  Vino_core.Kernel.t ->
+  words:int ->
+  Vino_misfit.Image.t ->
+  t
+(** Link the image as {!field-cred}, [Cred.root]: a privileged installer,
+    so the Unsafe path's unsandboxed code loads. [entry] is what the
+    scenario's setup establishes in the argument registers (default
+    none): the linker translates the raw accesses it proves under them
+    bare ({!Vino_core.Linker.load}).
+    @raise Failure on a linker error. *)
 
 val seg_base : t -> int
 (** Base address of the graft segment (for writing shared data). *)

@@ -56,7 +56,7 @@ let setup fx cpu =
 (* The rig for [path], and one transfer through the graft. *)
 let rig_for fx path =
   let rig =
-    Rig.load fx.kernel ~words:segment_words
+    Rig.load fx.kernel ~entry:verify_config.entry ~words:segment_words
       (Rig.seal fx.kernel ~verify:verify_config
          ~null:[ Vino_vm.Asm.Li (Vino_vm.Asm.r0, 0); Ret ]
          ~full:(Sgrafts.xor_encrypt_source ~key)

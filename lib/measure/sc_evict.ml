@@ -109,7 +109,7 @@ let check_cost = Vino_txn.Tcosts.us 2.
    on the victim. *)
 let rig_for fx path =
   let rig =
-    Rig.load fx.kernel ~words:segment_words
+    Rig.load fx.kernel ~entry:verify_config.entry ~words:segment_words
       (Rig.seal fx.kernel ~verify:verify_config
          ~null:Vgrafts.accept_victim_source
          ~full:

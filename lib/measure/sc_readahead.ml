@@ -69,7 +69,7 @@ let check_decision cpu =
 (* The rig for [path], and one decision on the next announced read. *)
 let rig_for fx path =
   let rig =
-    Rig.load fx.kernel ~words:segment_words
+    Rig.load fx.kernel ~entry:verify_config.entry ~words:segment_words
       (Rig.seal fx.kernel ~verify:verify_config ~null:Readahead.null_source
          ~full:
            (Readahead.app_directed_source

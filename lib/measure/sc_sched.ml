@@ -75,7 +75,7 @@ let check_id fx cpu =
    pick of the next process by the delegate graft. *)
 let rig_for fx path =
   let rig =
-    Rig.load fx.kernel ~words:segment_words
+    Rig.load fx.kernel ~entry:verify_config.entry ~words:segment_words
       (Rig.seal fx.kernel ~verify:verify_config
          ~null:[ Vino_vm.Asm.Mov (Vino_vm.Asm.r0, Vino_vm.Asm.r1); Ret ]
          ~full:

@@ -2,19 +2,14 @@ module Insn = Vino_vm.Insn
 module Asm = Vino_vm.Asm
 module Encode = Vino_vm.Encode
 
-module Proof = Vino_verify.Proof
+type t = { code : Insn.t array; relocs : Asm.reloc list; signature : Sign.t }
 
-type t = {
-  code : Insn.t array;
-  relocs : Asm.reloc list;
-  proof : Proof.t option;
-  signature : Sign.t;
-}
-
-(* Canonical word stream covered by the signature: code, reloc table, then
-   the serialised proof (if any) — so a tampered certificate is caught
-   exactly like tampered code. [fold_signed] walks the stream without
-   building it; [serialise] writes the same words. *)
+(* The serialised form is [| code words; code + relocation words; code...;
+   relocations...; signature |], and the signature covers every word
+   before it: the two section lengths first, so no edit can move a
+   section boundary, then the code cells and the relocation table.
+   [fold_signed] walks those words without building them; [serialise]
+   writes the same words. *)
 let fold_relocs f acc relocs =
   List.fold_left
     (fun acc { Asm.index; name } ->
@@ -24,12 +19,16 @@ let fold_relocs f acc relocs =
         name)
     acc relocs
 
-let fold_signed f acc code relocs proof =
-  let acc = fold_relocs f (Encode.fold f acc code) relocs in
-  match proof with None -> acc | Some p -> Proof.fold f acc p
+let reloc_words relocs =
+  List.fold_left (fun n r -> n + 2 + String.length r.Asm.name) 0 relocs
 
-let signature ~key code relocs proof =
-  Sign.fold ~key (fun step h -> fold_signed step h code relocs proof)
+let fold_signed f acc code relocs =
+  let code_words = Array.length code * Encode.words_per_insn in
+  let acc = f (f acc code_words) (code_words + reloc_words relocs) in
+  fold_relocs f (Encode.fold f acc code) relocs
+
+let signature ~key code relocs =
+  Sign.fold ~key (fun step h -> fold_signed step h code relocs)
 
 (* After rewriting, the placeholder [Kcall (-1)] instructions appear in the
    same order as in the source; re-derive their indices. *)
@@ -50,83 +49,48 @@ let relocate_on rewritten (relocs : Asm.reloc list) =
          (fun index { Asm.name; _ } -> { Asm.index; name })
          placeholders relocs)
 
-let make ~key ?proof code relocs =
-  {
-    code;
-    relocs;
-    proof;
-    signature = signature ~key code relocs proof;
-  }
+let make ~key code relocs =
+  { code; relocs; signature = signature ~key code relocs }
 
 let seal ?verifier ~key (obj : Asm.obj) =
-  Result.bind (Rewrite.process_proved ?verifier obj.code)
-  @@ fun (code, proof) ->
-  Result.map (make ~key ?proof code) (relocate_on code obj.relocs)
+  Result.bind (Rewrite.process ?verifier obj.code) @@ fun code ->
+  Result.map (make ~key code) (relocate_on code obj.relocs)
 
 let seal_unsafe ~key (obj : Asm.obj) = make ~key obj.code obj.relocs
 
-let verify ~key t =
-  Sign.equal t.signature (signature ~key t.code t.relocs t.proof)
+let verify ~key t = Sign.equal t.signature (signature ~key t.code t.relocs)
 
 let tamper t =
   let code = Array.copy t.code in
   if Array.length code > 0 then code.(0) <- Insn.Li (0, 0xdead);
   { t with code }
 
-(* Inflate the proof's safe-access map without re-signing: models an
-   attacker upgrading a certificate to elide checks the verifier never
-   proved. [verify] must catch it. *)
-let tamper_proof t =
-  match t.proof with
-  | None -> t
-  | Some p ->
-      let safe = Array.map (fun _ -> true) (Proof.safe p) in
-      {
-        t with
-        proof = Some (Proof.make ~words:(Proof.words p) ~safe
-                        ~calls:(Proof.calls p));
-      }
-
 let serialise t =
-  let code = Encode.to_words t.code in
-  let relocs =
-    Array.of_list (List.rev (fold_relocs (fun ws w -> w :: ws) [] t.relocs))
+  let code_words = Array.length t.code * Encode.words_per_insn in
+  let out = Array.make (code_words + reloc_words t.relocs + 3) 0 in
+  let put k w =
+    out.(k) <- w;
+    k + 1
   in
-  let pwords =
-    match t.proof with None -> [||] | Some p -> Proof.serialise p
-  in
-  Array.concat
-    [
-      [| Array.length code; Array.length code + Array.length relocs |];
-      code;
-      relocs;
-      [| Array.length pwords |];
-      pwords;
-      [| (t.signature :> int) |];
-    ]
+  let k = fold_signed put 0 t.code t.relocs in
+  out.(k) <- (t.signature :> int);
+  out
 
+(* Parse the word stream, then insist it is the one [serialise] writes
+   back: an operand word a cell does not use, a relocation-name word
+   outside 0..255 or any other word the parse would drop or normalise
+   must not survive, or an edit to it would pass the signature check. *)
 let deserialise words =
   let n = Array.length words in
-  if n < 4 then Error "image too short"
+  if n < 3 then Error "image too short"
   else
     let code_words = words.(0) in
     let body_len = words.(1) in
-    if
-      code_words < 0 || body_len < code_words || 2 + body_len + 2 > n
-      || words.(2 + body_len) < 0
-      || 2 + body_len + 1 + words.(2 + body_len) + 1 <> n
-    then Error "malformed image header"
+    if code_words < 0 || body_len < code_words || 2 + body_len + 1 <> n then
+      Error "malformed image header"
     else
-      let proof_len = words.(2 + body_len) in
-      let code_stream = Array.sub words 2 code_words in
-      Result.bind (Encode.of_words code_stream) @@ fun code ->
-      (Result.bind
-         (if proof_len = 0 then Ok None
-          else
-            Result.map Option.some
-              (Proof.deserialise
-                 (Array.sub words (2 + body_len + 1) proof_len)))
-      @@ fun proof ->
+      Result.bind (Encode.of_words (Array.sub words 2 code_words))
+      @@ fun code ->
       let rec read_relocs acc pos =
         if pos = 2 + body_len then Ok (List.rev acc)
         else if pos + 2 > 2 + body_len then Error "truncated relocation table"
@@ -135,18 +99,19 @@ let deserialise words =
           let len = words.(pos + 1) in
           if len < 0 || pos + 2 + len > 2 + body_len then
             Error "truncated relocation name"
+          else if index < 0 || index >= Array.length code then
+            Error "relocation index outside the code"
           else
             let name =
               String.init len (fun k -> Char.chr (words.(pos + 2 + k) land 0xff))
             in
             read_relocs ({ Asm.index; name } :: acc) (pos + 2 + len)
       in
-      Result.map
-        (fun relocs ->
-          { code; relocs; proof; signature = Sign.forge words.(n - 1) })
-        (read_relocs [] (2 + code_words)))
+      Result.bind (read_relocs [] (2 + code_words)) @@ fun relocs ->
+      let t = { code; relocs; signature = Sign.forge words.(n - 1) } in
+      if serialise t = words then Ok t else Error "non-canonical image stream"
 
-let magic = "VINOIMG3"
+let magic = "VINOIMG4"
 
 let save t ~path =
   Out_channel.with_open_text path (fun oc ->

@@ -3,11 +3,8 @@ module Insn = Vino_vm.Insn
 let uses_reserved_register prog = Array.exists Insn.uses_scratch prog
 
 (* Expand each instruction into a list, then remap every control-flow target
-   from its old index to the start of that instruction's expansion. The
-   mapped variant also returns the input-index -> output-index table (n + 1
-   entries, last one the output length) so a per-input-index fact — e.g. a
-   verifier verdict — can be carried over to the expanded program. *)
-let expand_i_mapped f prog =
+   from its old index to the start of that instruction's expansion. *)
+let expand_i f prog =
   let expansions = Array.mapi f prog in
   let n = Array.length prog in
   let new_index = Array.make (n + 1) 0 in
@@ -22,9 +19,7 @@ let expand_i_mapped f prog =
         (fun j i -> out.(new_index.(k) + j) <- Insn.map_targets remap i)
         exp)
     expansions;
-  (out, new_index)
-
-let expand_i f prog = fst (expand_i_mapped f prog)
+  out
 
 let expand f prog = expand_i (fun _ i -> f i) prog
 
@@ -41,7 +36,7 @@ let lower_stack_ops prog =
    [Ld]/[St], a safe indirect call keeps its raw [Kcallr]. [guard_calls]
    folds the [Checkcall] insertion into this pass so both protections see
    the same index space. *)
-let sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls prog =
+let sandbox_pass ~safe_access ~safe_call ~guard_calls prog =
   let s = Insn.scratch in
   let sandboxed rb off access : Insn.t list =
     let address =
@@ -58,10 +53,7 @@ let sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls prog =
         [ Insn.Checkcall r; Kcallr r ]
     | i -> [ i ]
   in
-  expand_i_mapped protect prog
-
-let sandbox_pass ~safe_access ~safe_call ~guard_calls prog =
-  fst (sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls prog)
+  expand_i protect prog
 
 let never _ = false
 
@@ -75,7 +67,7 @@ let guard_indirect_calls ?(safe = never) prog =
   in
   expand_i guard prog
 
-let process_proved ?verifier prog =
+let process ?verifier prog =
   if uses_reserved_register prog then
     Error
       (Printf.sprintf "graft code uses reserved sandbox register r%d"
@@ -85,9 +77,8 @@ let process_proved ?verifier prog =
     match verifier with
     | None ->
         Ok
-          ( sandbox_pass ~safe_access:never ~safe_call:never ~guard_calls:true
-              lowered,
-            None )
+          (sandbox_pass ~safe_access:never ~safe_call:never ~guard_calls:true
+             lowered)
     | Some conf ->
         (* The analysis runs on the lowered program so the report's indices
            line up with the insertion pass's input. *)
@@ -97,29 +88,11 @@ let process_proved ?verifier prog =
         else
           let classes = report.Vino_verify.Report.classes in
           let safe_access k =
-            classes.(k)
-            = Vino_verify.Report.(Access Access_safe)
+            classes.(k) = Vino_verify.Report.(Access Access_safe)
           in
           let safe_call k =
             match classes.(k) with
             | Vino_verify.Report.(Icall (Call_safe _)) -> true
             | _ -> false
           in
-          let out, new_index =
-            sandbox_pass_mapped ~safe_access ~safe_call ~guard_calls:true
-              lowered
-          in
-          (* A proven-safe access expands to just its raw [Ld]/[St], so
-             [new_index] points the verdict straight at that instruction
-             in the rewritten stream. *)
-          let safe = Array.make (Array.length out) false in
-          Array.iteri
-            (fun k _ -> if safe_access k then safe.(new_index.(k)) <- true)
-            lowered;
-          let proof =
-            Vino_verify.Proof.make ~words:conf.Vino_verify.Verify.words ~safe
-              ~calls:(Vino_verify.Report.safe_call_ids report)
-          in
-          Ok (out, Some proof)
-
-let process ?verifier prog = Result.map fst (process_proved ?verifier prog)
+          Ok (sandbox_pass ~safe_access ~safe_call ~guard_calls:true lowered)

@@ -42,20 +42,11 @@ val process :
     proves safe keep their raw instructions — no [Sandbox], no [Checkcall]
     — and hard errors (provably out-of-bounds access, provably unknown
     kernel-call id, malformed code) abort the rewrite with the verifier's
-    diagnostics. The caller is responsible for passing entry facts that the
-    graft point actually establishes; see the soundness contract in
-    {!Vino_verify.Verify}. *)
-
-val process_proved :
-  ?verifier:Vino_verify.Verify.config ->
-  Vino_vm.Insn.t array ->
-  (Vino_vm.Insn.t array * Vino_verify.Proof.t option, string) result
-(** Like {!process}, but with [verifier] also returns the verification
-    certificate mapped onto the rewritten code's indices: which surviving
-    raw [Ld]/[St] instructions are proven unable to fault, which kernel
-    ids the elided [Checkcall] probes assumed callable, and the segment
-    size the access proofs assumed. Without [verifier] the proof is
-    [None]. *)
+    diagnostics. Nothing vouches for the facts in [verifier]: the dynamic
+    linker re-runs the analysis under the installing point's own facts
+    and refuses an unprivileged install whose raw accesses it cannot
+    prove ([Linker.load]), so sealing under facts the graft
+    point does not establish gets an image no such point will load. *)
 
 val expand :
   (Vino_vm.Insn.t -> Vino_vm.Insn.t list) ->

@@ -263,6 +263,53 @@ let seal_tenant cfg kernel source =
   | Ok image -> image
   | Error e -> invalid_arg ("Serve: tenant graft failed to seal: " ^ e)
 
+let register_kcalls kernel ~tenants ~creds ~locks ~on_done =
+  (* the shard's tenants by global id *)
+  let local = Hashtbl.create 16 in
+  List.iteri (fun li i -> Hashtbl.replace local i li) tenants;
+  let li_of tenant =
+    match Hashtbl.find_opt local tenant with
+    | Some li -> li
+    | None -> invalid_arg "Serve: request for a tenant of another shard"
+  in
+  (* r1 names the tenant; only that tenant's own handler may act for it.
+     A physical comparison of credentials allocates nothing. *)
+  let caller_is ctx li = ctx.Kcall.cred == creds.(li) in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"serve.acquire" (fun ctx ->
+        match ctx.Kcall.txn with
+        | None -> Kcall.abort "serve.acquire outside a transaction"
+        | Some txn -> (
+            let li = li_of (Kcall.arg ctx.Kcall.cpu 0) in
+            if not (caller_is ctx li) then
+              Kcall.abort "serve.acquire: r1 names another tenant"
+            else
+              match Txn.acquire_lock txn locks.(li) Exclusive with
+              | Ok () -> Kcall.ok
+              | Error reason -> Kcall.abort reason))
+  in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"serve.done" (fun ctx ->
+        match ctx.Kcall.txn with
+        | None -> Kcall.abort "serve.done outside a transaction"
+        | Some txn ->
+            let li = li_of (Kcall.arg ctx.Kcall.cpu 0) in
+            if not (caller_is ctx li) then
+              Kcall.abort "serve.done: r1 names another tenant"
+            else begin
+              let stamp = Kcall.arg ctx.Kcall.cpu 1 in
+              let req = Kcall.arg ctx.Kcall.cpu 2 in
+              (* the response instant is the request's commit: graft
+                 cycles are charged to the clock in wrapper slices, so the
+                 clock mid-kcall is stale — defer the reading until the
+                 transaction commits and the charge is complete (aborted
+                 requests then never record a sample) *)
+              Txn.defer txn (fun () -> on_done li ~stamp ~req);
+              Kcall.ok
+            end)
+  in
+  ()
+
 let run_shard cfg shard =
   let tenants =
     List.filter
@@ -291,10 +338,6 @@ let run_shard cfg shard =
         ~net_packets:(cfg.net_quota * n)
         ()
     in
-    (* shard-local tables the kcalls close over, indexed by global
-       tenant id *)
-    let local = Hashtbl.create 16 in
-    List.iteri (fun li i -> Hashtbl.replace local i li) tenants;
     let slots = Array.make_matrix n cfg.requests (-1.0) in
     (* the shard's makespan is the last response instant, not the
        engine's drain time: a contended lock leaves cancelled time-out
@@ -314,48 +357,6 @@ let run_shard cfg shard =
         tenants
       |> Array.of_list
     in
-    let li_of tenant =
-      match Hashtbl.find_opt local tenant with
-      | Some li -> li
-      | None -> invalid_arg "Serve: request for a tenant of another shard"
-    in
-    let (_ : Kcall.fn) =
-      Kernel.register_kcall kernel ~name:"serve.acquire" (fun ctx ->
-          match ctx.Kcall.txn with
-          | None -> Kcall.abort "serve.acquire outside a transaction"
-          | Some txn -> (
-              let li = li_of (Kcall.arg ctx.Kcall.cpu 0) in
-              match Txn.acquire_lock txn locks.(li) Exclusive with
-              | Ok () -> Kcall.ok
-              | Error reason -> Kcall.abort reason))
-    in
-    let (_ : Kcall.fn) =
-      Kernel.register_kcall kernel ~name:"serve.done" (fun ctx ->
-          match ctx.Kcall.txn with
-          | None -> Kcall.abort "serve.done outside a transaction"
-          | Some txn ->
-              let li = li_of (Kcall.arg ctx.Kcall.cpu 0) in
-              let stamp = Kcall.arg ctx.Kcall.cpu 1 in
-              let req = Kcall.arg ctx.Kcall.cpu 2 in
-              (* the response instant is the request's commit: graft
-                 cycles are charged to the clock in wrapper slices, so
-                 the clock mid-kcall is stale — defer the reading until
-                 the transaction commits and the charge is complete
-                 (aborted requests then never record a sample) *)
-              Txn.defer txn (fun () ->
-                  let now = Engine.now kernel.Kernel.engine in
-                  last_done := max !last_done now;
-                  slots.(li).(req) <- Costs.us_of_cycles (now - stamp);
-                  served.(li) <- served.(li) + 1;
-                  inflight.(li) <- max 0 (inflight.(li) - 1));
-              Kcall.ok)
-    in
-    let ports =
-      List.map
-        (fun i -> Port.create kernel Tcp ~number:(8000 + i)) tenants
-      |> Array.of_list
-    in
-    let handlers = Array.make n (-1) in
     (* each tenant's resource slice is derived from the shard account
        once and survives handler churn: inheritance is per tenant, not
        per install *)
@@ -371,6 +372,28 @@ let run_shard cfg shard =
         tenants
       |> Array.of_list
     in
+    (* one credential per tenant, for every install: the kcalls tell a
+       tenant's handler from another's by it (Rule 8) *)
+    let creds =
+      List.mapi
+        (fun li i ->
+          Cred.user (Printf.sprintf "tenant-%d" i) ~limits:tslim.(li))
+        tenants
+      |> Array.of_list
+    in
+    register_kcalls kernel ~tenants ~creds ~locks
+      ~on_done:(fun li ~stamp ~req ->
+        let now = Engine.now kernel.Kernel.engine in
+        last_done := max !last_done now;
+        slots.(li).(req) <- Costs.us_of_cycles (now - stamp);
+        served.(li) <- served.(li) + 1;
+        inflight.(li) <- max 0 (inflight.(li) - 1));
+    let ports =
+      List.map
+        (fun i -> Port.create kernel Tcp ~number:(8000 + i)) tenants
+      |> Array.of_list
+    in
+    let handlers = Array.make n (-1) in
     let images =
       List.map
         (fun i ->
@@ -379,29 +402,26 @@ let run_shard cfg shard =
         tenants
       |> Array.of_list
     in
-    let install li i =
-      let cred =
-        Cred.user (Printf.sprintf "tenant-%d" i) ~limits:tslim.(li)
-      in
+    let install li =
       match
         Event_point.add_handler
           (Port.event_point ports.(li))
-          kernel ~cred ~payload_words ~heap_words ~limits:tslim.(li)
-          images.(li)
+          kernel ~cred:creds.(li) ~payload_words ~heap_words
+          ~limits:tslim.(li) images.(li)
       with
       | Ok hid -> handlers.(li) <- hid
       | Error e -> invalid_arg ("Serve: handler install failed: " ^ e)
     in
-    List.iteri (fun li i -> install li i) tenants;
+    List.iteri (fun li _ -> install li) tenants;
     (* Tenant churn: on every k-th arrival (and only when the tenant is
        idle, so its in-flight work keeps a live translation), tear the
        handler down and reinstall it. The reinstall routes through
        Linker.load -> Kernel.translate, which is where the bounded
        cache's hits, misses and evictions come from. *)
-    let reinstall li i =
+    let reinstall li =
       Event_point.remove_handler (Port.event_point ports.(li)) kernel
         handlers.(li);
-      install li i
+      install li
     in
     let arrival li i r =
       if inflight.(li) >= cfg.max_inflight then begin
@@ -421,7 +441,7 @@ let run_shard cfg shard =
           && r > 0
           && r mod cfg.reinstall_every = 0
           && inflight.(li) = 0
-        then reinstall li i;
+        then reinstall li;
         inflight.(li) <- inflight.(li) + 1;
         Port.connect ports.(li)
           ~payload:

@@ -29,8 +29,9 @@
 
 type path = Interp | Translated | Verified
 (** Execution path for every tenant handler: interpreted, closure-threaded
-    translation, or translation under a seal-time safety proof (provably
-    in-segment payload accesses compile to bare superinstructions). *)
+    translation, or translation of handlers sealed under the static
+    verifier (their raw payload accesses, which the linker proves
+    in-segment again at install, compile to bare superinstructions). *)
 
 val path_name : path -> string
 (** ["interp"] / ["translated"] / ["verified-translated"]. *)
@@ -108,7 +109,28 @@ val graft_source : tenant:int -> flood:bool -> Vino_vm.Asm.item list
 (** The handler a tenant installs: its family's body ([flood] selects the
     runaway body) between the prologue that bakes the tenant id into a
     dead register and takes the tenant lock through ["serve.acquire"], and
-    the epilogue that reports through ["serve.done"]. *)
+    the epilogue that reports through ["serve.done"]. Both kcalls take
+    the tenant from r1 and abort the handler unless it was installed
+    with that tenant's credential (one per tenant per shard), so no
+    tenant can take another's lock or report for it (Rule 8). *)
+
+val register_kcalls :
+  Vino_core.Kernel.t ->
+  tenants:int list ->
+  creds:Vino_core.Cred.t array ->
+  locks:Vino_txn.Lock.t array ->
+  on_done:(int -> stamp:int -> req:int -> unit) ->
+  unit
+(** Register ["serve.acquire"] and ["serve.done"] on one shard's kernel,
+    as {!run} does for every shard. [tenants] lists the shard's tenant
+    ids; the [li]-th has credential [creds.(li)] and lock [locks.(li)].
+    Both kcalls take a tenant id from r1 and abort the caller unless its
+    credential is physically that tenant's (Rule 8); an id of no listed
+    tenant raises [Invalid_argument], which aborts the caller too.
+    ["serve.acquire"] takes the tenant's lock under the caller's
+    transaction. ["serve.done"] reads the arrival stamp from r2 and the
+    request id from r3, and [on_done li ~stamp ~req] runs when the
+    caller's transaction commits. *)
 
 val run : ?pool:Vino_par.Pool.t -> config -> report
 (** Run the scenario. Deterministic: the report depends only on the

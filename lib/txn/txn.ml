@@ -47,7 +47,9 @@ and t = {
   mutable tstate : state;
   mutable abort_reason : string option;
   mutable active_children : int;
+  mutable open_child : bool; (* counted in its parent's [active_children] *)
   mutable deferred : (unit -> unit) list; (* run at top-level commit only *)
+  mutable committing : bool; (* [commit] decided; a kill may interrupt it *)
   mutable parked : bool; (* already returned to the arena *)
 }
 
@@ -125,19 +127,21 @@ let begin_ m ?parent ~name () =
   | Some p ->
       if p.mgr != m then invalid_arg "Txn.begin_: parent on another manager";
       if not (is_active p) then
-        invalid_arg "Txn.begin_: parent is not active";
-      p.active_children <- p.active_children + 1
+        invalid_arg "Txn.begin_: parent is not active"
   | None -> ());
   let tid = m.next_id in
   m.next_id <- tid + 1;
   m.n_begins <- m.n_begins + 1;
-  m.n_live <- m.n_live + 1;
   let cost =
     match parent with
     | Some _ -> m.costs.nested_begin
     | None -> m.costs.txn_begin
   in
   Engine.delay cost;
+  (* counted live only once the delay is past: a kill at the delay leaves
+     no transaction to resolve *)
+  m.n_live <- m.n_live + 1;
+  Option.iter (fun p -> p.active_children <- p.active_children + 1) parent;
   if Trace.enabled () then begin
     Trace.incr_h h_txn_begins;
     Trace.span Span.Txn_begin ~label:name
@@ -158,7 +162,9 @@ let begin_ m ?parent ~name () =
             tstate = Active;
             abort_reason = None;
             active_children = 0;
+            open_child = false;
             deferred = [];
+            committing = false;
             parked = false;
           })
   in
@@ -170,6 +176,8 @@ let begin_ m ?parent ~name () =
   t.tstate <- Active;
   t.abort_reason <- None;
   t.active_children <- 0;
+  t.open_child <- Option.is_some parent;
+  t.committing <- false;
   t.parked <- false;
   t
 
@@ -234,10 +242,15 @@ let owner t =
 
 let resolve t = t.mgr.n_live <- t.mgr.n_live - 1
 
+(* Detach from the parent before any delay of a resolution, once: a kill
+   at that delay must not leave the parent unable to resolve. *)
 let finish_child t =
-  match t.tparent with
-  | Some p -> p.active_children <- p.active_children - 1
-  | None -> ()
+  if t.open_child then begin
+    t.open_child <- false;
+    match t.tparent with
+    | Some p -> p.active_children <- p.active_children - 1
+    | None -> ()
+  end
 
 let abort t ~reason =
   match t.tstate with
@@ -246,6 +259,7 @@ let abort t ~reason =
   | Active ->
       if t.active_children > 0 then
         invalid_arg "Txn.abort: children still active";
+      finish_child t;
       let pending = Undo_log.length t.undo in
       let replay_cost =
         Undo_log.replay
@@ -260,7 +274,6 @@ let abort t ~reason =
       t.tstate <- Aborted reason;
       t.mgr.n_aborts <- t.mgr.n_aborts + 1;
       resolve t;
-      finish_child t;
       Engine.delay (t.mgr.costs.txn_abort + replay_cost);
       if Trace.enabled () then begin
         let now = Engine.now t.mgr.engine in
@@ -278,6 +291,16 @@ let abort t ~reason =
         Trace.charge ~ctx Profile.Undo replay_cost
       end
 
+(* Pop each handle before its release delays, so a kill at that delay
+   leaves exactly the unreleased locks in [t.locks]. *)
+let rec release_locks t =
+  match t.locks with
+  | [] -> ()
+  | h :: rest ->
+      t.locks <- rest;
+      Lock.release h;
+      release_locks t
+
 let commit t =
   match t.tstate with
   | Committed -> Ok ()
@@ -285,13 +308,19 @@ let commit t =
   | Active -> (
       if t.active_children > 0 then
         invalid_arg "Txn.commit: children still active";
-      match chain_abort_reason t with
+      match if t.committing then None else chain_abort_reason t with
       | Some reason ->
           (* requested on us or on an ancestor: either way this transaction
              cannot usefully continue *)
           abort t ~reason;
           Error reason
       | None ->
+          (* The decision is final from here. Every step below leaves the
+             transaction consistent at each delay, so a commit a kill
+             interrupts is finished by calling [commit] again ({!settle}),
+             never undone. *)
+          t.committing <- true;
+          finish_child t;
           let deferred =
             match t.tparent with
             | Some p ->
@@ -317,13 +346,10 @@ let commit t =
                 end;
                 []
             | None ->
-                List.iter (fun h -> Lock.release h) t.locks;
-                t.locks <- [];
+                release_locks t;
                 t.mgr.n_undo_live <-
                   t.mgr.n_undo_live - Undo_log.length t.undo;
                 Undo_log.clear t.undo;
-                let d = List.rev t.deferred in
-                t.deferred <- [];
                 Engine.delay t.mgr.costs.txn_commit;
                 if Trace.enabled () then begin
                   Trace.incr_h h_txn_commits;
@@ -333,12 +359,13 @@ let commit t =
                   Trace.charge ~ctx:(trace_ctx t.mgr) Profile.Txn
                     t.mgr.costs.txn_commit
                 end;
+                let d = List.rev t.deferred in
+                t.deferred <- [];
                 d
           in
           t.tstate <- Committed;
           t.mgr.n_commits <- t.mgr.n_commits + 1;
           resolve t;
-          finish_child t;
           (* Deferred actions run only now, with the transaction already
              Committed and the counters balanced: the decision to commit is
              final, so a raising action cannot be allowed to wedge the
@@ -352,6 +379,11 @@ let commit t =
                   t.mgr.n_deferred_failures <- t.mgr.n_deferred_failures + 1)
             deferred;
           Ok ())
+
+let settle t ~reason =
+  if is_active t then
+    if t.committing then ignore (commit t : (unit, string) result)
+    else abort t ~reason
 
 (* The transaction the calling engine process is currently executing
    under, if any (set by the invocation wrapper). *)

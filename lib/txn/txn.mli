@@ -32,7 +32,9 @@ val costs : mgr -> Tcosts.t
 val begin_ : mgr -> ?parent:t -> name:string -> unit -> t
 (** Allocate a transaction object associated with the calling thread and
     charge the begin cost. [parent] must be [Active] and on the same
-    manager. Must run inside an engine process. *)
+    manager. Must run inside an engine process. The transaction counts
+    as live ({!live}), and as [parent]'s active child, only once the
+    charge is paid, so a kill during it leaves nothing to resolve. *)
 
 val id : t -> int
 val name : t -> string
@@ -66,14 +68,27 @@ val commit : t -> (unit, string) result
     balanced; an action that raises is recorded ({!deferred_failures}) and
     skipped — the commit still returns [Ok ()], because the transaction's
     own effects are already permanent. Fails (raises [Invalid_argument]) if
-    children are still active. *)
+    children are still active. Once it has decided to commit, a kill at
+    any of its delays leaves a transaction that {!settle} finishes, and
+    the transaction no longer counts as its parent's active child. *)
 
 val abort : t -> reason:string -> unit
 (** Replay the undo stack (most recent first), release held locks at
     abort-path cost, and mark the transaction aborted. Total: an undo entry
     that raises is recorded ({!undo_failures}) and the remaining entries
     still run, so the locks are always released and the transaction always
-    resolves. Idempotent on an already-aborted transaction. *)
+    resolves. Idempotent on an already-aborted transaction. Like
+    {!commit}, it stops counting as its parent's active child before its
+    first delay, so a kill there never keeps the parent from resolving. *)
+
+val settle : t -> reason:string -> unit
+(** Resolve a transaction whose own process can no longer do it, because
+    it was killed ({!Vino_sim.Engine.Stopped}) part-way. A commit already
+    under way is finished, because its decision was final; its locks are
+    then released, and its deferred actions run, in the calling process.
+    Anything else still active is aborted with [reason], and an abort
+    the kill interrupted completes. No-op on a resolved transaction. Must
+    run inside an engine process that is not being killed. *)
 
 val request_abort : t -> string -> unit
 (** Asynchronous abort request; honoured at the next poll point. The first

@@ -19,16 +19,33 @@ let count p t = Array.fold_left (fun acc c -> if p c then acc + 1 else acc) 0 t.
 let safe_accesses = count (function Access Access_safe -> true | _ -> false)
 let total_accesses = count (function Access _ -> true | _ -> false)
 let safe_calls = count (function Icall (Call_safe _) -> true | _ -> false)
-
-(* Sorted, de-duplicated ids behind every [Call_safe] verdict: the callable
-   assumptions a proof that elides [Checkcall] rests on. *)
-let safe_call_ids t =
-  Array.fold_left
-    (fun acc c ->
-      match c with Icall (Call_safe id) -> id :: acc | _ -> acc)
-    [] t.classes
-  |> List.sort_uniq compare
 let total_icalls = count (function Icall _ -> true | _ -> false)
+
+let unproven_access t =
+  let n = Array.length t.classes in
+  let rec from k =
+    if k = n then None
+    else
+      match t.classes.(k) with
+      | Access (Access_sandbox | Access_oob) -> Some k
+      | Access Access_safe | Plain | Icall _ | Unreachable -> from (k + 1)
+  in
+  from 0
+
+(* MiSFIT's own accesses address through the sandbox register a [Sandbox]
+   just confined; they are proven too, but the translator fuses them with
+   that [Sandbox], so only the others count as bare. *)
+let bare_accesses t prog =
+  let bare =
+    Array.mapi
+      (fun k (i : Vino_vm.Insn.t) ->
+        match (i, t.classes.(k)) with
+        | (Ld (_, rb, _) | St (_, rb, _)), Access Access_safe ->
+            rb <> Vino_vm.Insn.scratch
+        | _ -> false)
+      prog
+  in
+  if Array.exists Fun.id bare then Some bare else None
 
 let diag_to_string d =
   Printf.sprintf "%s%s: %s"

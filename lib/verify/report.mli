@@ -14,8 +14,8 @@ type access_class =
 
 type call_class =
   | Call_safe of int
-      (** this id, provably on the graft-callable list — the payload is
-          the assumption a proof eliding [Checkcall] depends on *)
+      (** this id, provably on the graft-callable list, so the
+          [Checkcall] probe may be elided *)
   | Call_check  (** not provable; keep the run-time [Checkcall] *)
   | Call_bad of int  (** id provably unknown / not callable: reject *)
 
@@ -52,9 +52,16 @@ val total_accesses : t -> int
 val safe_calls : t -> int
 val total_icalls : t -> int
 
-val safe_call_ids : t -> int list
-(** Sorted distinct ids proven callable at some [Kcallr] — the callable-set
-    assumption carried by a proof that elides [Checkcall] probes. *)
+val unproven_access : t -> int option
+(** The first reachable memory access ([Ld]/[St]/[Push]/[Pop]) not proven
+    in-segment, if any. A degraded report proves none. *)
+
+val bare_accesses : t -> Vino_vm.Insn.t array -> bool array option
+(** Per pc of the analysed program: [true] at each [Ld]/[St] proven
+    in-segment whose base register is not {!Vino_vm.Insn.scratch} — the
+    raw accesses that may run with no sandbox. MiSFIT's sandboxed
+    accesses address through the scratch register and never count.
+    [None] when there is no such access. *)
 
 val error_summary : t -> string
 (** One-line rendering of the errors, for [Result.Error] payloads. *)

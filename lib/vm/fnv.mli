@@ -1,6 +1,6 @@
 (** FNV-1a folded into OCaml's 63-bit [int], over 32-bit inputs: the
-    digest under graft signatures ({!Vino_misfit.Sign}) and proof hashes
-    ({!Vino_verify.Proof.hash}).
+    digest under graft signatures ({!Vino_misfit.Sign}) and the
+    post-link code digest that keys the kernel's caches.
 
     A word is folded as two xor-multiply steps, its low 32 bits and then
     its high 31. One step per whole word would let an input reach the

@@ -90,8 +90,8 @@ type row = {
      [Sandbox] just confined, at offset 0 — the only address shapes
      MiSFIT emits — so when the segment lies inside memory the access
      cannot fault;
-   - bare: a proof-elided access ([safe_at]), non-faulting by carried
-     certificate, at any base/offset.
+   - bare: an access the caller proved in-segment ([safe_at]),
+     non-faulting by that proof, at any base/offset.
    Either way the whole group compiles as one straight-line,
    non-flushing closure. An ALU op forming the address before the group
    and an ALU op after it (consuming a load's datum, or the loop
@@ -100,7 +100,7 @@ type confined = {
   c_pre : (int * int * int * int * bool) option;
       (* (opcode, rd, ra, operand, operand_is_immediate) *)
   c_sb : int;  (* pc of the Sandbox, for its cycle attribution;
-                  -1 for a bare (proof-elided) core *)
+                  -1 for a bare (proven) core *)
   c_dst : int;  (* register receiving the sandboxed address *)
   c_src : int;  (* register holding the raw address (confined) or the
                   access base register (bare) *)
@@ -248,7 +248,7 @@ let confined_at prog ~safe_at ~stop pc : confined option =
         else None
   in
   let core =
-    (* A proof-elided access needs no sandbox: the bare [Ld]/[St] itself
+    (* A proven access needs no sandbox: the bare [Ld]/[St] itself
        is the core, at whatever base/offset the verified code uses. *)
     match core with
     | Some _ -> core
@@ -412,7 +412,7 @@ module Fast_body = struct
           when Option.is_some chain && Option.is_some shape.pass ->
             (* The canonical transform-loop pass (see {!canonical_pass})
                as one closure, when it is one copy of an unrolled window.
-               Both groups are non-faulting (confined or proof-elided, see
+               Both groups are non-faulting (confined or proven, see
                {!confined_at}), so nothing between the branch test and the
                jump can observe the machine, and the whole pass's counts
                ride into the next copy's pending accumulators. Every shape
@@ -486,7 +486,7 @@ module Fast_body = struct
             (* An access-group superinstruction (see {!confined_at}): the
                accessed address is the just-sandboxed register at offset
                0, so it is inside the segment by construction — or the
-               access carries a proof making it non-faulting outright
+               access is proven in-segment, non-faulting outright
                (bare core). The driver only runs windows when the segment
                lies inside memory ({!seg_confined}), so the access cannot
                fault — no flush, no pc store; every count joins the
@@ -884,8 +884,8 @@ let translate ?(costs = Costs.default) ?safe prog =
   let source = Array.copy prog in
   let n = Array.length source in
   (* [safe.(pc)] licenses compiling the access at [pc] without fault
-     handling. A map of the wrong length means the proof was derived from
-     different code; ignore it rather than mis-align indices. *)
+     handling. A map of the wrong length was derived from different
+     code; ignore it rather than mis-align indices. *)
   let safe_at =
     match safe with
     | Some m when Array.length m = n -> fun pc -> Array.unsafe_get m pc

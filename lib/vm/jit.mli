@@ -51,17 +51,19 @@ val translate : ?costs:Costs.t -> ?safe:bool array -> Insn.t array -> t
     executing {!Cpu.t} was created with, or cycle accounting diverges
     from the interpreter.
 
-    [safe] is a per-pc proof map (one entry per instruction): [true] at a
-    [Ld]/[St] asserts a static verifier proved the access in-segment for
-    the running configuration, so it can never fault. Such accesses are
+    [safe] is a per-pc map of proven accesses (one entry per
+    instruction): [true] at a [Ld]/[St] asserts a static verifier proved
+    the access in-segment for the running configuration, so it can never
+    fault. Such accesses are
     compiled as bare superinstructions — straight-line closures with no
     counter flush or pc store, like [Mov] — and fuse with a following
     non-faulting ALU op. Observable equivalence with the interpreter is
     preserved because a flush only becomes visible at a fault, kernel
     call, poll or block exit, and by assumption no elided access can
     fault. The caller is responsible for the map's soundness (the linker
-    re-validates the proof's assumptions before passing it); a map whose
-    length does not match the program is ignored. *)
+    passes only what its own analysis proved for the segment and entry
+    facts the code runs under); a map whose length does not match the
+    program is ignored. *)
 
 val run : ?poll_every:int -> Cpu.env -> Cpu.t -> t -> Cpu.outcome
 (** Drop-in replacement for [Cpu.run env cpu (source t)]. Starts from the
@@ -91,4 +93,4 @@ val block_count : t -> int
 val fused_pairs : t -> int
 
 val elided_accesses : t -> int
-(** Accesses compiled bare (non-flushing) under a proof map. *)
+(** Accesses compiled bare (non-flushing) under a [safe] map. *)

@@ -316,25 +316,72 @@ let test_raising_kcall_aborts_graft () =
   Alcotest.(check (list string))
     "no process blocked" [] (Engine.blocked engine)
 
-(* A graft whose calling process is killed while the graft holds a lock
-   leaves an orphaned holder: its transaction never reaches another poll
-   point, so it never aborts. The first time-out asks it to abort; every
-   later one finds that abort already pending and is fruitless, so the
-   waiter gives up after the bound instead of re-arming its timer forever.
-   The run is bounded in virtual time, so a livelock fails the test rather
-   than hanging it. *)
-let test_orphaned_holder_cannot_stall_waiter () =
+(* The kill tests' kernel: the adder fixture plus a graft-callable lock
+   ("probe.lock", 1 ms time-out) and "probe.slow", which holds the
+   calling graft for 200 us. *)
+let kill_fixture () =
   let fx = make_fixture () in
-  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
   let lock =
-    Kernel.graft_lock kernel ~timeout:(Vino_txn.Tcosts.us 1000.)
+    Kernel.graft_lock fx.kernel ~timeout:(Vino_txn.Tcosts.us 1000.)
       ~name:"probe-lock" ~kcall:"probe.lock"
   in
   let (_ : Kcall.fn) =
-    Kernel.register_kcall kernel ~name:"probe.slow" (fun _ ->
+    Kernel.register_kcall fx.kernel ~name:"probe.slow" (fun _ ->
         Engine.delay (Vino_txn.Tcosts.us 200.);
         Kcall.ok)
   in
+  (fx, lock)
+
+let await_holder lock =
+  while Vino_txn.Lock.holders lock = [] do
+    Engine.delay 120
+  done
+
+(* A waiter that queues on [lock] once a graft holds it and records how
+   its own transaction ended; [on_grant] runs the moment it is granted. *)
+let spawn_waiter fx lock ?(on_grant = ignore) waiter =
+  ignore
+    (Engine.spawn fx.kernel.Kernel.engine ~name:"waiter" (fun () ->
+         await_holder lock;
+         let txn = Txn.begin_ fx.kernel.Kernel.txn_mgr ~name:"waiter" () in
+         match Txn.acquire_lock txn lock Exclusive with
+         | Ok () ->
+             on_grant ();
+             waiter := Some (Txn.commit txn)
+         | Error reason ->
+             waiter := Some (Error reason);
+             Txn.abort txn ~reason))
+
+(* What a kill must leave behind (Rule 9), checked after the run: no
+   failed or blocked process, no live transaction, a free lock and, once
+   the adder's graft (and any other the test removed) is removed, no graft
+   segment, since only an unpinned graft's segment is freed at once on
+   removal. *)
+let check_nothing_left fx lock =
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  Alcotest.(check int) "no process failed" 0
+    (List.length (Engine.failures engine));
+  Alcotest.(check (list string))
+    "no process blocked" [] (Engine.blocked engine);
+  Alcotest.(check int) "no transaction live" 0
+    (Txn.live kernel.Kernel.txn_mgr);
+  Alcotest.(check int) "lock released" 0
+    (List.length (Vino_txn.Lock.holders lock));
+  Graft_point.remove fx.adder kernel;
+  Alcotest.(check int) "grafts unpinned: segments freed on removal" 0
+    (List.length (Vino_core.Segalloc.blocks kernel.Kernel.segalloc))
+
+(* A graft whose calling process is killed while the graft holds a lock
+   would leave an orphaned holder: a killed process runs no epilogue, so
+   its transaction would never abort. The wrapper hands the dead
+   invocation's epilogue to a fresh process instead, which aborts the
+   transaction (undoing the counter and releasing the lock), recycles it
+   and unpins the graft, so the waiter gets the lock. The run is bounded
+   in virtual time, so a livelock fails the test rather than hanging
+   it. *)
+let test_orphaned_holder_cannot_stall_waiter () =
+  let fx, lock = kill_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
   let waiter = ref None in
   let caller =
     Engine.spawn engine ~name:"caller" (fun () ->
@@ -351,36 +398,140 @@ let test_orphaned_holder_cannot_stall_waiter () =
   in
   ignore
     (Engine.spawn engine ~name:"killer" (fun () ->
-         while Vino_txn.Lock.holders lock = [] do
-           Engine.delay 120
-         done;
+         await_holder lock;
          Engine.kill engine caller));
-  ignore
-    (Engine.spawn engine ~name:"waiter" (fun () ->
-         while Vino_txn.Lock.holders lock = [] do
-           Engine.delay 120
-         done;
-         let txn = Txn.begin_ kernel.Kernel.txn_mgr ~name:"waiter" () in
-         match Txn.acquire_lock txn lock Exclusive with
-         | Ok () -> waiter := Some (Txn.commit txn)
-         | Error reason ->
-             waiter := Some (Error reason);
-             Txn.abort txn ~reason));
+  spawn_waiter fx lock waiter;
   Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
   Alcotest.(check bool) "caller killed" false (Engine.alive caller);
-  Alcotest.(check bool) "orphan still holds the lock" true
-    (Vino_txn.Lock.holders lock <> []);
-  (match !waiter with
-  | Some (Error _) -> ()
-  | Some (Ok ()) -> Alcotest.fail "waiter got a lock nobody released"
-  | None -> Alcotest.fail "waiter never gave up");
-  Alcotest.(check int) "one fruitless give-up" 1
-    (Vino_txn.Lock.fruitless_giveups lock);
-  Alcotest.(check int) "one fresh time-out, then the bound"
-    (Vino_txn.Lock.fruitless_timeout_bound + 1)
-    (Vino_txn.Lock.timeouts_fired lock);
-  Alcotest.(check (list string))
-    "no process blocked" [] (Engine.blocked engine)
+  Alcotest.(check int) "the killed graft's increment undone" 0 !(fx.counter);
+  Alcotest.(check bool) "waiter got the lock and committed" true
+    (!waiter = Some (Ok ()));
+  check_nothing_left fx lock
+
+(* The same orphan, killed while its commit releases the lock: the waiter
+   that release wakes is granted the lock at once and kills the caller,
+   which is still paying for the release. The decision to commit was
+   final, so the reaper finishes the commit rather than undoing it: the
+   increment stands, the deferred action runs once, and the manager
+   counts two commits (the caller's and the waiter's) and no abort. *)
+let test_kill_during_commit_finishes_it () =
+  let fx, lock = kill_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  let mgr = kernel.Kernel.txn_mgr in
+  let deferred = ref 0 in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"probe.defer" (fun ctx ->
+        match ctx.Kcall.txn with
+        | Some txn ->
+            Txn.defer txn (fun () -> incr deferred);
+            Kcall.ok
+        | None -> Kcall.abort "probe.defer outside a transaction")
+  in
+  let waiter = ref None in
+  let caller =
+    Engine.spawn engine ~name:"caller" (fun () ->
+        install_exn fx
+          (seal_exn kernel
+             [
+               Li (Asm.r1, 1);
+               Kcall "counter.incr";
+               Kcall "probe.lock";
+               Kcall "probe.defer";
+               Kcall "probe.slow";
+               Li (Asm.r0, 7);
+               Ret;
+             ]);
+        ignore (Graft_point.invoke fx.adder kernel ~cred:(user fx) 4 : int))
+  in
+  spawn_waiter fx lock waiter ~on_grant:(fun () -> Engine.kill engine caller);
+  Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
+  Alcotest.(check bool) "caller killed" false (Engine.alive caller);
+  Alcotest.(check int) "the commit stands: increment kept" 1 !(fx.counter);
+  Alcotest.(check int) "the deferred action ran once" 1 !deferred;
+  Alcotest.(check (pair int int)) "(commits, aborts)" (2, 0)
+    (Txn.commits mgr, Txn.aborts mgr);
+  Alcotest.(check bool) "waiter got the lock and committed" true
+    (!waiter = Some (Ok ()));
+  check_nothing_left fx lock
+
+(* Killed while [Txn.begin_] charges its cost: the transaction does not
+   exist yet, so nothing is left live, and the invocation's pin is undone
+   on the way out. The killer waits for the begin to start, one cycle at
+   a time. *)
+let test_kill_during_begin_leaves_nothing () =
+  let fx, lock = kill_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  let mgr = kernel.Kernel.txn_mgr in
+  let caller =
+    Engine.spawn engine ~name:"caller" (fun () ->
+        install_exn fx
+          (seal_exn kernel [ Li (Asm.r1, 1); Kcall "counter.incr"; Ret ]);
+        ignore (Graft_point.invoke fx.adder kernel ~cred:(user fx) 4 : int))
+  in
+  ignore
+    (Engine.spawn engine ~name:"killer" (fun () ->
+         while Txn.begins mgr = 0 do
+           Engine.delay 1
+         done;
+         Engine.kill engine caller));
+  Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
+  Alcotest.(check bool) "caller killed" false (Engine.alive caller);
+  Alcotest.(check int) "the begin started" 1 (Txn.begins mgr);
+  Alcotest.(check int) "the graft never ran" 0 !(fx.counter);
+  check_nothing_left fx lock
+
+(* A kill of nested invocations: the outer graft invokes an inner point
+   through a kcall, and the inner graft is killed while it holds the
+   lock. Each level's reaper settles its own transaction, the inner
+   first; the inner detaches from the outer before its abort's first
+   delay, so the outer's reaper finds no active child. Both abort. *)
+let test_nested_kill_settles_every_level () =
+  let fx, lock = kill_fixture () in
+  let kernel = fx.kernel and engine = fx.kernel.Kernel.engine in
+  let mgr = kernel.Kernel.txn_mgr in
+  let inner =
+    Graft_point.create ~name:"inner.point"
+      ~default:(fun () -> 42)
+      ~setup:(fun _ () -> ())
+      ~read_result:(fun cpu () -> Ok (Cpu.reg cpu 0))
+      ()
+  in
+  let (_ : Kcall.fn) =
+    Kernel.register_kcall kernel ~name:"inner.run" (fun ctx ->
+        Kcall.return ctx.Kcall.cpu
+          (Graft_point.invoke inner kernel ~cred:(user fx) ());
+        Kcall.ok)
+  in
+  let caller =
+    Engine.spawn engine ~name:"caller" (fun () ->
+        (match
+           Graft_point.replace inner kernel ~cred:(user fx)
+             (seal_exn kernel
+                [
+                  Li (Asm.r1, 7);
+                  Kcall "counter.incr";
+                  Kcall "probe.lock";
+                  Kcall "probe.slow";
+                  Li (Asm.r0, 7);
+                  Ret;
+                ])
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        install_exn fx (seal_exn kernel [ Kcall "inner.run"; Ret ]);
+        ignore (Graft_point.invoke fx.adder kernel ~cred:(user fx) 0 : int))
+  in
+  ignore
+    (Engine.spawn engine ~name:"killer" (fun () ->
+         await_holder lock;
+         Engine.kill engine caller));
+  Engine.run ~until:(Vino_txn.Tcosts.us 100_000.) engine;
+  Alcotest.(check bool) "caller killed" false (Engine.alive caller);
+  Alcotest.(check int) "the inner increment undone" 0 !(fx.counter);
+  Alcotest.(check (pair int int)) "(commits, aborts)" (0, 2)
+    (Txn.commits mgr, Txn.aborts mgr);
+  Graft_point.remove inner kernel;
+  check_nothing_left fx lock
 
 let test_successful_graft_commits_kernel_state () =
   in_kernel (fun fx ->
@@ -694,7 +845,6 @@ let test_audit_trail () =
             | Audit.Graft_removed _ -> "removed"
             | Audit.Handler_added _ | Audit.Handler_failed _ -> "handler"
             | Audit.Flow_violation _ -> "flow-violation"
-            | Audit.Proof_stale _ -> "proof-stale"
             | Audit.Admission_rejected _ -> "admission")
           (Audit.entries fx.kernel.Kernel.audit)
       in
@@ -898,92 +1048,183 @@ let test_cred_and_namespace_basics () =
   Namespace.unregister ns "adder.compute";
   Alcotest.(check (list string)) "unregistered" [] (Namespace.names ns)
 
-(* ---- stale safety proofs (proof-carrying translation) ---- *)
+(* ---- link-time confinement (Rule 3) ---- *)
 
 let seal_verified_exn kernel items verify =
   match Kernel.seal ~verify kernel (Asm.assemble_exn items) with
   | Ok image -> image
   | Error e -> Alcotest.fail e
 
-let proof_stale_audited kernel =
-  List.exists
+let contains = Test_linker.contains
+
+let load_rejections kernel =
+  List.filter_map
     (fun e ->
       match e.Vino_core.Audit.event with
-      | Vino_core.Audit.Proof_stale _ -> true
-      | _ -> false)
+      | Vino_core.Audit.Load_rejected { reason; _ } -> Some reason
+      | _ -> None)
     (Vino_core.Audit.entries kernel.Kernel.audit)
 
-let check_stale_error e =
-  Alcotest.(check bool)
-    (Printf.sprintf "error %S names the stale proof" e)
-    true
-    (String.length e >= 5 && String.sub e 0 5 = "stale")
+(* Kernel word 3 lies in the kernel-reserved lower half of memory, which
+   no graft segment covers. *)
+let kernel_word_3 fx = Mem.load fx.kernel.Kernel.mem 3
 
-(* An indirect call whose id the seal-time verifier proved constant and
-   callable from an entry fact (r1 = 0, counter.incr) — so the
-   [Checkcall] was elided and the proof records the callable-set
-   assumption. Load-time static analysis has no entry facts and cannot
-   re-derive the constant, so only the proof revalidation can notice the
-   function was pulled off the graft-callable list after sealing. *)
+let check_refused what = function
+  | Ok () -> Alcotest.failf "%s loaded for an unprivileged installer" what
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the unproven access" e)
+        true (contains e "pc 2 is not proven in-segment")
+
+(* An image signed with the kernel's own key without MiSFIT: its
+   signature is valid, so only the linker's analysis stands between its
+   store and kernel word 3. The installing user is refused with an audit
+   entry naming the store's pc; root, the trusted unsafe path, is not. *)
+let test_unsandboxed_image_needs_privilege () =
+  in_kernel (fun fx ->
+      let image =
+        Kernel.seal_unsafe fx.kernel
+          (Asm.assemble_exn
+             [
+               Li (Asm.r1, 3);
+               Li (Asm.r2, 0xBAD);
+               St (Asm.r2, Asm.r1, 0);
+               Li (Asm.r0, 0);
+               Ret;
+             ])
+      in
+      Alcotest.(check bool) "signature valid" true
+        (Vino_misfit.Image.verify ~key:fx.kernel.Kernel.key image);
+      let installed =
+        Graft_point.replace fx.adder fx.kernel ~cred:(user fx) image
+      in
+      ignore (Graft_point.invoke fx.adder fx.kernel ~cred:(user fx) 0 : int);
+      Alcotest.(check int) "kernel word 3 untouched" 0 (kernel_word_3 fx);
+      check_refused "an unsandboxed store" installed;
+      Alcotest.(check bool) "Load_rejected audit names the pc" true
+        (List.exists
+           (fun r -> contains r "pc 2")
+           (load_rejections fx.kernel));
+      match Graft_point.replace fx.adder fx.kernel ~cred:Cred.root image with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "privileged install refused: %s" e)
+
+(* The sealer's facts bind nothing: sealed under "r1 points into the
+   segment", the store keeps no sandbox, but the graft point's own setup
+   puts 3 in r1, and the linker, which analyses under no facts of the
+   sealer's, refuses the image. *)
+let test_false_entry_fact_refused () =
+  in_kernel (fun fx ->
+      let image =
+        seal_verified_exn fx.kernel
+          [ Li (Asm.r2, 0xBAD); St (Asm.r2, Asm.r1, 0); Li (Asm.r0, 0); Ret ]
+          (Vino_verify.Verify.config
+             ~entry:[ (1, Vino_verify.Verify.seg_window ()) ]
+             ~words:64 ())
+      in
+      Alcotest.(check bool) "sealed with no sandbox" false
+        (Array.exists
+           (function Insn.Sandbox _ -> true | _ -> false)
+           image.Vino_misfit.Image.code);
+      let installed =
+        Graft_point.replace fx.adder fx.kernel ~cred:(user fx) image
+      in
+      ignore (Graft_point.invoke fx.adder fx.kernel ~cred:(user fx) 3 : int);
+      Alcotest.(check int) "kernel word 3 untouched" 0 (kernel_word_3 fx);
+      match installed with
+      | Ok () -> Alcotest.fail "falsely sealed store loaded"
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the unproven store" e)
+            true (contains e "pc 1 is not proven in-segment"))
+
+(* An indirect call whose id the sealer proved constant and callable from
+   an entry fact (r1 = 0, counter.incr), so its [Checkcall] was elided.
+   The installer passes the same fact, and the linker's analysis, run
+   against the registry's current callable flags, refuses the image once
+   the function is pulled off the graft-callable list. *)
 let test_stale_proof_callable_rejected () =
   let fx = make_fixture () in
-  let verify =
-    Vino_verify.Verify.config
-      ~entry:[ (1, Vino_verify.Verify.arg_at_most 0) ]
-      ~words:64 ()
-  in
+  let entry = [ (1, Vino_verify.Verify.arg_at_most 0) ] in
   let image =
-    seal_verified_exn fx.kernel [ Kcallr Asm.r1; Ret ] verify
+    seal_verified_exn fx.kernel [ Kcallr Asm.r1; Ret ]
+      (Vino_verify.Verify.config ~entry ~words:64 ())
   in
-  let proof = Option.get image.Vino_misfit.Image.proof in
-  Alcotest.(check (list int))
-    "proof assumes id 0 is callable" [ 0 ]
-    (Vino_verify.Proof.calls proof);
   Alcotest.(check bool) "checkcall elided from the sealed stream" false
     (Array.exists
        (function Insn.Checkcall _ -> true | _ -> false)
        image.Vino_misfit.Image.code);
-  (match Vino_core.Linker.load fx.kernel ~words:64 image with
+  let load () = Vino_core.Linker.load ~entry fx.kernel ~words:64 image in
+  (match load () with
   | Ok loaded -> Vino_core.Linker.unload fx.kernel loaded
-  | Error e -> Alcotest.failf "fresh proof rejected: %s" e);
+  | Error e -> Alcotest.failf "callable id rejected: %s" e);
   Kernel.set_callable fx.kernel 0 false;
-  (match Vino_core.Linker.load fx.kernel ~words:64 image with
-  | Ok _ -> Alcotest.fail "stale proof accepted after set_callable"
-  | Error e -> check_stale_error e);
-  Alcotest.(check bool) "Proof_stale audited" true
-    (proof_stale_audited fx.kernel);
+  (match load () with
+  | Ok _ -> Alcotest.fail "revoked callable accepted"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the revoked id" e)
+        true
+        (contains e "id 0, which is provably not graft-callable"));
   (* restoring the function makes the same image loadable again *)
   Kernel.set_callable fx.kernel 0 true;
-  match Vino_core.Linker.load fx.kernel ~words:64 image with
+  match load () with
   | Ok loaded -> Vino_core.Linker.unload fx.kernel loaded
   | Error e -> Alcotest.failf "restored callable still rejected: %s" e
 
-(* A proof discharged against a 1024-word segment must not license
-   check elision in a 64-word one. *)
+(* A function graft point passes no entry facts, so the analysis cannot
+   tell which id the same image's [Kcallr r1] reaches, and the image
+   loads after the revocation. Its [Checkcall] was elided at sealing, so
+   the dispatcher is what refuses the call at run time (Rule 7): the
+   graft fails before the revoked function runs and the point's default
+   answers. *)
+let test_revoked_callable_faults_at_run_time () =
+  in_kernel (fun fx ->
+      let image =
+        seal_verified_exn fx.kernel [ Kcallr Asm.r1; Ret ]
+          (Vino_verify.Verify.config
+             ~entry:[ (1, Vino_verify.Verify.arg_at_most 0) ]
+             ~words:64 ())
+      in
+      Kernel.set_callable fx.kernel 0 false;
+      install_exn fx image;
+      let v = Graft_point.invoke fx.adder fx.kernel ~cred:(user fx) 0 in
+      Alcotest.(check int) "default answers" 1 v;
+      Alcotest.(check int) "revoked function never ran" 0 !(fx.counter);
+      Alcotest.(check bool) "graft removed" false
+        (Graft_point.grafted fx.adder);
+      match Graft_point.last_failure fx.adder with
+      | Some msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the refused id" msg)
+            true (contains msg "id 0")
+      | None -> Alcotest.fail "failure not recorded")
+
+(* A raw load 100 words into the segment is proven for a 1,024-word
+   segment and not for a 64-word one, whatever segment the sealer
+   assumed. *)
 let test_stale_proof_words_rejected () =
   let fx = make_fixture () in
-  let verify =
-    Vino_verify.Verify.config
-      ~entry:[ (1, Vino_verify.Verify.seg_window ()) ]
-      ~words:1024 ()
-  in
+  let entry = [ (1, Vino_verify.Verify.seg_window ()) ] in
   let image =
-    seal_verified_exn fx.kernel [ Ld (Asm.r2, Asm.r1, 0); Ret ] verify
+    seal_verified_exn fx.kernel
+      [ Ld (Asm.r2, Asm.r1, 100); Ret ]
+      (Vino_verify.Verify.config ~entry ~words:1024 ())
   in
-  Alcotest.(check int) "proof assumes 1024 words" 1024
-    (Vino_verify.Proof.words (Option.get image.Vino_misfit.Image.proof));
   Alcotest.(check bool) "sandbox elided from the sealed stream" false
     (Array.exists
        (function Insn.Sandbox _ -> true | _ -> false)
        image.Vino_misfit.Image.code);
-  (match Vino_core.Linker.load fx.kernel ~words:1024 image with
+  (match Vino_core.Linker.load ~entry fx.kernel ~words:1024 image with
   | Ok loaded -> Vino_core.Linker.unload fx.kernel loaded
-  | Error e -> Alcotest.failf "matching segment rejected: %s" e);
-  (match Vino_core.Linker.load fx.kernel ~words:64 image with
-  | Ok _ -> Alcotest.fail "undersized segment accepted against the proof"
-  | Error e -> check_stale_error e);
-  Alcotest.(check bool) "Proof_stale audited" true
-    (proof_stale_audited fx.kernel)
+  | Error e -> Alcotest.failf "1,024-word segment rejected: %s" e);
+  match Vino_core.Linker.load ~entry fx.kernel ~words:64 image with
+  | Ok _ -> Alcotest.fail "undersized segment accepted"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the unproven load" e)
+        true
+        (contains e "pc 0 is not proven in-segment")
 
 let test_audit_pp_total () =
   let a = Vino_core.Audit.create () in
@@ -999,10 +1240,8 @@ let test_audit_pp_total () =
     (Vino_core.Audit.Handler_added { point = "p"; handler = 1; user = "u" });
   Vino_core.Audit.record a ~now_us:6.
     (Vino_core.Audit.Handler_failed { point = "p"; handler = 1; reason = "r" });
-  Vino_core.Audit.record a ~now_us:7.
-    (Vino_core.Audit.Proof_stale { point = "p"; reason = "r" });
-  Alcotest.(check int) "count" 7 (Vino_core.Audit.count a);
-  Alcotest.(check int) "failures" 4
+  Alcotest.(check int) "count" 6 (Vino_core.Audit.count a);
+  Alcotest.(check int) "failures" 3
     (List.length (Vino_core.Audit.failures a));
   ignore (Format.asprintf "%a" Vino_core.Audit.pp a);
   Vino_core.Audit.clear a;
@@ -1034,6 +1273,12 @@ let suite =
           test_raising_kcall_aborts_graft;
         Alcotest.test_case "orphaned lock holder cannot stall a waiter"
           `Quick test_orphaned_holder_cannot_stall_waiter;
+        Alcotest.test_case "orphaned holder killed mid-commit: commit finished"
+          `Quick test_kill_during_commit_finishes_it;
+        Alcotest.test_case "caller killed in begin: nothing live or pinned"
+          `Quick test_kill_during_begin_leaves_nothing;
+        Alcotest.test_case "nested invocations killed: every level settled"
+          `Quick test_nested_kill_settles_every_level;
         Alcotest.test_case "successful graft commits kernel state" `Quick
           test_successful_graft_commits_kernel_state;
         Alcotest.test_case "result validation failure falls back" `Quick
@@ -1059,8 +1304,14 @@ let suite =
           test_audit_trail;
         Alcotest.test_case "cred and namespace basics" `Quick
           test_cred_and_namespace_basics;
+        Alcotest.test_case "unsandboxed image needs a privileged installer"
+          `Quick test_unsandboxed_image_needs_privilege;
+        Alcotest.test_case "false entry fact refused at install" `Quick
+          test_false_entry_fact_refused;
         Alcotest.test_case "stale proof: revoked callable rejected" `Quick
           test_stale_proof_callable_rejected;
+        Alcotest.test_case "revoked callable faults at run time" `Quick
+          test_revoked_callable_faults_at_run_time;
         Alcotest.test_case "stale proof: undersized segment rejected" `Quick
           test_stale_proof_words_rejected;
         Alcotest.test_case "audit pp is total" `Quick test_audit_pp_total;

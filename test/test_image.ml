@@ -123,64 +123,34 @@ let test_save_load_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file accepted"
 
-(* ---- proof-carrying images ---- *)
-
-let verifier =
-  Vino_verify.Verify.config
-    ~entry:[ (1, Vino_verify.Verify.seg_window ()) ]
-    ~words:64 ()
-
-let verified_obj () =
-  Asm.assemble_exn
-    [
-      Ld (Asm.r2, Asm.r1, 0);
-      Alui (Insn.Add, Asm.r2, Asm.r2, 1);
-      St (Asm.r2, Asm.r1, 1);
-      Kcall "mem.free";
-      Halt;
-    ]
-
-let seal_verified_exn obj =
-  match Image.seal ~verifier ~key obj with
-  | Ok image -> image
-  | Error e -> Alcotest.fail e
-
-let test_proof_carried_and_roundtripped () =
-  let image = seal_verified_exn (verified_obj ()) in
-  let proof =
-    match image.Image.proof with
-    | Some p -> p
-    | None -> Alcotest.fail "verified seal carried no proof"
+(* Every word [serialise] writes is either covered by the signature or
+   checked by [deserialise] against the stream it would write back: an
+   unused operand word, the high bits of a relocation-name word or a
+   moved section boundary must not load as a verifying image. *)
+let test_non_canonical_stream_refused () =
+  let image = seal_exn (sample_obj ()) in
+  let w = Image.serialise image in
+  let refused what e =
+    match Image.deserialise e with
+    | Error _ -> ()
+    | Ok edited ->
+        Alcotest.(check bool) (what ^ " does not verify") false
+          (Image.verify ~key edited)
   in
-  Alcotest.(check bool) "some access proven safe" true
-    (Vino_verify.Proof.safe_count proof > 0);
-  Alcotest.(check int) "safe map covers the rewritten code"
-    (Array.length image.Image.code)
-    (Vino_verify.Proof.length proof);
-  Alcotest.(check bool) "verifies" true (Image.verify ~key image);
-  match Image.deserialise (Image.serialise image) with
-  | Error e -> Alcotest.fail e
-  | Ok back ->
-      (match back.Image.proof with
-      | Some q ->
-          Alcotest.(check bool) "proof equal after roundtrip" true
-            (Vino_verify.Proof.equal proof q)
-      | None -> Alcotest.fail "roundtrip dropped the proof");
-      Alcotest.(check bool) "still verifies after roundtrip" true
-        (Image.verify ~key back)
-
-(* A forged certificate — every access marked proven-safe without
-   re-sealing — must fail signature verification exactly like tampered
-   code: the signature covers the serialised proof. *)
-let test_proof_tamper_detected () =
-  let image = seal_verified_exn (verified_obj ()) in
-  let forged = Image.tamper_proof image in
-  Alcotest.(check bool) "inflated certificate fails verification" false
-    (Image.verify ~key forged);
-  (* proof-less images are unaffected *)
-  let plain = seal_exn (sample_obj ()) in
-  Alcotest.(check bool) "tamper_proof is identity without a proof" true
-    (Image.verify ~key (Image.tamper_proof plain))
+  Array.iteri
+    (fun k _ ->
+      let e = Array.copy w in
+      e.(k) <- e.(k) + 1;
+      refused (Printf.sprintf "word %d + 1" k) e;
+      let e = Array.copy w in
+      e.(k) <- e.(k) lxor 0x100;
+      refused (Printf.sprintf "word %d xor 0x100" k) e)
+    w;
+  (* the section boundary moved by one cell, the header re-derived as
+     the edit would need it *)
+  let e = Array.copy w in
+  e.(0) <- e.(0) + Vino_vm.Encode.words_per_insn;
+  refused "code section grown into the relocations" e
 
 let test_signature_sensitivity () =
   (* Any single-word change to the stream must change the digest. *)
@@ -288,27 +258,16 @@ let test_top_bit_edit_rejected () =
   Alcotest.(check bool) "an immediate and an offset were edited" true
     (!edits >= 2)
 
-(* The signature is folded over the code, relocations and proof as the
+(* The signature is folded over the header, code and relocations as the
    sealer walks them, without building the stream; it must equal the
-   digest of the stream [serialise] writes, or a saved image would fail
-   verification once loaded. *)
+   digest of the stream [serialise] writes before the signature, or a
+   saved image would fail verification once loaded. *)
 let test_streamed_signature_matches_serialised () =
-  List.iter
-    (fun (what, image) ->
-      let w = Image.serialise image in
-      let body = w.(1) in
-      let plen = w.(2 + body) in
-      let stream =
-        Array.append (Array.sub w 2 body) (Array.sub w (3 + body) plen)
-      in
-      Alcotest.(check bool)
-        (what ^ ": signature is the serialised stream's digest")
-        true
-        (Sign.equal image.Image.signature (Sign.digest ~key stream)))
-    [
-      ("relocations", seal_exn (sample_obj ()));
-      ("proof", seal_verified_exn (verified_obj ()));
-    ]
+  let image = seal_exn (sample_obj ()) in
+  let w = Image.serialise image in
+  Alcotest.(check bool) "signature is the serialised stream's digest" true
+    (Sign.equal image.Image.signature
+       (Sign.digest ~key (Array.sub w 0 (Array.length w - 1))))
 
 let suite =
   [
@@ -331,10 +290,8 @@ let suite =
           test_save_load_roundtrip;
         Alcotest.test_case "digest is sensitive to every word" `Quick
           test_signature_sensitivity;
-        Alcotest.test_case "proof carried, covering, round-tripped" `Quick
-          test_proof_carried_and_roundtripped;
-        Alcotest.test_case "forged certificate detected" `Quick
-          test_proof_tamper_detected;
+        Alcotest.test_case "non-canonical streams refused" `Quick
+          test_non_canonical_stream_refused;
         Alcotest.test_case "streamed signature matches serialised stream"
           `Quick test_streamed_signature_matches_serialised;
         QCheck_alcotest.to_alcotest prop_digest_bit_and_key_sensitive;

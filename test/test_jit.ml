@@ -111,8 +111,8 @@ let gen_fragment st : Asm.item list =
    value ([Top]; the verifier would otherwise assume the zero
    {!Cpu.make} leaves there). With the differential environment's
    [call_ok] predicate, the static verifier can prove some of the random
-   accesses safe, so the corpus exercises proof-carrying translation on
-   real (not hand-picked) programs. *)
+   accesses safe, so the corpus exercises translation with bare accesses
+   on real (not hand-picked) programs. *)
 let fuzz_verifier =
   let randomised =
     List.filter
@@ -131,13 +131,42 @@ let fuzz_verifier =
     ~callable:(fun id -> id land 1 = 0)
     ~words:seg_size ()
 
+(* The linker's view of sealed code under the sealer's own facts, as
+   {!Vino_core.Linker.load} analyses it (the rewritten stage): the raw
+   accesses it proves, which translate bare, and the pcs of raw accesses
+   the sealer left that it does not prove. The second must be empty, or
+   the linker would refuse an honest image. *)
+let linker_view code =
+  let report =
+    Vino_verify.Verify.analyse
+      { fuzz_verifier with Vino_verify.Verify.stage = `Rewritten }
+      code
+  in
+  let bare = Vino_verify.Report.bare_accesses report code in
+  let proven pc =
+    Vino_verify.Report.ok report
+    && match bare with Some b -> b.(pc) | None -> false
+  in
+  let unproven =
+    List.filter
+      (fun pc ->
+        match code.(pc) with
+        | Insn.Ld (_, rb, _) | Insn.St (_, rb, _) ->
+            rb <> Insn.scratch && not (proven pc)
+        | _ -> false)
+      (List.init (Array.length code) Fun.id)
+  in
+  (bare, unproven)
+
 (* The variants of one generated program that the corpus compares:
    Mutate-derived source surgery, the MiSFIT-rewritten safe path, and —
-   when the static verifier accepts the program — the proof-carrying
-   variant, translated with the proof's safe-access map. Most random
-   programs are verifier-rejected (a random access is genuinely
-   out-of-bounds on some path); [test_corpus] asserts the corpus still
-   yields a healthy number of verified variants. *)
+   when the static verifier accepts the program — the verified variant,
+   sealed under [fuzz_verifier] and translated with the bare set the
+   linker proves under the same facts. Most random programs are
+   verifier-rejected (a random access is genuinely out-of-bounds on some
+   path); [test_corpus] asserts the corpus still yields verified
+   variants. The second result lists the raw accesses of the verified
+   variant the linker does not prove. *)
 let variants st source =
   let frag = gen_fragment st in
   let asm items = (Asm.assemble_exn items).Asm.code in
@@ -160,10 +189,11 @@ let variants st source =
     | Ok rewritten -> muts @ [ ("rewritten", rewritten, None) ]
     | Error _ -> muts
   in
-  match Rewrite.process_proved ~verifier:fuzz_verifier base with
-  | Ok (code, Some proof) ->
-      muts @ [ ("verified", code, Some (Vino_verify.Proof.safe proof)) ]
-  | Ok (_, None) | Error _ -> muts
+  match Rewrite.process ~verifier:fuzz_verifier base with
+  | Ok code ->
+      let bare, unproven = linker_view code in
+      (muts @ [ ("verified", code, bare) ], unproven)
+  | Error _ -> (muts, [])
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented environment and differential runner                    *)
@@ -341,7 +371,7 @@ let init_for st =
    them on its own domain, in seed order. *)
 (* VINO_JIT_VARIANTS narrows the corpus to a comma-separated set of
    variant names ("all" or unset runs everything) — the CI matrix uses
-   it to give the proof-carrying variant its own visible job. *)
+   it to give the verified variant its own visible job. *)
 let variant_enabled =
   match Sys.getenv_opt "VINO_JIT_VARIANTS" with
   | None | Some "" | Some "all" -> fun _ -> true
@@ -352,12 +382,12 @@ let variant_enabled =
 let corpus_case seed =
   let st = Random.State.make [| 0xD1FF; seed |] in
   let source = gen_program st in
-  let vs = variants st source in
+  let vs, unproven = variants st source in
   let init_regs, init_mem = init_for st in
-  (vs, init_regs, init_mem)
+  ((vs, init_regs, init_mem), unproven)
 
 let run_seed seed =
-  let vs, init_regs, init_mem = corpus_case seed in
+  let (vs, init_regs, init_mem), unproven = corpus_case seed in
   let diffs =
     List.concat_map
       (fun (vname, code, safe) ->
@@ -366,11 +396,12 @@ let run_seed seed =
         else [])
       vs
   in
-  (* how many variants actually carried a proof (before filtering), so
-     the corpus test can assert the proof-carrying path is exercised,
-     not silently skipped *)
-  (List.length (List.filter (fun (_, _, safe) -> Option.is_some safe) vs),
-   diffs)
+  (* how many variants translate with bare accesses (before filtering),
+     so the corpus test can assert that path is exercised, not silently
+     skipped *)
+  ( List.length (List.filter (fun (_, _, safe) -> Option.is_some safe) vs),
+    List.map (fun pc -> (seed, pc)) unproven,
+    diffs )
 
 let test_domains =
   match Sys.getenv_opt "VINO_TEST_DOMAINS" with
@@ -387,10 +418,15 @@ let map_seeds f =
 
 let test_corpus () =
   let results = map_seeds run_seed in
-  List.iter (fun (_, diffs) -> check_renders diffs) results;
+  List.iter (fun (_, _, diffs) -> check_renders diffs) results;
+  (* an honest verified image is never refused: the linker proves every
+     access the sealer left raw *)
+  Alcotest.(check (list (pair int int)))
+    "(seed, pc) of raw accesses the linker does not prove" []
+    (List.concat_map (fun (_, unproven, _) -> unproven) results);
   Alcotest.(check bool)
-    "corpus exercises the proof-carrying variant" true
-    (List.exists (fun (proved, _) -> proved > 0) results)
+    "corpus exercises translation with bare accesses" true
+    (List.exists (fun (bare, _, _) -> bare > 0) results)
 
 (* A single translation entered from four domains at once: every
    window's first entry races, so a domain may find a row unbuilt or a
@@ -446,7 +482,8 @@ let test_shared_across_domains () =
             vs)
         (("crypt", crypt_case ())
         :: List.init 8 (fun k ->
-               (Printf.sprintf "seed=%d" (k + 1), corpus_case (k + 1)))))
+               ( Printf.sprintf "seed=%d" (k + 1),
+                 fst (corpus_case (k + 1)) ))))
 
 (* ------------------------------------------------------------------ *)
 (* Edge cases                                                          *)
@@ -488,8 +525,9 @@ let test_checked_fallback () =
 
 (* The paper grafts sealed as bench/wall.exe seals them: the MiSFIT safe
    path with imports patched to a stub id, and the encryption graft
-   sealed proof-carrying under its entry facts (a 16K-word segment, 2048
-   words each side). *)
+   sealed verified under its entry facts (a 16K-word segment, 2048 words
+   each side), translated with the bare set the linker proves under the
+   same facts. *)
 let wall_seg_words = 1 lsl 14
 
 let crypt_verifier =
@@ -512,7 +550,18 @@ let wall_sealed ?verifier source =
       List.iter
         (fun r -> code.(r.Asm.index) <- Insn.Kcall 1)
         image.Vino_misfit.Image.relocs;
-      (code, Option.map Vino_verify.Proof.safe image.Vino_misfit.Image.proof)
+      (* the bare set the linker proves under the sealer's facts *)
+      let link =
+        Vino_verify.Verify.config
+          ?entry:(Option.map (fun v -> v.Vino_verify.Verify.entry) verifier)
+          ~words:wall_seg_words
+          ~callable:(fun _ -> true)
+          ~stage:`Rewritten ()
+      in
+      ( code,
+        Vino_verify.Report.bare_accesses
+          (Vino_verify.Verify.analyse link code)
+          code )
 
 let stats t = (Jit.block_count t, Jit.fused_pairs t, Jit.elided_accesses t)
 
@@ -663,37 +712,37 @@ let test_tables_golden () =
   Alcotest.(check string) "tables 3-7 byte-identical" interp translated
 
 (* ------------------------------------------------------------------ *)
-(* Translation cache: proof-hash keying, concurrency, digest rendering *)
+(* Translation cache: bare-set keying, concurrency, digest rendering    *)
 (* ------------------------------------------------------------------ *)
 
 module Kernel = Vino_core.Kernel
-module Proof = Vino_verify.Proof
 
-let cache_code = [| Insn.Li (1, seg_base); Ld (2, 1, 0); Halt |]
+let cache_code =
+  [| Insn.Li (1, seg_base); Ld (2, 1, 0); Ld (3, 1, 1); Halt |]
 
-(* The same post-link code translated with and without a certificate must
-   occupy distinct cache entries (Sign digest alone no longer keys the
-   cache), and each entry must be served back on a repeat lookup. *)
-let test_cache_proof_key () =
+(* The same post-link code translated with no bare access and with two
+   different bare sets must occupy distinct cache entries (the code
+   digest alone does not key the cache), and each entry must be served
+   back on a repeat lookup with an equal set. *)
+let test_cache_bare_key () =
   let k = Kernel.create ~mem_words:(1 lsl 16) () in
-  let proof =
-    Proof.make ~words:seg_size ~safe:[| false; true; false |] ~calls:[]
-  in
+  let first = [| false; true; false; false |] in
+  let both = [| false; true; true; false |] in
   let t0 = Kernel.translate k cache_code in
-  let t1 = Kernel.translate k ~proof cache_code in
-  Alcotest.(check bool) "distinct translations" true (t0 != t1);
-  Alcotest.(check int) "plain translation elides nothing" 0
-    (Jit.elided_accesses t0);
-  Alcotest.(check int) "proof-carrying elides the proven load" 1
-    (Jit.elided_accesses t1);
+  let t1 = Kernel.translate k ~safe:first cache_code in
+  let t2 = Kernel.translate k ~safe:both cache_code in
+  Alcotest.(check bool) "distinct translations" true
+    (t0 != t1 && t1 != t2 && t0 != t2);
+  Alcotest.(check (list int)) "bare accesses per translation" [ 0; 1; 2 ]
+    (List.map Jit.elided_accesses [ t0; t1; t2 ]);
   let stats = Kernel.translation_stats k in
-  Alcotest.(check int) "two cache entries" 2 (List.length stats);
-  Alcotest.(check int) "exactly one proof-keyed entry" 1
+  Alcotest.(check int) "three cache entries" 3 (List.length stats);
+  Alcotest.(check int) "two keyed by a bare set" 2
     (List.length
        (List.filter (fun (key, _, _) -> String.contains key '/') stats));
-  Alcotest.(check bool) "same proof hits its entry" true
-    (Kernel.translate k ~proof cache_code == t1);
-  Alcotest.(check bool) "no proof hits its entry" true
+  Alcotest.(check bool) "an equal set hits its entry" true
+    (Kernel.translate k ~safe:(Array.copy first) cache_code == t1);
+  Alcotest.(check bool) "no set hits its entry" true
     (Kernel.translate k cache_code == t0)
 
 (* The digest only picks the cache slot: two different programs under one
@@ -804,8 +853,8 @@ let suite =
           test_first_entry_alloc;
         Alcotest.test_case "tables 3-7 golden across modes" `Quick
           test_tables_golden;
-        Alcotest.test_case "cache keyed by digest + proof hash" `Quick
-          test_cache_proof_key;
+        Alcotest.test_case "cache keyed by digest + bare set" `Quick
+          test_cache_bare_key;
         Alcotest.test_case "cache hit compares the code" `Quick
           test_cache_hit_compares_code;
         Alcotest.test_case "cache LRU bound: eviction, shrink, sorted stats"

@@ -192,7 +192,8 @@ let test_digest_collision () =
   let sign = Vino_misfit.Sign.forge 7 in
   let verdict code reason =
     match
-      Kernel.link_verdict k ~sign ~words code (fun () -> Error reason)
+      Kernel.link_verdict k ~sign ~words ~entry:[] code (fun () ->
+          Error reason)
     with
     | Ok _ -> Alcotest.fail "no verdict accepts"
     | Error e -> e
@@ -371,6 +372,29 @@ let prop_free_memory_reads_zero =
           free_reads_zero ())
         ops)
 
+(* A relocation index outside the code: the signature verifies (the
+   image is sealed under the kernel's key), but no instruction sits at
+   index 99 to patch. The load fails with an error and raises nothing,
+   and the stream such an image serialises to does not parse back. *)
+let test_reloc_outside_code () =
+  let k = fresh () in
+  let (_ : Kcall.fn) = register k "x" in
+  let obj =
+    {
+      Asm.code = [| Insn.Li (Asm.r0, 0); Insn.Ret |];
+      relocs = [ { Asm.index = 99; name = "x" } ];
+    }
+  in
+  let image = Kernel.seal_unsafe k obj in
+  (match Linker.load k ~words ~privileged:true image with
+  | Ok _ -> Alcotest.fail "an out-of-code relocation linked"
+  | Error e ->
+      Alcotest.(check bool) ("refused: " ^ e) true
+        (contains e "outside the code"));
+  Alcotest.(check bool) "deserialise refuses the stream" true
+    (Result.is_error
+       (Vino_misfit.Image.deserialise (Vino_misfit.Image.serialise image)))
+
 let suite =
   [
     ( "linker",
@@ -394,6 +418,8 @@ let suite =
           test_top_bit_twins_run_their_own_code;
         Alcotest.test_case "serve handler miss: allocation" `Quick
           test_serve_miss_alloc;
+        Alcotest.test_case "relocation outside the code refused" `Quick
+          test_reloc_outside_code;
         QCheck_alcotest.to_alcotest prop_free_memory_reads_zero;
       ] );
   ]

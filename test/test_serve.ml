@@ -198,6 +198,101 @@ let test_config_validation () =
       { small with Serve.runaway = Some (-1) };
     ]
 
+(* Rule 8: the lock-hijack repro, on the kcalls one shard registers.
+   Tenant 1's handler names tenant 5 in r1, takes that lock and then
+   spins a million iterations while holding it; tenant 5's honest
+   handler arrives 900 cycles later. The kcalls check the caller's
+   credential, so the acquire aborts the hijacker, and tenant 5 is served
+   exactly as fast as with no hijacker at all. Without the check tenant 5
+   waits out the hijacker. *)
+let hijack : Vino_vm.Asm.item list =
+  let open Vino_vm in
+  [
+    Li (Asm.r13, 1);
+    Li (Asm.r1, 5);
+    Kcall "serve.acquire";
+    Li (Asm.r7, 0);
+    Li (Asm.r8, 1_000_000);
+    Label "spin";
+    Alui (Insn.Add, Asm.r7, Asm.r7, 1);
+    Br (Insn.Lt, Asm.r7, Asm.r8, "spin");
+    Li (Asm.r0, 0);
+    Ret;
+  ]
+
+(* Tenant 5's latency in cycles, and the reasons its neighbour's handler
+   failed for, on a kernel holding tenants 1 and 5 as one shard does. *)
+let tenant5_beside ~hijacker =
+  let module Kernel = Vino_core.Kernel in
+  let module Engine = Vino_sim.Engine in
+  let module Port = Vino_net.Port in
+  let k = Kernel.create ~mem_words:(1 lsl 16) () in
+  let limits = Vino_txn.Rlimit.unlimited () in
+  let tenants = [ 1; 5 ] in
+  let creds =
+    Array.of_list
+      (List.map
+         (fun i -> Vino_core.Cred.user (Printf.sprintf "tenant-%d" i) ~limits)
+         tenants)
+  in
+  let locks =
+    Array.of_list
+      (List.map
+         (fun i ->
+           Kernel.make_lock k
+             ~timeout:(Vino_txn.Tcosts.us 20_000.)
+             ~name:(Printf.sprintf "serve.tenant:%d" i)
+             ())
+         tenants)
+  in
+  let latency = ref None in
+  Serve.register_kcalls k ~tenants ~creds ~locks
+    ~on_done:(fun li ~stamp ~req:_ ->
+      if li = 1 then latency := Some (Engine.now k.Kernel.engine - stamp));
+  let arrive li ~at source =
+    let port = Port.create k Tcp ~number:(8000 + List.nth tenants li) in
+    let image =
+      match Kernel.seal k (Vino_vm.Asm.assemble_exn source) with
+      | Ok image -> image
+      | Error e -> Alcotest.fail e
+    in
+    (match
+       Vino_core.Event_point.add_handler (Port.event_point port) k
+         ~cred:creds.(li) ~payload_words:16 ~heap_words:16 ~limits image
+     with
+    | Ok (_ : int) -> ()
+    | Error e -> Alcotest.fail e);
+    let (_ : Engine.cancel) =
+      Engine.at k.Kernel.engine at (fun () ->
+          Port.connect port ~payload:[| at; List.nth tenants li; 0; 40 |])
+    in
+    ()
+  in
+  arrive 1 ~at:1_000 (Serve.graft_source ~tenant:5 ~flood:false);
+  if hijacker then arrive 0 ~at:100 hijack;
+  Kernel.run k;
+  Alcotest.(check int) "no worker process died" 0
+    (List.length (Engine.failures k.Kernel.engine));
+  let failed =
+    List.filter_map
+      (fun (e : Vino_core.Audit.entry) ->
+        match e.Vino_core.Audit.event with
+        | Vino_core.Audit.Handler_failed { reason; _ } -> Some reason
+        | _ -> None)
+      (Vino_core.Audit.entries k.Kernel.audit)
+  in
+  (!latency, failed)
+
+let test_lock_hijack_refused () =
+  let base, none_failed = tenant5_beside ~hijacker:false in
+  let hijacked, failed = tenant5_beside ~hijacker:true in
+  Alcotest.(check bool) "tenant 5 served alone" true (base <> None);
+  Alcotest.(check (list string)) "no handler failed alone" [] none_failed;
+  Alcotest.(check (option int)) "tenant 5's latency unperturbed" base hijacked;
+  Alcotest.(check (list string)) "the hijacker's acquire refused"
+    [ "serve.acquire: r1 names another tenant" ]
+    failed
+
 let suite =
   [
     ( "serve",
@@ -208,6 +303,8 @@ let suite =
           test_samples_sorted;
         Alcotest.test_case "admission control audited exactly" `Quick
           test_admission_control;
+        Alcotest.test_case "lock hijack refused by the caller's credential"
+          `Quick test_lock_hijack_refused;
         Alcotest.test_case "runaway tenant contained by its slice" `Quick
           test_runaway_contained;
         Alcotest.test_case "interp/translated parity, verified faster" `Quick

@@ -488,8 +488,9 @@ let prop_differential_straight_line =
 (* Every report the analyser produces over a fixed corpus, rendered in
    full (per-instruction classes, diagnostics in order, the degraded
    flag) and reduced to one fixed digest, so any change to a verdict, a
-   diagnostic, its text or its order fails here: seal-time proofs and
-   [vino verify] listings derive from exactly these reports.
+   diagnostic, its text or its order fails here: seal-time elision, the
+   linker's verdicts and [vino verify] listings derive from exactly
+   these reports.
 
    Corpus: the disaster campaign's 5 x 8 family x injector variants at a
    fixed seed, sealed with the site kernel's key and relocation-patched
