@@ -362,8 +362,9 @@ let serve ?pool () =
        us); percentile and makespan lines are gated."
     (fun () -> Sc_serve.table ?pool ())
 
-(* The tables the bench gate watches: every paper table plus the
-   disaster recovery-cost table and the multi-tenant serve table. *)
+(* The gated tables: every paper table plus the disaster recovery-cost
+   table and the multi-tenant serve table. Tier-1 goldens pin each row
+   to the cycle (test/golden.ml). *)
 let tables ~iterations ?pool () =
   table3 ~iterations ?pool ();
   table4 ~iterations ?pool ();

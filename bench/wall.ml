@@ -40,7 +40,7 @@
                            invocation
 
    Writes BENCH_wall.json (schema vino-bench-v1; table name "wall").
-   The gate skips it: host time is machine-dependent, informational
+   No golden pins it: host time is machine-dependent, informational
    only. *)
 
 module Insn = Vino_vm.Insn

@@ -6,6 +6,12 @@
    point, and a forged image. After every disaster the kernel's state is
    verified intact and the next graft installs normally (Table 1, Rule 9).
 
+   The thief tries twice. Calling the secret's id straight from a register
+   is refused at load: the linker proves the call can only reach a
+   function that is not graft-callable. Laundering the id through the
+   stack hides it from that proof, so MiSFIT's run-time Checkcall probe
+   refuses the call instead and the graft is removed.
+
    Run with: dune exec examples/misbehave.exe *)
 
 module Asm = Vino_vm.Asm
@@ -67,13 +73,13 @@ let point =
 
 let mallory = Cred.user "mallory" ~limits:(Rlimit.zero ())
 
-let install source =
+let try_install source =
   match Kernel.seal kernel (Asm.assemble_exn source) with
   | Error e -> failwith e
-  | Ok image -> (
-      match Graft_point.replace point kernel ~cred:mallory image with
-      | Ok () -> ()
-      | Error e -> failwith e)
+  | Ok image -> Graft_point.replace point kernel ~cred:mallory image
+
+let install source =
+  match try_install source with Ok () -> () | Error e -> failwith e
 
 let invoke_in_process () =
   let result = ref None in
@@ -112,9 +118,16 @@ let () =
   Printf.printf "%-34s    kernel word 7 = %d (untouched)\n" ""
     (Mem.load kernel.Kernel.mem 7);
 
-  (* 2. stealing private data through an indirect call *)
-  install [ Li (Asm.r5, 2); Kcallr Asm.r5; Ret ];
-  report "indirect call to secret.read";
+  (* 2. stealing private data through an indirect call (secret.read is
+     id 2): refused at load while the id is visible, caught at run time
+     once it is laundered through the stack *)
+  (match try_install [ Li (Asm.r5, 2); Kcallr Asm.r5; Ret ] with
+  | Ok () -> print_endline "provably bad indirect call LOADED (bug!)"
+  | Error e ->
+      Printf.printf "%-34s -> rejected at load: %s\n"
+        "indirect call to secret.read" e);
+  install [ Li (Asm.r6, 2); Push Asm.r6; Pop Asm.r5; Kcallr Asm.r5; Ret ];
+  report "laundered call to secret.read";
 
   (* 3. mutate kernel state, then crash: transaction undoes it *)
   install

@@ -65,6 +65,14 @@ let sort_handlers hs =
       match compare a.order b.order with 0 -> compare a.hid b.hid | c -> c)
     hs
 
+(* what [run_handler] establishes: r1 = the payload window at the segment
+   base, r2 = a length of at most [payload_words] *)
+let entry_facts ~payload_words =
+  [
+    (1, Vino_verify.Verify.seg_window ());
+    (2, Vino_verify.Verify.arg_at_most payload_words);
+  ]
+
 let add_handler t kernel ~cred ?order ?(payload_words = 2048)
     ?(heap_words = 1024) ?limits image =
   if t.erestricted && not (Cred.is_privileged cred) then
@@ -73,17 +81,10 @@ let add_handler t kernel ~cred ?order ?(payload_words = 2048)
          t.ename)
   else
     let words = payload_words + heap_words + 256 in
-    (* what [run_handler] establishes: r1 = the payload window at the
-       segment base, r2 = a length of at most [payload_words] *)
-    let entry =
-      [
-        (1, Vino_verify.Verify.seg_window ());
-        (2, Vino_verify.Verify.arg_at_most payload_words);
-      ]
-    in
     match
-      Linker.load ~entry ~privileged:(Cred.is_privileged cred) kernel ~words
-        image
+      Linker.load
+        ~entry:(entry_facts ~payload_words)
+        ~privileged:(Cred.is_privileged cred) kernel ~words image
     with
     | Error reason as e ->
         Kernel.audit_event kernel

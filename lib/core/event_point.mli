@@ -31,10 +31,15 @@ val add_handler :
 (** Returns a handler id. [order] positions the handler among those already
     added (lower runs first; default: after all). [payload_words] sizes the
     window events are copied into (default 2048). The linker analyses the
-    image under the entry convention {!dispatch} establishes (r1 = the
-    payload window at the segment base, r2 <= [payload_words]) and
-    refuses a memory access it cannot prove in-segment unless [cred] is
-    privileged. *)
+    image under {!entry_facts} and refuses a memory access it cannot
+    prove in-segment unless [cred] is privileged. *)
+
+val entry_facts :
+  payload_words:int -> (Vino_vm.Insn.reg * Vino_verify.Absval.t) list
+(** The entry convention {!dispatch} establishes for a handler whose
+    window holds [payload_words]: r1 = the payload window at the segment
+    base, r2 <= [payload_words]. Seal a handler under these facts to get
+    the raw accesses {!add_handler}'s load proves. *)
 
 val remove_handler : t -> Kernel.t -> int -> unit
 

@@ -36,6 +36,11 @@ type verdict_stats = {
   verdict_entries : int;
 }
 
+type flow_check =
+  | Flow_off
+  | Flow_own
+  | Flow_pinned of Vino_verify.Kflow.table
+
 type t = {
   engine : Engine.t;
   wheel : Tick.t;
@@ -64,8 +69,7 @@ type t = {
   mutable verdict_hits : int;
   mutable verdict_misses : int;
   mutable exec_mode : Vino_vm.Jit.mode;
-  mutable flow_enforce : bool;
-  mutable flow_pin : Vino_verify.Kflow.table option;
+  mutable flow_check : flow_check;
   mutable snap_savers : (unit -> unit -> unit) list; (* newest first *)
 }
 
@@ -106,8 +110,7 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
         (match exec_mode with
         | Some m -> m
         | None -> !Vino_vm.Jit.default_mode);
-      flow_enforce = false;
-      flow_pin = None;
+      flow_check = Flow_off;
       snap_savers = [];
     }
   in
@@ -149,13 +152,11 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
   in
   let fields_saver () =
     let exec_mode = t.exec_mode
-    and flow_enforce = t.flow_enforce
-    and flow_pin = t.flow_pin
+    and flow_check = t.flow_check
     and savers = t.snap_savers in
     fun () ->
       t.exec_mode <- exec_mode;
-      t.flow_enforce <- flow_enforce;
-      t.flow_pin <- flow_pin;
+      t.flow_check <- flow_check;
       t.snap_savers <- savers
   in
   t.snap_savers <-

@@ -47,6 +47,18 @@ type verdict_stats = {
   verdict_entries : int;  (** live entries, [<= verdict_cap] *)
 }
 
+(** Which kcall-flow transition table wrappers enforce at dispatch. *)
+type flow_check =
+  | Flow_off
+      (** none (the default: flow checking is an opt-in third protection
+          mechanism, like seal-time verification) *)
+  | Flow_own  (** each graft's own table, compiled at load *)
+  | Flow_pinned of Vino_verify.Kflow.table
+      (** this table for every graft, modeling an attested compile-time
+          call-flow graph (SFIP-style) that the running code must honour.
+          Disaster campaigns pin a witness protocol's table and then
+          install a hijacked variant. *)
+
 type t = {
   engine : Vino_sim.Engine.t;
   wheel : Vino_sim.Tick.t;
@@ -92,16 +104,7 @@ type t = {
   mutable exec_mode : Vino_vm.Jit.mode;
       (** how wrappers execute graft code (default
           {!Vino_vm.Jit.default_mode}) *)
-  mutable flow_enforce : bool;
-      (** when true, wrappers enforce each graft's static kcall-flow
-          transition table at dispatch (default false: flow checking is an
-          opt-in third protection mechanism, like seal-time verification) *)
-  mutable flow_pin : Vino_verify.Kflow.table option;
-      (** when set, wrappers enforce this table instead of the loaded
-          graft's own — modeling an attested compile-time call-flow graph
-          (SFIP-style) that the running code must honour. Disaster
-          campaigns use it to pin a witness protocol and then install a
-          hijacked variant. *)
+  mutable flow_check : flow_check;  (** default [Flow_off] *)
   mutable snap_savers : (unit -> unit -> unit) list;
       (** snapshot registry, newest first: each saver captures one
           component's state and returns its restore thunk. Register via

@@ -44,7 +44,7 @@ type loaded = private {
   flow : Vino_verify.Kflow.table;
       (** bitset kcall-flow transition table compiled from the post-link
           code; wrappers enforce it at dispatch when the kernel's
-          [flow_enforce] is set *)
+          [flow_check] is [Flow_own] *)
   mutable running : int;  (** invocations executing in [seg] now ({!pin}) *)
   mutable retired : bool;
       (** {!unload}ed while [running > 0]: the last {!unpin} frees [seg] *)
@@ -128,5 +128,8 @@ val flow_of_obj :
 (** Kcall-flow transition table of an (unsealed) object: relocations are
     resolved against the registry exactly as {!load} does, but no segment
     is allocated and nothing is installed. This is how a campaign pins a
-    witness protocol's table ([Kernel.flow_pin]) before installing a
-    hijacked variant, and how the CLI reports a graph pre-install. *)
+    witness protocol's table ([Kernel.Flow_pinned]) before installing a
+    hijacked variant. The CLI's pre-install graph reports ([vino verify],
+    [vino inspect], [vino seal --flowcheck]) do not use it: they have no
+    kernel registry to resolve against, so they give each import a
+    synthetic id instead. *)

@@ -82,14 +82,11 @@ let exec kernel (loaded : Linker.loaded) ~txn ~cred ~limits
       ~costs:kernel.Kernel.vm_costs ()
   in
   setup cpu;
-  (* A pinned table (attested call-flow graph) overrides the graft's own;
-     with enforcement off, no check is installed at all. *)
   let flow =
-    if kernel.Kernel.flow_enforce then
-      match kernel.Kernel.flow_pin with
-      | Some t -> Some t
-      | None -> Some loaded.flow
-    else None
+    match kernel.Kernel.flow_check with
+    | Kernel.Flow_off -> None
+    | Flow_own -> Some loaded.flow
+    | Flow_pinned t -> Some t
   in
   let e = env ?flow kernel ~txn:(Some txn) ~cred ~limits in
   (* Each slice resumes from the cpu's saved pc, so the step function must

@@ -56,11 +56,11 @@ val exec :
     interprets its code. Both produce bit-identical cpu state and
     outcomes.
 
-    The graft's kcall-flow table is enforced only when the kernel's
-    [flow_enforce] is set, and [Kernel.flow_pin] (an attested graph)
-    overrides it. Both step functions dispatch kernel calls through the
-    same environment closure, so enforcement is identical in interp and
-    translated modes. *)
+    The kernel's [flow_check] selects the kcall-flow table enforced at
+    dispatch: none, the graft's own, or a pinned (attested) one. Both
+    step functions dispatch kernel calls through the same environment
+    closure, so enforcement is identical in interp and translated
+    modes. *)
 
 val invoke :
   Kernel.t ->

@@ -62,7 +62,7 @@ type variant = {
   note : string;  (** seeded parameters, for the report *)
   flow_witness : Vino_vm.Asm.item list option;
       (** when set, the campaign pins this source's kcall-flow table
-          ([Kernel.flow_pin], via {!Site.pin_flow_witness}) before
+          ([Kernel.Flow_pinned], via {!Site.pin_flow_witness}) before
           installing [source] — the attested protocol the hijacked variant
           violates *)
 }

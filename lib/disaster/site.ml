@@ -193,6 +193,14 @@ let point_install point kernel ~cred ~shared_words ~heap_words image =
 
 let baseline kernel = Segalloc.used_words kernel.Kernel.segalloc
 
+(* The last step of every [force_remove]: a pinned attested graph
+   belonged to the removed graft, so the check falls back to each graft's
+   own table (the defaults'). A check that was off stays off. *)
+let unpin_flow kernel =
+  match kernel.Kernel.flow_check with
+  | Kernel.Flow_pinned _ -> kernel.Kernel.flow_check <- Kernel.Flow_own
+  | Flow_off | Flow_own -> ()
+
 (* ------------------------- fs: read-ahead ----------------------------- *)
 
 let fs_site () =
@@ -236,9 +244,7 @@ let fs_site () =
     force_remove =
       (fun () ->
         if Graft_point.grafted point then Graft_point.remove point kernel;
-        (* any pinned attested graph belonged to the removed graft;
-           enforcement stays on against the defaults' own tables *)
-        kernel.Kernel.flow_pin <- None);
+        unpin_flow kernel);
     drive = (fun () -> workload [ 5; 17; 18; 90; 91; 92 ]);
     drive_once = (fun () -> workload [ 33 ]);
     check_default =
@@ -291,9 +297,7 @@ let vmem_site () =
     force_remove =
       (fun () ->
         if Graft_point.grafted point then Graft_point.remove point kernel;
-        (* any pinned attested graph belonged to the removed graft;
-           enforcement stays on against the defaults' own tables *)
-        kernel.Kernel.flow_pin <- None);
+        unpin_flow kernel);
     drive =
       (fun () ->
         ignore
@@ -353,9 +357,7 @@ let sched_site () =
     force_remove =
       (fun () ->
         if Graft_point.grafted point then Graft_point.remove point kernel;
-        (* any pinned attested graph belonged to the removed graft;
-           enforcement stays on against the defaults' own tables *)
-        kernel.Kernel.flow_pin <- None);
+        unpin_flow kernel);
     drive = (fun () -> schedule_n 8);
     drive_once = (fun () -> schedule_n 2);
     check_default =
@@ -403,7 +405,7 @@ let stream_site () =
     force_remove =
       (fun () ->
         if Graft_point.grafted point then Graft_point.remove point kernel;
-        kernel.Kernel.flow_pin <- None);
+        unpin_flow kernel);
     drive = (fun () -> transfer_n 3);
     drive_once = (fun () -> transfer_n 1);
     check_default =
@@ -455,7 +457,7 @@ let net_site () =
         | Some id when Event_point.handler_count point > 0 ->
             Event_point.remove_handler point kernel id
         | _ -> ());
-        kernel.Kernel.flow_pin <- None);
+        unpin_flow kernel);
     drive = (fun () -> get_n 3);
     drive_once = (fun () -> get_n 1);
     check_default =
@@ -498,5 +500,4 @@ let pin_flow_witness (site : t) witness =
       match Vino_core.Linker.flow_of_obj site.kernel obj with
       | Error e -> failwith ("flow witness link: " ^ e)
       | Ok table ->
-          site.kernel.Kernel.flow_enforce <- true;
-          site.kernel.Kernel.flow_pin <- Some table)
+          site.kernel.Kernel.flow_check <- Kernel.Flow_pinned table)

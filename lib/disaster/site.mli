@@ -34,8 +34,9 @@ type t = {
   install : Vino_misfit.Image.t -> (unit, string) result;
   grafted : unit -> bool;
   force_remove : unit -> unit;
-      (** idempotent; also clears any pinned kcall-flow table, whose
-          attested graph belonged to the removed graft *)
+      (** idempotent; also turns a pinned kcall-flow check
+          ([Kernel.Flow_pinned]), whose attested graph belonged to the
+          removed graft, into a check of each graft's own table *)
   drive : unit -> unit;
       (** queue the family workload; caller runs the engine *)
   drive_once : unit -> unit;
@@ -59,7 +60,7 @@ val spawn_contender : t -> delay:int -> unit
 
 val pin_flow_witness : t -> Vino_vm.Asm.item list -> unit
 (** Compile [witness]'s kcall-flow transition table ({!Vino_core.Linker}),
-    pin it on the site's kernel and enable flow enforcement — modeling an
+    pin it on the site's kernel ([Kernel.Flow_pinned]) — modeling an
     attested call-flow graph the installed graft must honour. Call before
     installing a {!Injector.Flow_hijack} variant.
     @raise Failure if the witness does not assemble or link. *)

@@ -71,7 +71,8 @@ let run t ?(indirection = Vino_txn.Tcosts.us 1.)
   | Error reason -> Failed reason
 
 let sample t ?iterations path invoke =
-  if path = Path.FlowChecked then t.kernel.Kernel.flow_enforce <- true;
+  if path = Path.FlowChecked then
+    t.kernel.Kernel.flow_check <- Kernel.Flow_own;
   let commit = path <> Path.Abort in
   Probe.samples t.kernel ?iterations (fun k ->
       match invoke ~commit k with

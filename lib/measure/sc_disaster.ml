@@ -81,7 +81,7 @@ let table ?pool () =
   in
   (* Campaign throughput in virtual time: deterministic (every record's
      elapsed cycles are a pure function of seed and index), so the rows
-     gate like any other. [~fork:false]: forking warms one site per family
+     are pinned like any other. [~fork:false]: forking warms one site per family
      per domain, so the host-side trace counters emitted alongside the
      bench JSON would depend on pool size; fresh sites keep the whole
      report byte-identical at any -j. The virtual time is the same either

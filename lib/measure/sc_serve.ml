@@ -6,9 +6,8 @@ let tenant_counts = [ 1; 4; 12 ]
 let report ?pool ~tenants ~path () =
   Serve.run ?pool { Serve.default with Serve.tenants; path }
 
-(* Latency percentiles are elapsed-microsecond rows the gate watches;
-   throughput is not a time, so it rides along as an incremental
-   (ungated, informational) line — the JSON still carries it. *)
+(* Makespan and latency percentiles are elapsed-microsecond rows;
+   throughput is not a time, so it rides along as an incremental line. *)
 let rows ?pool ~tenants ~path () =
   let r = report ?pool ~tenants ~path () in
   let st = Stats.create () in

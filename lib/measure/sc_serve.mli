@@ -2,11 +2,12 @@
 
     Runs {!Vino_net.Serve} at several tenant counts on each execution
     path and reports, per [(tenant count, path)] cell, the makespan and
-    the p50/p99/p999 arrival-to-response latency (gated rows) plus the
-    throughput in requests per second (informational row — not a
-    microsecond quantity, so it is emitted as an incremental line the
-    bench gate skips). Fully deterministic: cycle-exact across hosts and
-    across [-j] levels. *)
+    the p50/p99/p999 arrival-to-response latency plus the throughput in
+    requests per second (not a microsecond quantity, so it is emitted as
+    an incremental line). Fully deterministic: cycle-exact across hosts
+    and across [-j] levels. The [measure] test "serve table: golden
+    cycles" pins all 45 rows to the cycle; re-pin it there after an
+    intended recosting. *)
 
 val report :
   ?pool:Vino_par.Pool.t ->

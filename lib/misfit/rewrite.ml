@@ -1,10 +1,8 @@
 module Insn = Vino_vm.Insn
 
-let uses_reserved_register prog = Array.exists Insn.uses_scratch prog
-
 (* Expand each instruction into a list, then remap every control-flow target
    from its old index to the start of that instruction's expansion. *)
-let expand_i f prog =
+let expand f prog =
   let expansions = Array.mapi f prog in
   let n = Array.length prog in
   let new_index = Array.make (n + 1) 0 in
@@ -21,10 +19,10 @@ let expand_i f prog =
     expansions;
   out
 
-let expand f prog = expand_i (fun _ i -> f i) prog
-
+(* Expand [Push]/[Pop] into explicit stack-pointer arithmetic plus a plain
+   store/load, so the sandboxing pass covers them. *)
 let lower_stack_ops prog =
-  let lower : Insn.t -> Insn.t list = function
+  let lower _ : Insn.t -> Insn.t list = function
     | Push r -> [ Alui (Sub, Insn.sp, Insn.sp, 1); St (r, Insn.sp, 0) ]
     | Pop r -> [ Ld (r, Insn.sp, 0); Alui (Add, Insn.sp, Insn.sp, 1) ]
     | i -> [ i ]
@@ -33,10 +31,10 @@ let lower_stack_ops prog =
 
 (* The single SFI insertion pass. [safe_access]/[safe_call] are judged at
    input-program indices (before expansion): a safe access keeps its raw
-   [Ld]/[St], a safe indirect call keeps its raw [Kcallr]. [guard_calls]
-   folds the [Checkcall] insertion into this pass so both protections see
-   the same index space. *)
-let sandbox_pass ~safe_access ~safe_call ~guard_calls prog =
+   [Ld]/[St], a safe indirect call keeps its raw [Kcallr]; every other
+   access gets a [Sandbox] sequence and every other indirect call a
+   [Checkcall], so both protections see the same index space. *)
+let sandbox_pass ~safe_access ~safe_call prog =
   let s = Insn.scratch in
   let sandboxed rb off access : Insn.t list =
     let address =
@@ -49,26 +47,15 @@ let sandbox_pass ~safe_access ~safe_call ~guard_calls prog =
     | (Ld _ | St _) when safe_access index -> [ i ]
     | Ld (rd, rb, off) -> sandboxed rb off (Insn.Ld (rd, s, 0))
     | St (rv, rb, off) -> sandboxed rb off (Insn.St (rv, s, 0))
-    | Kcallr r when guard_calls && not (safe_call index) ->
-        [ Insn.Checkcall r; Kcallr r ]
+    | Kcallr r when not (safe_call index) -> [ Insn.Checkcall r; Kcallr r ]
     | i -> [ i ]
   in
-  expand_i protect prog
+  expand protect prog
 
 let never _ = false
 
-let sandbox_memory ?(safe = never) prog =
-  sandbox_pass ~safe_access:safe ~safe_call:never ~guard_calls:false prog
-
-let guard_indirect_calls ?(safe = never) prog =
-  let guard k : Insn.t -> Insn.t list = function
-    | Kcallr r when not (safe k) -> [ Checkcall r; Kcallr r ]
-    | i -> [ i ]
-  in
-  expand_i guard prog
-
 let process ?verifier prog =
-  if uses_reserved_register prog then
+  if Array.exists Insn.uses_scratch prog then
     Error
       (Printf.sprintf "graft code uses reserved sandbox register r%d"
          Insn.scratch)
@@ -76,9 +63,7 @@ let process ?verifier prog =
     let lowered = lower_stack_ops prog in
     match verifier with
     | None ->
-        Ok
-          (sandbox_pass ~safe_access:never ~safe_call:never ~guard_calls:true
-             lowered)
+        Ok (sandbox_pass ~safe_access:never ~safe_call:never lowered)
     | Some conf ->
         (* The analysis runs on the lowered program so the report's indices
            line up with the insertion pass's input. *)
@@ -95,4 +80,4 @@ let process ?verifier prog =
             | Vino_verify.Report.(Icall (Call_safe _)) -> true
             | _ -> false
           in
-          Ok (sandbox_pass ~safe_access ~safe_call ~guard_calls:true lowered)
+          Ok (sandbox_pass ~safe_access ~safe_call lowered)

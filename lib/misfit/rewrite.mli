@@ -10,26 +10,6 @@
     branch/jump/call targets. Code that uses the reserved sandbox register
     {!Vino_vm.Insn.scratch} is rejected. *)
 
-val uses_reserved_register : Vino_vm.Insn.t array -> bool
-
-val lower_stack_ops : Vino_vm.Insn.t array -> Vino_vm.Insn.t array
-(** Expand [Push]/[Pop] into explicit stack-pointer arithmetic plus a plain
-    store/load, so the generic sandboxing pass covers them. *)
-
-val sandbox_memory :
-  ?safe:(int -> bool) -> Vino_vm.Insn.t array -> Vino_vm.Insn.t array
-(** Insert [Sandbox] sequences before every [Ld]/[St].
-
-    [safe] (judged at input-program indices, default never) marks accesses
-    proven in-segment by the static verifier: they keep their raw [Ld]/[St]
-    with no sandbox sequence at all. *)
-
-val guard_indirect_calls :
-  ?safe:(int -> bool) -> Vino_vm.Insn.t array -> Vino_vm.Insn.t array
-(** Insert [Checkcall] before every [Kcallr]. [safe] (input-program
-    indices) marks calls whose id the verifier proved graft-callable; they
-    keep their raw [Kcallr]. *)
-
 val process :
   ?verifier:Vino_verify.Verify.config ->
   Vino_vm.Insn.t array ->
@@ -47,10 +27,3 @@ val process :
     and refuses an unprivileged install whose raw accesses it cannot
     prove ([Linker.load]), so sealing under facts the graft
     point does not establish gets an image no such point will load. *)
-
-val expand :
-  (Vino_vm.Insn.t -> Vino_vm.Insn.t list) ->
-  Vino_vm.Insn.t array ->
-  Vino_vm.Insn.t array
-(** Generic instruction-expansion pass with control-flow target remapping
-    (exposed for tests and ablations). *)

@@ -251,11 +251,7 @@ let seal_tenant cfg kernel source =
     | Verified ->
         Some
           (Verify.config
-             ~entry:
-               [
-                 (1, Verify.seg_window ());
-                 (2, Verify.arg_at_most payload_words);
-               ]
+             ~entry:(Event_point.entry_facts ~payload_words)
              ~words:verify_words ())
     | Interp | Translated -> None
   in

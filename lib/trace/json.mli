@@ -1,7 +1,7 @@
 (** A deliberately tiny JSON layer (the toolchain ships no JSON
     library): enough to emit the bench/trace reports and to parse them
-    back in the CI regression gate. Numbers are kept as either exact
-    ints (cycle counts — what the gate compares) or floats. *)
+    back in tests and the host benchmark. Numbers are kept as either
+    exact ints (cycle counts) or floats. *)
 
 type t =
   | Null
@@ -25,7 +25,7 @@ val of_string : string -> (t, string) result
 (** Strict enough for round-tripping our own output; errors carry an
     offset. *)
 
-(** Accessors for the gate; all total. *)
+(** Accessors; all total. *)
 
 val member : string -> t -> t option
 val to_list : t -> t list

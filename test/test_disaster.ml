@@ -189,17 +189,11 @@ let test_campaign_deterministic_across_runs () =
 
 (* ------------------------ recovery cost golden ------------------------ *)
 
-(* The recovery-cost table in the cycles [bench/baseline.json] gates, so
-   [dune runtest] catches a change that moves one recovery cycle. *)
+(* The recovery-cost table to the cycle, as [bench/main.exe quick
+   --json] writes it (see [Golden]). *)
 let test_recovery_cost_golden () =
-  let rows =
-    List.map
-      (fun (r : Vino_measure.Table.row) ->
-        (r.label, Vino_vm.Costs.cycles_of_us r.measured_us))
-      (Vino_measure.Sc_disaster.table ())
-  in
-  Alcotest.(check (list (pair string int)))
-    "labels and cycles equal the bench baseline"
+  Golden.check @@ fun check ->
+  check "Recovery cost" (Vino_measure.Sc_disaster.table ())
     [
       ("healthy graft (commit path)", 8985);
       ("detect+recover: wild-store", 8994);
@@ -213,7 +207,6 @@ let test_recovery_cost_golden () =
       ("campaign trial, mean of 40 (virtual us)", 13774022);
       ("campaign throughput (trials per virtual second)", 1045);
     ]
-    rows
 
 let suite =
   [

@@ -183,9 +183,7 @@ let pin_witness kernel =
   let obj = Asm.assemble_exn witness_source in
   match Linker.flow_of_obj kernel obj with
   | Error e -> Alcotest.fail e
-  | Ok table ->
-      kernel.Kernel.flow_enforce <- true;
-      kernel.Kernel.flow_pin <- Some table
+  | Ok table -> kernel.Kernel.flow_check <- Kernel.Flow_pinned table
 
 let load_exn kernel source =
   let obj = Asm.assemble_exn source in
@@ -266,7 +264,7 @@ let test_legal_sequence_unaffected () =
   List.iter
     (fun mode ->
       let kernel, use_ran = fixture () in
-      kernel.Kernel.flow_enforce <- true;
+      kernel.Kernel.flow_check <- Kernel.Flow_own;
       let loaded = load_exn kernel witness_source in
       let sink = Trace.create () in
       let _, outcome =
@@ -284,7 +282,7 @@ let test_legal_sequence_unaffected () =
     [ Vino_vm.Jit.Interp; Vino_vm.Jit.Translated ]
 
 let test_enforcement_off_by_default () =
-  (* Without flow_enforce the hijack is not flow-checked (it still runs
+  (* With the check off the hijack is not flow-checked (it still runs
      under every other protection) — the mechanism is opt-in, so all
      pre-existing cycle counts are unchanged. *)
   let kernel, use_ran = fixture () in

@@ -225,20 +225,11 @@ let test_probe_rejects_no_iterations () =
     (Invalid_argument "Probe.samples: iterations must be at least 1")
     (fun () -> ignore (Probe.samples kernel ~iterations:0 (fun _ -> ())))
 
-(* Tables 3-7 to the cycle at the quick bench's 60 iterations, the
-   figures [bench/baseline.json] gates within 2%: [dune runtest] catches a
-   change that moves one row by one cycle. *)
+(* Tables 3-7 to the cycle at the quick bench's 60 iterations, as
+   [bench/main.exe quick --json] writes them (see [Golden]). *)
 let test_tables_golden () =
   let iterations = 60 in
-  let check name rows expected =
-    Alcotest.(check (list (pair string int)))
-      (name ^ ": labels and cycles")
-      expected
-      (List.map
-         (fun (r : Table.row) ->
-           (r.label, Vino_vm.Costs.cycles_of_us r.measured_us))
-         rows)
-  in
+  Golden.check @@ fun check ->
   check "Table 3" (Sc_readahead.table ~iterations ())
     [
       ("Base path", 60);
@@ -324,6 +315,62 @@ let test_tables_golden () =
       ("Encryption (full abort)", 4200);
     ]
 
+(* The serve table to the cycle (see [Golden]): makespan and latency
+   percentiles of every (tenant count, path) cell, interp and
+   verified-translated included, plus each cell's throughput row, which
+   is requests per second rather than microseconds but is pinned through
+   the same conversion. *)
+let test_serve_golden () =
+  Golden.check @@ fun check ->
+  check "Serve" (Sc_serve.table ())
+    [
+      ("t=1 interp makespan", 177597);
+      ("t=1 interp p50", 13460);
+      ("t=1 interp p99", 13460);
+      ("t=1 interp p999", 13460);
+      ("t=1 interp throughput (req/s)", 1945979);
+      ("t=1 translated makespan", 177597);
+      ("t=1 translated p50", 13460);
+      ("t=1 translated p99", 13460);
+      ("t=1 translated p999", 13460);
+      ("t=1 translated throughput (req/s)", 1945979);
+      ("t=1 verified-translated makespan", 177137);
+      ("t=1 verified-translated p50", 13000);
+      ("t=1 verified-translated p99", 13000);
+      ("t=1 verified-translated p999", 13000);
+      ("t=1 verified-translated throughput (req/s)", 1951032);
+      ("t=4 interp makespan", 177597);
+      ("t=4 interp p50", 13035);
+      ("t=4 interp p99", 13460);
+      ("t=4 interp p999", 13460);
+      ("t=4 interp throughput (req/s)", 7783915);
+      ("t=4 translated makespan", 177597);
+      ("t=4 translated p50", 13035);
+      ("t=4 translated p99", 13460);
+      ("t=4 translated p999", 13460);
+      ("t=4 translated throughput (req/s)", 7783915);
+      ("t=4 verified-translated makespan", 177275);
+      ("t=4 verified-translated p50", 12752);
+      ("t=4 verified-translated p99", 13000);
+      ("t=4 verified-translated p999", 13000);
+      ("t=4 verified-translated throughput (req/s)", 7798054);
+      ("t=12 interp makespan", 178885);
+      ("t=12 interp p50", 13088);
+      ("t=12 interp p99", 13652);
+      ("t=12 interp p999", 13652);
+      ("t=12 interp throughput (req/s)", 23183610);
+      ("t=12 translated makespan", 178885);
+      ("t=12 translated p50", 13088);
+      ("t=12 translated p99", 13652);
+      ("t=12 translated p999", 13652);
+      ("t=12 translated throughput (req/s)", 23183610);
+      ("t=12 verified-translated makespan", 178483);
+      ("t=12 verified-translated p50", 12783);
+      ("t=12 verified-translated p99", 13112);
+      ("t=12 verified-translated p999", 13112);
+      ("t=12 verified-translated throughput (req/s)", 23235826);
+    ]
+
 let prop_parser_never_crashes =
   QCheck2.Test.make ~name:"parser never raises on garbage" ~count:300
     QCheck2.Gen.(string_size ~gen:printable (int_range 0 120))
@@ -354,6 +401,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_parser_never_crashes;
         Alcotest.test_case "Tables 3-7: golden cycles" `Quick
           test_tables_golden;
+        Alcotest.test_case "serve table: golden cycles" `Quick
+          test_serve_golden;
         Alcotest.test_case "probe rejects zero iterations" `Quick
           test_probe_rejects_no_iterations;
       ] );

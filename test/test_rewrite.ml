@@ -5,16 +5,22 @@ module Mem = Vino_vm.Mem
 module Cpu = Vino_vm.Cpu
 module Asm = Vino_vm.Asm
 module Rewrite = Vino_misfit.Rewrite
+module Verify = Vino_verify.Verify
 
 let machine () =
   let mem = Mem.create 1024 in
   let seg = Mem.segment ~base:512 ~size:256 in
   (mem, seg)
 
-let process_exn code =
-  match Rewrite.process code with
+let process_exn ?verifier code =
+  match Rewrite.process ?verifier code with
   | Ok rewritten -> rewritten
   | Error e -> Alcotest.fail e
+
+let count_sandbox code =
+  Array.fold_left
+    (fun acc i -> match i with Insn.Sandbox _ -> acc + 1 | _ -> acc)
+    0 code
 
 let test_reserved_register_rejected () =
   let code = [| Insn.Mov (Insn.scratch, 0); Insn.Halt |] in
@@ -24,12 +30,8 @@ let test_reserved_register_rejected () =
 
 let test_sandbox_inserted_before_loads_and_stores () =
   let code = [| Insn.Ld (0, 1, 4); Insn.St (2, 3, 0); Insn.Halt |] in
-  let rewritten = Rewrite.sandbox_memory code in
-  let sandboxes =
-    Array.to_list rewritten
-    |> List.filter (function Insn.Sandbox _ -> true | _ -> false)
-  in
-  Alcotest.(check int) "one sandbox per access" 2 (List.length sandboxes);
+  let rewritten = process_exn code in
+  Alcotest.(check int) "one sandbox per access" 2 (count_sandbox rewritten);
   (* Every rewritten access goes through the scratch register. *)
   Array.iter
     (function
@@ -85,11 +87,13 @@ let test_wild_store_confined () =
 
 let test_push_pop_lowered () =
   let code = [| Insn.Push 1; Insn.Pop 2; Insn.Halt |] in
-  let lowered = Rewrite.lower_stack_ops code in
+  let lowered = process_exn code in
   Alcotest.(check bool) "no push/pop remain" true
     (Array.for_all
        (function Insn.Push _ | Insn.Pop _ -> false | _ -> true)
        lowered);
+  Alcotest.(check int) "the lowered store and load are sandboxed" 2
+    (count_sandbox lowered);
   (* And behaviour is preserved through the full pipeline. *)
   let mem, seg = machine () in
   let obj =
@@ -105,7 +109,7 @@ let test_push_pop_lowered () =
 
 let test_indirect_kernel_calls_guarded () =
   let code = [| Insn.Li (1, 9); Insn.Kcallr 1; Insn.Halt |] in
-  let rewritten = Rewrite.guard_indirect_calls code in
+  let rewritten = process_exn code in
   (match rewritten with
   | [| Insn.Li (1, 9); Insn.Checkcall 1; Insn.Kcallr 1; Insn.Halt |] -> ()
   | _ -> Alcotest.fail "checkcall not inserted before kcallr");
@@ -124,20 +128,19 @@ let test_expansion_cost_bounds () =
     [| Insn.Ld (0, 1, 0); Insn.St (0, 1, 4); Insn.Alu (Add, 0, 0, 0);
        Insn.Halt |]
   in
-  let rewritten = Rewrite.sandbox_memory code in
+  let rewritten = process_exn code in
   let growth = Array.length rewritten - Array.length code in
   Alcotest.(check bool) "growth within 2-3 insns per access" true
     (growth >= 4 && growth <= 6)
 
-let count_sandbox code =
-  Array.fold_left
-    (fun acc i -> match i with Insn.Sandbox _ -> acc + 1 | _ -> acc)
-    0 code
-
-let test_sandbox_memory_safe_predicate () =
-  (* accesses the verifier proved keep their raw instruction *)
-  let code = [| Insn.Ld (0, 1, 0); Insn.St (0, 1, 0); Insn.Halt |] in
-  let rewritten = Rewrite.sandbox_memory ~safe:(fun k -> k = 0) code in
+let test_proven_accesses_stay_raw () =
+  (* accesses the verifier proved keep their raw instruction: r1 is the
+     segment base at entry, r2 is unknown *)
+  let code = [| Insn.Ld (0, 1, 0); Insn.St (0, 2, 0); Insn.Halt |] in
+  let verifier =
+    Verify.config ~entry:[ (1, Verify.seg_window ()) ] ~words:16 ()
+  in
+  let rewritten = process_exn ~verifier code in
   (match rewritten.(0) with
   | Insn.Ld (0, 1, 0) -> ()
   | _ -> Alcotest.fail "proven access lost its raw form");
@@ -193,7 +196,7 @@ let suite =
         Alcotest.test_case "expansion cost within paper bounds" `Quick
           test_expansion_cost_bounds;
         Alcotest.test_case "safe predicate keeps raw accesses" `Quick
-          test_sandbox_memory_safe_predicate;
+          test_proven_accesses_stay_raw;
         QCheck_alcotest.to_alcotest prop_rewritten_stores_confined;
       ] );
   ]

@@ -119,9 +119,10 @@ let test_cache_churn () =
 (* Serve's virtual results, pinned: the canary digest hostbench records
    for 16 tenants x 200 requests at seed 42, the MD5 hex of the
    served/rejected/jit line and one [%d %d %.6f] line per (tenant,
-   request, latency) sample. The gated percentiles allow 2% drift and
-   the CI diffs compare this tree with itself; only a recorded digest
-   catches one extra cycle per event. *)
+   request, latency) sample. The serve golden ([measure]) pins the bench
+   table's percentiles on every path; this digest pins every sample of
+   hostbench's larger shapes on the default path, so one extra cycle
+   per event fails either. *)
 let canary_digest (r : Serve.report) =
   Printf.sprintf "served=%d rejected=%d jit=%d/%d/%d" r.Serve.served
     r.Serve.rejected r.Serve.jit_hits r.Serve.jit_misses r.Serve.jit_evictions

@@ -306,16 +306,24 @@ let test_force_remove_clears_flow_pin () =
   List.iter
     (fun family ->
       let site = Site.create family in
-      Site.pin_flow_witness site site.Site.healthy;
-      Alcotest.(check bool)
-        (Site.family_name family ^ ": witness pinned")
-        true
-        (site.Site.kernel.Kernel.flow_pin <> None);
+      let check what expected =
+        Alcotest.(check string)
+          (Site.family_name family ^ ": " ^ what)
+          expected
+          (match site.Site.kernel.Kernel.flow_check with
+          | Kernel.Flow_off -> "off"
+          | Flow_own -> "own"
+          | Flow_pinned _ -> "pinned")
+      in
+      check "off by default" "off";
       site.Site.force_remove ();
-      Alcotest.(check bool)
-        (Site.family_name family ^ ": pin cleared with the graft")
-        true
-        (site.Site.kernel.Kernel.flow_pin = None))
+      check "an off check stays off" "off";
+      Site.pin_flow_witness site site.Site.healthy;
+      check "witness pinned" "pinned";
+      site.Site.force_remove ();
+      check "pin cleared with the graft, own tables checked" "own";
+      site.Site.force_remove ();
+      check "idempotent" "own")
     Site.all_families
 
 (* ------------------------- forked campaigns --------------------------- *)
