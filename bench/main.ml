@@ -3,8 +3,7 @@
 
    Usage:
      bench/main.exe                 -- everything (default iterations)
-     bench/main.exe -j 4 tables     -- fan table rows out over 4 domains
-     bench/main.exe speedup         -- time tables at -j 1 vs -j N
+     bench/main.exe tables          -- the gated tables
      bench/main.exe quick           -- everything, fewer iterations
      bench/main.exe table3|table4|table5|table6|table7
      bench/main.exe disaster        -- recovery cost by injected fault class
@@ -34,16 +33,16 @@ let emit ~name ~title ?notes rows_fn =
   end
   else Table.print ~title ?notes (rows_fn ())
 
-let table3 ~iterations ?pool () =
+let table3 ~iterations () =
   emit ~name:"table3"
     ~title:"Table 3: Read-ahead graft overhead (Black Box; paper §4.1)"
     ~notes:
       "Note: our MiSFIT delta is smaller than the paper's 3us because the\n\
        IR graft is shorter than their compiled C++; every other component\n\
        matches."
-    (fun () -> Sc_readahead.table ~iterations ?pool ())
+    (fun () -> Sc_readahead.table ~iterations ())
 
-let table4 ~iterations ?pool () =
+let table4 ~iterations () =
   emit ~name:"table4"
     ~title:"Table 4: Page eviction graft overhead (Prioritization; §4.2)"
     ~notes:
@@ -52,35 +51,35 @@ let table4 ~iterations ?pool () =
           us\n\
           (paper: 39+120=159 us elapsed); overrule >> agreement matches."
          (Sc_evict.measure_agreement ~iterations ()))
-    (fun () -> Sc_evict.table ~iterations ?pool ())
+    (fun () -> Sc_evict.table ~iterations ())
 
-let table5 ~iterations ?pool () =
+let table5 ~iterations () =
   emit ~name:"table5"
     ~title:"Table 5: Scheduling graft overhead (Prioritization; §4.3)"
     ~notes:
       "Largest increase comes from transaction+lock costs, ~2x the process\n\
        switch cost, as in the paper (~2% of a 10 ms timeslice)."
-    (fun () -> Sc_sched.table ~iterations ?pool ())
+    (fun () -> Sc_sched.table ~iterations ())
 
-let table6 ~iterations ?pool () =
+let table6 ~iterations () =
   emit ~name:"table6"
     ~title:"Table 6: Encryption graft overhead (Stream; SFI worst case; §4.4)"
     ~notes:
       "MiSFIT roughly doubles the graft function: the graft is almost\n\
        entirely loads and stores."
-    (fun () -> Sc_crypt.table ~iterations ?pool ())
+    (fun () -> Sc_crypt.table ~iterations ())
 
-let table7 ~iterations ?pool () =
+let table7 ~iterations () =
   emit ~name:"table7"
     ~title:"Table 7: Graft abort costs (null vs full abort; §4.5)" (fun () ->
-      Abort_model.table7 ~iterations ?pool ())
+      Abort_model.table7 ~iterations ())
 
 (* [wall:true] appends wall-clock rows comparing forked (snapshot-restored
    warmed sites) and fresh (site rebuilt per trial) campaigns. Only the
    standalone `disaster` dispatch passes it: the rows are host timings, so
    they are incremental (ungated) and must not appear in the `tables` run
    the parallel-determinism CI job byte-diffs. *)
-let disaster ?(wall = false) ?pool () =
+let disaster ?(wall = false) () =
   emit ~name:"disaster"
     ~title:"Disaster rig: recovery cost by fault class (stream site; seeded)"
     ~notes:
@@ -88,7 +87,7 @@ let disaster ?(wall = false) ?pool () =
        and nested-fault rows include the contender whose time-out triggers\n\
        the abort; loop rows are budget-bound (200k cycles)."
     (fun () ->
-      let rows = Sc_disaster.table ?pool () in
+      let rows = Sc_disaster.table () in
       if not wall then rows
       else begin
         let time f =
@@ -97,8 +96,8 @@ let disaster ?(wall = false) ?pool () =
           Unix.gettimeofday () -. t0
         in
         let count = 400 in
-        let campaign ~fork ?pool () =
-          Vino_disaster.Campaign.run ?pool ~fork ~seed:42 ~count ()
+        let campaign ~fork () =
+          Vino_disaster.Campaign.run ~fork ~seed:42 ~count ()
         in
         (* The two campaigns alternate and each side keeps its best of
            three (the [time_pair] discipline of bench/wall.ml), so the
@@ -112,7 +111,6 @@ let disaster ?(wall = false) ?pool () =
           forked := Float.min !forked t
         done;
         let fresh = !fresh and forked = !forked in
-        let piped = time (fun () -> campaign ~fork:true ?pool ()) in
         rows
         @ [
             Table.overhead
@@ -123,16 +121,13 @@ let disaster ?(wall = false) ?pool () =
               (forked *. 1e6);
             Table.overhead "wall: forked speedup over fresh (x)"
               (fresh /. forked);
-            Table.overhead
-              "wall: forked -jN pipeline speedup over fresh -j1 (x)"
-              (fresh /. piped);
           ]
       end)
 
-let abortmodel ~iterations ?pool () =
+let abortmodel ~iterations () =
   Table.print
     ~title:"Section 4.5 model: abort cost = 35us + 10us*L + c*G"
-    (Abort_model.model_table ~iterations ?pool ());
+    (Abort_model.model_table ~iterations ());
   let lo, hi = Abort_model.timeout_latency_bounds () in
   Printf.printf
     "Timeout latency with the 10 ms clock tick: %.0f..%.0f ms (paper: 10-20 \
@@ -140,14 +135,14 @@ let abortmodel ~iterations ?pool () =
     (Vino_vm.Costs.us_of_cycles lo /. 1000.)
     (Vino_vm.Costs.us_of_cycles hi /. 1000.)
 
-let lockfactor ~iterations ?pool () =
+let lockfactor ~iterations () =
   Table.print
     ~title:"Figures 4/5: conventional vs fully-factored get_lock"
     ~notes:
       "Two encapsulated decision points cost two ~35-cycle calls per\n\
        acquire; the factored manager lets a graft change the grant order\n\
        (reader-priority vs fifo-fair traces above)."
-    (Lock_factor.table ~iterations ?pool ())
+    (Lock_factor.table ~iterations ())
 
 let fig3 () =
   print_endline
@@ -337,20 +332,20 @@ let ablations ~iterations () =
   ablation_elevator ();
   calibrate ()
 
-let all ~iterations ?pool () =
+let all ~iterations () =
   fig3 ();
-  table3 ~iterations ?pool ();
-  table4 ~iterations ?pool ();
-  table5 ~iterations ?pool ();
-  table6 ~iterations ?pool ();
-  table7 ~iterations ?pool ();
-  disaster ?pool ();
-  abortmodel ~iterations ?pool ();
-  lockfactor ~iterations ?pool ();
+  table3 ~iterations ();
+  table4 ~iterations ();
+  table5 ~iterations ();
+  table6 ~iterations ();
+  table7 ~iterations ();
+  disaster ();
+  abortmodel ~iterations ();
+  lockfactor ~iterations ();
   costbenefit ~iterations ();
   ablations ~iterations ()
 
-let serve ?pool () =
+let serve () =
   emit ~name:"serve"
     ~title:
       "Serve: multi-tenant graft server (throughput + latency SLOs, by \
@@ -360,59 +355,24 @@ let serve ?pool () =
        (admission control, inherited per-tenant rlimits, bounded LRU\n\
        translation cache). Throughput lines are informational (req/s, not\n\
        us); percentile and makespan lines are gated."
-    (fun () -> Sc_serve.table ?pool ())
+    (fun () -> Sc_serve.table ())
 
 (* The gated tables: every paper table plus the disaster recovery-cost
    table and the multi-tenant serve table. Tier-1 goldens pin each row
    to the cycle (test/golden.ml). *)
-let tables ~iterations ?pool () =
-  table3 ~iterations ?pool ();
-  table4 ~iterations ?pool ();
-  table5 ~iterations ?pool ();
-  table6 ~iterations ?pool ();
-  table7 ~iterations ?pool ();
-  disaster ?pool ();
-  serve ?pool ()
-
-(* Time the gated tables serial vs fanned-out and report the ratio.
-   Table output is squelched; only the timing summary survives. *)
-let speedup ~jobs () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let quiet f () =
-    let saved = Unix.dup Unix.stdout in
-    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    Unix.dup2 null Unix.stdout;
-    Unix.close null;
-    Fun.protect
-      ~finally:(fun () ->
-        flush stdout;
-        Unix.dup2 saved Unix.stdout;
-        Unix.close saved)
-      f
-  in
-  let serial = time (quiet (fun () -> tables ~iterations:60 ())) in
-  let pool = Vino_par.Pool.create ~domains:jobs () in
-  let parallel =
-    Fun.protect
-      ~finally:(fun () -> Vino_par.Pool.shutdown pool)
-      (fun () -> time (quiet (fun () -> tables ~iterations:60 ~pool ())))
-  in
-  Printf.printf
-    "bench speedup (gated tables, quick iterations):\n\
-    \  -j 1   %8.2f s\n\
-    \  -j %-2d  %8.2f s\n\
-    \  speedup %.2fx on %d available core(s)\n"
-    serial jobs parallel (serial /. parallel)
-    (Domain.recommended_domain_count ())
+let tables ~iterations () =
+  table3 ~iterations ();
+  table4 ~iterations ();
+  table5 ~iterations ();
+  table6 ~iterations ();
+  table7 ~iterations ();
+  disaster ();
+  serve ()
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--json] [-j N] \
-     [quick|tables|table3|table4|table5|table6|table7|disaster|serve|abortmodel|lockfactor|costbenefit|ablations|calibrate|speedup]";
+    "usage: main.exe [--json] \
+     [quick|tables|table3|table4|table5|table6|table7|disaster|serve|abortmodel|lockfactor|costbenefit|ablations|calibrate]";
   exit 1
 
 let () =
@@ -420,60 +380,24 @@ let () =
   let args = Array.to_list Sys.argv in
   json_mode := List.mem "--json" args;
   let args = List.filter (fun a -> a <> "--json") args in
-  (* -j N: fan tables out over N domains (default: all recommended
-     domains; -j 1 is byte-for-byte the serial code path). *)
-  let rec split_jobs acc = function
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some j when j >= 1 -> (Some j, List.rev_append acc rest)
-        | Some _ | None ->
-            prerr_endline "main.exe: -j expects a positive integer";
-            exit 1)
-    | "-j" :: [] ->
-        prerr_endline "main.exe: -j expects a positive integer";
-        exit 1
-    | a :: rest -> split_jobs (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let jobs_opt, args = split_jobs [] args in
-  let jobs =
-    match jobs_opt with
-    | Some j -> j
-    | None -> Domain.recommended_domain_count ()
-  in
-  let with_pool f =
-    if jobs <= 1 then f ?pool:None ()
-    else
-      let pool = Vino_par.Pool.create ~domains:jobs () in
-      Fun.protect
-        ~finally:(fun () -> Vino_par.Pool.shutdown pool)
-        (fun () -> f ?pool:(Some pool) ())
-  in
   match args with
-  | [ _ ] -> with_pool (all ~iterations)
+  | [ _ ] -> all ~iterations ()
   | [ _; "quick" ] ->
       (* --json quick only runs the gated tables: the ablations have no
          JSON form and would dominate the run *)
-      if !json_mode then with_pool (tables ~iterations:60)
-      else with_pool (all ~iterations:60)
-  | [ _; "tables" ] -> with_pool (tables ~iterations)
-  | [ _; "table3" ] -> with_pool (table3 ~iterations)
-  | [ _; "table4" ] -> with_pool (table4 ~iterations)
-  | [ _; "table5" ] -> with_pool (table5 ~iterations)
-  | [ _; "table6" ] -> with_pool (table6 ~iterations)
-  | [ _; "table7" ] -> with_pool (table7 ~iterations)
-  | [ _; "disaster" ] -> with_pool (fun ?pool () -> disaster ~wall:true ?pool ())
-  | [ _; "serve" ] -> with_pool (fun ?pool () -> serve ?pool ())
-  | [ _; "abortmodel" ] -> with_pool (abortmodel ~iterations)
-  | [ _; "lockfactor" ] -> with_pool (lockfactor ~iterations)
+      if !json_mode then tables ~iterations:60 () else all ~iterations:60 ()
+  | [ _; "tables" ] -> tables ~iterations ()
+  | [ _; "table3" ] -> table3 ~iterations ()
+  | [ _; "table4" ] -> table4 ~iterations ()
+  | [ _; "table5" ] -> table5 ~iterations ()
+  | [ _; "table6" ] -> table6 ~iterations ()
+  | [ _; "table7" ] -> table7 ~iterations ()
+  | [ _; "disaster" ] -> disaster ~wall:true ()
+  | [ _; "serve" ] -> serve ()
+  | [ _; "abortmodel" ] -> abortmodel ~iterations ()
+  | [ _; "lockfactor" ] -> lockfactor ~iterations ()
   | [ _; "costbenefit" ] -> costbenefit ~iterations ()
   | [ _; "ablations" ] -> ablations ~iterations ()
   | [ _; "calibrate" ] -> calibrate ()
   | [ _; "fig3" ] -> fig3 ()
-  | [ _; "speedup" ] ->
-      (* the reference comparison point is 4 domains unless -j overrides *)
-      let jobs =
-        match jobs_opt with Some j -> max j 2 | None -> max 4 jobs
-      in
-      speedup ~jobs ()
   | _ -> usage ()

@@ -538,7 +538,7 @@ let disaster seed count costs jobs mode fork recheck json =
         Vino_measure.Table.print
           ~title:"Disaster rig: recovery cost by fault class (stream site)"
           ~notes:"Delta over the healthy row is detection + abort + removal."
-          (Vino_measure.Sc_disaster.table ?pool ());
+          (Vino_measure.Sc_disaster.table ());
       if not (Vino_disaster.Campaign.ok report) then begin
         List.iter
           (Printf.eprintf "violation: %s\n")
@@ -690,24 +690,23 @@ let trace_stream ~transfers () =
    survives restore (translations are pure and cost no virtual cycles), so
    forked trials would report different translate/hit trace counters than
    fresh ones. *)
-let run_trace_scenario ?pool ~transfers ~seed ~count = function
+let run_trace_scenario ~transfers ~seed ~count = function
   | "stream" -> trace_stream ~transfers ()
   | "disaster" ->
-      ignore (Vino_disaster.Campaign.run ?pool ~fork:false ~seed ~count ())
+      ignore (Vino_disaster.Campaign.run ~fork:false ~seed ~count ())
   | "both" ->
       trace_stream ~transfers ();
-      ignore (Vino_disaster.Campaign.run ?pool ~fork:false ~seed ~count ())
+      ignore (Vino_disaster.Campaign.run ~fork:false ~seed ~count ())
   | other ->
       Printf.eprintf "unknown scenario %S; try stream, disaster or both\n"
         other;
       exit 1
 
-let trace scenario transfers seed count json span_tail jobs mode =
+let trace scenario transfers seed count json span_tail mode =
   set_mode mode;
   let sink = Trace.create () in
-  with_pool jobs (fun pool ->
-      Trace.with_t sink (fun () ->
-          run_trace_scenario ?pool ~transfers ~seed ~count scenario));
+  Trace.with_t sink (fun () ->
+      run_trace_scenario ~transfers ~seed ~count scenario);
   if json then
     print_string (Vino_trace.Json.to_string (Trace.report_json ~scenario sink))
   else Format.printf "%a" (Trace.pp_report ~span_tail) sink
@@ -1144,7 +1143,7 @@ let trace_cmd =
           kernel counters and the span tail")
     Term.(
       const trace $ scenario $ transfers $ seed $ count $ json $ span_tail
-      $ jobs_arg $ mode_arg)
+      $ mode_arg)
 
 let rules_cmd =
   Cmd.v

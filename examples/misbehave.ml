@@ -1,10 +1,12 @@
 (* Dealing with disaster: a gauntlet of misbehaved kernel extensions.
 
    One kernel survives, in order: a wild-store graft, a private-data thief,
-   an infinite loop, a memory hog, a lock hoarder contending with an
-   innocent transaction, a covert denial of service against a watchdogged
-   point, and a forged image. After every disaster the kernel's state is
-   verified intact and the next graft installs normally (Table 1, Rule 9).
+   an infinite loop cut off by its CPU budget, a memory hog, a lock
+   hoarder contending with an innocent transaction, a covert denial of
+   service against a watchdogged point, and a forged image. After every
+   disaster the kernel's state is verified intact and the next graft
+   installs normally (Table 1, Rule 9). The example exits 1 if the
+   infinite loop or the denial of service dies any other way.
 
    The thief tries twice. Calling the secret's id straight from a register
    is refused at load: the linker proves the call can only reach a
@@ -71,32 +73,51 @@ let point =
     ~read_result:(fun cpu _ -> Ok (Cpu.reg cpu 0))
     ()
 
+(* No watchdog here: a graft that never returns runs until its CPU
+   budget is spent (Rule 2). *)
+let budget_point =
+  Graft_point.create ~name:"budget.point" ~budget:2_000_000
+    ~default:(fun x -> x + 1)
+    ~setup:(fun cpu x -> Cpu.set_reg cpu 1 x)
+    ~read_result:(fun cpu _ -> Ok (Cpu.reg cpu 0))
+    ()
+
 let mallory = Cred.user "mallory" ~limits:(Rlimit.zero ())
 
-let try_install source =
+let try_install ?(at = point) source =
   match Kernel.seal kernel (Asm.assemble_exn source) with
   | Error e -> failwith e
-  | Ok image -> Graft_point.replace point kernel ~cred:mallory image
+  | Ok image -> Graft_point.replace at kernel ~cred:mallory image
 
-let install source =
-  match try_install source with Ok () -> () | Error e -> failwith e
+let install ?at source =
+  match try_install ?at source with Ok () -> () | Error e -> failwith e
 
-let invoke_in_process () =
+let invoke_in_process at =
   let result = ref None in
   ignore
     (Engine.spawn kernel.Kernel.engine ~name:"invoker" (fun () ->
-         result := Some (Graft_point.invoke point kernel ~cred:mallory 41)));
+         result := Some (Graft_point.invoke at kernel ~cred:mallory 41)));
   Kernel.run kernel;
   !result
 
-let report disaster =
-  let r = invoke_in_process () in
+let report ?(at = point) disaster =
+  let r = invoke_in_process at in
   Printf.printf "%-34s -> result %s | graft %s | kernel state %d %s\n"
     disaster
     (match r with Some v -> string_of_int v | None -> "?")
-    (if Graft_point.grafted point then "SURVIVED" else "removed ")
+    (if Graft_point.grafted at then "SURVIVED" else "removed ")
     !important_kernel_state
     (if !important_kernel_state = 1000 then "(intact)" else "(CORRUPTED!)")
+
+(* A case that names what stops its graft must be stopped by exactly
+   that. *)
+let expect_failure at reason =
+  match Graft_point.last_failure at with
+  | Some r when r = reason -> ()
+  | r ->
+      Printf.printf "expected the graft to fail with %S, got %s\n" reason
+        (match r with Some r -> Printf.sprintf "%S" r | None -> "no failure");
+      exit 1
 
 let () =
   print_endline "== Surviving misbehaved kernel extensions ==\n";
@@ -142,8 +163,9 @@ let () =
   report "state change followed by crash";
 
   (* 4. infinite loop: cut off by the CPU budget *)
-  install [ Asm.Label "spin"; Jmp "spin" ];
-  report "infinite loop (lock-free)";
+  install ~at:budget_point [ Asm.Label "spin"; Jmp "spin" ];
+  report ~at:budget_point "infinite loop (lock-free)";
+  expect_failure budget_point "CPU budget exhausted";
 
   (* 5. memory hog: zero limits deny it *)
   install [ Li (Asm.r1, 1_000_000); Kcall "mem.alloc"; Ret ];
@@ -183,6 +205,7 @@ let () =
   (* 7. covert denial of service: never return; the watchdog fires *)
   install [ Asm.Label "spin3"; Jmp "spin3" ];
   report "covert DoS against watchdogged point";
+  expect_failure point "graft point \"victim.point\": watchdog expired";
 
   (* 8. a forged image straight from the attacker *)
   let forged =

@@ -1,10 +1,11 @@
-(** The sparse open hash table of graft-callable function ids (§3.3).
+(** A sparse open hash set of non-negative ids, after the paper's table
+    of graft-callable function ids (§3.3), whose probe for an indirect
+    call costs ten to fifteen cycles on average. We implement genuine open
+    addressing (linear probing at low load factor) and record probe counts
+    so the measured average emerges rather than being asserted.
 
-    Indirect function calls are checked at run time by probing this table;
-    through a sparse open table the paper's average cost is ten to fifteen
-    cycles per indirect call. We implement genuine open addressing (linear
-    probing at low load factor) and record probe counts so the measured
-    average emerges rather than being asserted. *)
+    The graft-callable list itself is the kernel's registry
+    ({!Kcall.callable}); the scheduler keeps its valid thread ids here. *)
 
 type t
 

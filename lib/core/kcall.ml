@@ -49,6 +49,11 @@ let register r ~name ?(callable = true) impl =
 
 let find r id = Hashtbl.find_opt r.by_id id
 
+let callable r id =
+  match Hashtbl.find r.by_id id with
+  | fn -> fn.callable
+  | exception Not_found -> false
+
 let set_callable r id v =
   match find r id with
   | None -> invalid_arg (Printf.sprintf "Kcall.set_callable: unknown id %d" id)

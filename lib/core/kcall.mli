@@ -4,8 +4,10 @@
     (§3.3). Every registered function has an id (what [Kcall]/[Kcallr]
     instructions name) and a [callable] flag: functions that return private
     data, change state unrecoverably (e.g. [shutdown]) or are otherwise off
-    the list are registered with [callable = false] so the linker, the
-    run-time call table and the dispatcher all reject them (Rules 4, 6, 7).
+    the list are registered with [callable = false] so the linker, MiSFIT's
+    run-time [Checkcall] probe and the dispatcher all reject them (Rules 4,
+    6, 7). The registry is the one graft-callable list: all three read it
+    through {!callable}.
 
     Implementations receive a {!ctx}: the graft's CPU state (to read
     argument registers and write results), the invocation's transaction (so
@@ -41,10 +43,13 @@ val register : registry -> name:string -> ?callable:bool -> impl -> fn
 val find : registry -> int -> fn option
 val find_by_name : registry -> string -> fn option
 
+val callable : registry -> int -> bool
+(** Whether [id] names a registered function on the graft-callable list.
+    Allocates nothing. *)
+
 val set_callable : registry -> int -> bool -> unit
 (** Re-flag an already-registered function (an operator pulling a function
-    off — or restoring it to — the graft-callable list at run time). Use
-    {!Kernel.set_callable} so the runtime call table stays in sync.
+    off — or restoring it to — the graft-callable list at run time).
     @raise Invalid_argument on an unknown id. *)
 
 val id_limit : registry -> int

@@ -47,7 +47,6 @@ type t = {
   mem : Vino_vm.Mem.t;
   txn_mgr : Vino_txn.Txn.mgr;
   registry : Kcall.registry;
-  calltable : Calltable.t;
   segalloc : Segalloc.t;
   key : string;
   vm_costs : Vino_vm.Costs.t;
@@ -88,7 +87,6 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
       mem = Vino_vm.Mem.create mem_words;
       txn_mgr = Vino_txn.Txn.create_mgr engine ~wheel ();
       registry = Kcall.create ();
-      calltable = Calltable.create ();
       (* the lower half of memory is kernel-reserved; graft segments are
          carved from the upper half, so no graft segment can cover kernel
          data *)
@@ -163,7 +161,6 @@ let create ?(mem_words = 1 lsl 20) ?tick ?(key = default_key)
     [
       fields_saver;
       Audit.saver t.audit;
-      Calltable.saver t.calltable;
       Kcall.saver t.registry;
       Vino_txn.Txn.saver t.txn_mgr;
       seg_mem_saver;
@@ -312,21 +309,9 @@ let translation_stats t =
   |> List.sort compare
 
 let register_kcall t ~name ?callable impl =
-  let fn = Kcall.register t.registry ~name ?callable impl in
-  if fn.Kcall.callable then Calltable.add t.calltable fn.Kcall.id;
-  fn
+  Kcall.register t.registry ~name ?callable impl
 
-let set_callable t id callable =
-  Kcall.set_callable t.registry id callable;
-  if callable then Calltable.add t.calltable id
-  else Calltable.remove t.calltable id
-
-(* Offline callable predicate from the registry (not {!Calltable.mem},
-   which records run-time probe statistics the benchmarks measure). *)
-let callable_of_registry t id =
-  match Kcall.find t.registry id with
-  | Some fn -> fn.Kcall.callable
-  | None -> false
+let set_callable t id callable = Kcall.set_callable t.registry id callable
 
 let seal ?verify t obj =
   let verifier =
@@ -334,7 +319,7 @@ let seal ?verify t obj =
       (fun (c : Vino_verify.Verify.config) ->
         match c.callable with
         | Some _ -> c
-        | None -> { c with callable = Some (callable_of_registry t) })
+        | None -> { c with callable = Some (Kcall.callable t.registry) })
       verify
   in
   Vino_misfit.Image.seal ?verifier ~key:t.key obj

@@ -1,6 +1,6 @@
 (** The VINO kernel object: engine, memory, transaction manager, the
-    graft-callable function registry and call table, and the signing key the
-    dynamic linker verifies images against.
+    graft-callable function registry, and the signing key the dynamic
+    linker verifies images against.
 
     Subsystems (file system, virtual memory, scheduler, network) are built
     on top of this record: they register their graft-callable accessor
@@ -64,8 +64,7 @@ type t = {
   wheel : Vino_sim.Tick.t;
   mem : Vino_vm.Mem.t;  (** physical memory backing graft segments *)
   txn_mgr : Vino_txn.Txn.mgr;
-  registry : Kcall.registry;
-  calltable : Calltable.t;  (** runtime hash of callable ids (§3.3) *)
+  registry : Kcall.registry;  (** the graft-callable list (§3.3) *)
   segalloc : Segalloc.t;
   key : string;  (** trusted toolchain signing key *)
   vm_costs : Vino_vm.Costs.t;  (** {!Vino_vm.Costs.default} *)
@@ -202,12 +201,11 @@ val verdict_stats : t -> verdict_stats
 
 val register_kcall :
   t -> name:string -> ?callable:bool -> Kcall.impl -> Kcall.fn
-(** Register a kernel function and, when callable, enter it in the runtime
-    call table. *)
+(** Register a kernel function in {!registry}. *)
 
 val set_callable : t -> int -> bool -> unit
-(** Re-flag a registered function and keep the runtime call table in
-    sync. Loaded grafts are not revoked retroactively; the next
+(** Re-flag a registered function ({!Kcall.set_callable}). Loaded grafts
+    are not revoked retroactively; the next
     {!Linker.load} of any image analyses it against the new callable set
     (the epoch changes, so no cached verdict is reused). That refuses an
     indirect call only where the installer's facts prove its id; the

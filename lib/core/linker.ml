@@ -59,10 +59,7 @@ let check_direct_ids kernel code =
    end) and reports which accesses it proves in-segment. *)
 let analysis_config kernel ~words ~entry =
   Vino_verify.Verify.config ~entry ~words:(max 1 words)
-    ~callable:(fun id ->
-      match Kcall.find kernel.Kernel.registry id with
-      | Some fn -> fn.Kcall.callable
-      | None -> false)
+    ~callable:(Kcall.callable kernel.Kernel.registry)
     ~stage:`Rewritten ()
 
 let check_config kernel ~words = analysis_config kernel ~words ~entry:[]

@@ -30,7 +30,7 @@
     installer. No program loaded today contains a [Callr].
 
     An indirect call whose id the analysis cannot prove is not refused:
-    MiSFIT's [Checkcall] checks it at run time against {!Calltable}, and
+    MiSFIT's [Checkcall] checks it at run time ({!Kcall.callable}), and
     the dispatcher refuses a non-callable id whether or not a [Checkcall]
     ran. *)
 

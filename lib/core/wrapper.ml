@@ -15,10 +15,12 @@ let h_sfi_sandbox_cycles = Vino_trace.Counters.handle "sfi.sandbox_cycles"
 let h_sfi_checkcall_cycles = Vino_trace.Counters.handle "sfi.checkcall_cycles"
 
 let env ?flow kernel ~txn ~cred ~limits =
+  let registry = kernel.Kernel.registry in
   let dispatch id cpu =
-    match Kcall.find kernel.Kernel.registry id with
+    match Kcall.find registry id with
     | None -> Cpu.K_fault (Cpu.Bad_kcall id)
-    | Some fn when not fn.Kcall.callable -> Cpu.K_fault (Cpu.Bad_kcall id)
+    | Some _ when not (Kcall.callable registry id) ->
+        Cpu.K_fault (Cpu.Bad_kcall id)
     | Some fn -> (
         (* A kernel function that raises on a graft's argument aborts the
            graft (Rule 9), not the calling kernel thread. A kill, and a
@@ -43,7 +45,7 @@ let env ?flow kernel ~txn ~cred ~limits =
         let name id =
           if id = Vino_verify.Kflow.entry then "<entry>"
           else
-            match Kcall.find kernel.Kernel.registry id with
+            match Kcall.find registry id with
             | Some fn -> fn.Kcall.name
             | None -> Printf.sprintf "#%d" id
         in
@@ -66,7 +68,7 @@ let env ?flow kernel ~txn ~cred ~limits =
               (Printf.sprintf "kcall-flow violation: %s after %s" next last)
           end
   in
-  let call_ok id = Calltable.mem kernel.Kernel.calltable id in
+  let call_ok id = Kcall.callable registry id in
   let poll =
     match txn with Some t -> Txn.poll t | None -> fun () -> None
   in

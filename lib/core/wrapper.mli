@@ -18,8 +18,8 @@ val env :
   limits:Vino_txn.Rlimit.t ->
   Vino_vm.Cpu.env
 (** The kernel-call/checkcall/poll environment a graft executes under. The
-    dispatcher refuses ids that are absent or not graft-callable; [call_ok]
-    probes the runtime call table.
+    dispatcher refuses ids that are absent or not graft-callable, and
+    [call_ok] is the same test ({!Kcall.callable}).
 
     With [flow], every dispatch is first checked against the kcall-flow
     transition table — an O(1) row/bit test charged at

@@ -170,7 +170,7 @@ let run_trial ~fork ~recheck_every ~seed index =
    schedule. *)
 let run ?(fork = true) ?(recheck_every = 1) ?pool ~seed ~count () =
   let records =
-    Vino_par.Pool.map_scoped ?pool
+    Vino_par.Pool.map ?pool
       (run_trial ~fork ~recheck_every ~seed)
       (List.init count Fun.id)
   in

@@ -50,9 +50,9 @@ val run :
   count:int ->
   unit ->
   report
-(** With [?pool], trials fan out across domains; every trial is a pure
-    function of [seed] and its index, so the report is identical at any
-    pool size.
+(** With [?pool] and no trace sink installed, trials fan out across
+    domains ({!Vino_par.Pool.map}); every trial is a pure function of
+    [seed] and its index, so the report is identical at any pool size.
 
     [fork] (default [true]) restores a per-domain warmed site snapshot
     instead of building a fresh site per trial; pass [~fork:false] when

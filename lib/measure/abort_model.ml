@@ -34,10 +34,8 @@ let abort_cost ?(iterations = 300) ~locks ~undo () =
   in
   Vino_sim.Stats.trimmed_mean stats
 
-let sweep_locks ?iterations ?pool ?(locks = [ 0; 1; 2; 4; 8; 16; 32 ]) () =
-  Vino_par.Pool.map_scoped ?pool
-    (fun l -> (l, abort_cost ?iterations ~locks:l ~undo:0 ()))
-    locks
+let sweep_locks ?iterations ?(locks = [ 0; 1; 2; 4; 8; 16; 32 ]) () =
+  List.map (fun l -> (l, abort_cost ?iterations ~locks:l ~undo:0 ())) locks
 
 let fit points =
   let n = float_of_int (List.length points) in
@@ -59,7 +57,7 @@ let timeout_latency_bounds () =
      now + tick: between tick and 2*tick away *)
   (tick, 2 * tick)
 
-let table7 ?iterations ?pool () =
+let table7 ?iterations () =
   let scenarios =
     [
       ("Read-Ahead", Sc_readahead.measure_abort ?iterations, 32., 45.);
@@ -68,25 +66,18 @@ let table7 ?iterations ?pool () =
       ("Encryption", Sc_crypt.measure_abort ?iterations, 36., 36.);
     ]
   in
-  (* one parallel unit per (graft, null|full) cell *)
-  let units =
-    List.concat_map
-      (fun (name, f, paper_null, paper_full) ->
-        [
-          (name ^ " (null abort)", paper_null, fun () -> f ~full:false ());
-          (name ^ " (full abort)", paper_full, fun () -> f ~full:true ());
-        ])
-      scenarios
-  in
-  let measured =
-    Vino_par.Pool.map_scoped ?pool (fun (_, _, f) -> f ()) units
-  in
-  List.map2
-    (fun (label, paper, _) v -> Table.elapsed ~paper label v)
-    units measured
+  List.concat_map
+    (fun (name, f, paper_null, paper_full) ->
+      let null = f ~full:false () in
+      let full = f ~full:true () in
+      [
+        Table.elapsed ~paper:paper_null (name ^ " (null abort)") null;
+        Table.elapsed ~paper:paper_full (name ^ " (full abort)") full;
+      ])
+    scenarios
 
-let model_table ?iterations ?pool () =
-  let points = sweep_locks ?iterations ?pool () in
+let model_table ?iterations () =
+  let points = sweep_locks ?iterations () in
   let intercept, slope = fit points in
   List.map
     (fun (l, t) ->

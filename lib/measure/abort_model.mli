@@ -15,12 +15,9 @@ val abort_cost : ?iterations:int -> locks:int -> undo:int -> unit -> float
     undo records (each with a 1 us replay cost). *)
 
 val sweep_locks :
-  ?iterations:int ->
-  ?pool:Vino_par.Pool.t ->
-  ?locks:int list ->
-  unit ->
-  (int * float) list
-(** With [?pool], the sweep points fan out across domains. *)
+  ?iterations:int -> ?locks:int list -> unit -> (int * float) list
+(** Mean abort time of a transaction holding each of [locks] locks
+    (default 0, 1, 2, 4, 8, 16 and 32) and no undo record. *)
 
 val fit : (int * float) list -> float * float
 (** Least-squares [(intercept_us, slope_us_per_lock)]. *)
@@ -29,12 +26,9 @@ val timeout_latency_bounds : unit -> int * int
 (** Min and max cycles between a timeout being scheduled and firing, given
     the 10 ms tick (the paper's "between 10 and 20 ms"). *)
 
-val table7 :
-  ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
+val table7 : ?iterations:int -> unit -> Table.row list
 (** Null-abort and full-abort times for the four sample grafts, against
-    the paper's Table 7. With [?pool], the eight cells fan out across
-    domains. *)
+    the paper's Table 7. *)
 
-val model_table :
-  ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
+val model_table : ?iterations:int -> unit -> Table.row list
 (** The fitted abort-cost model against the paper's 35 + 10L equation. *)

@@ -19,9 +19,6 @@ module type S = sig
   val paper_elapsed : (Path.t * float) list
   (** The paper's elapsed column for this graft. *)
 
-  val table :
-    ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
-  (** The graft's table in {!Table.graft}'s layout. With [?pool], the
-      per-path measurements fan out across domains (each worker builds its
-      own kernel); rows are identical at any pool size. *)
+  val table : ?iterations:int -> unit -> Table.row list
+  (** The graft's table in {!Table.graft}'s layout. *)
 end

@@ -41,16 +41,9 @@ let contended_trace ~policy () =
   Kernel.run kernel;
   List.rev !grants
 
-let table ?iterations ?pool () =
-  let conventional, factored =
-    match
-      Vino_par.Pool.map_scoped ?pool
-        (fun factored -> uncontended_cost ?iterations ~factored ())
-        [ false; true ]
-    with
-    | [ c; f ] -> (c, f)
-    | _ -> assert false
-  in
+let table ?iterations () =
+  let conventional = uncontended_cost ?iterations ~factored:false () in
+  let factored = uncontended_cost ?iterations ~factored:true () in
   let trace policy = String.concat " -> " (contended_trace ~policy ()) in
   [
     Table.elapsed "get_lock, conventional (Fig 4)" conventional;

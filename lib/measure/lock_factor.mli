@@ -20,4 +20,4 @@ val contended_trace :
 (** Run the reader/writer/late-reader scenario and report the grant order —
     reader-priority lets the late reader overtake; fifo-fair does not. *)
 
-val table : ?iterations:int -> ?pool:Vino_par.Pool.t -> unit -> Table.row list
+val table : ?iterations:int -> unit -> Table.row list

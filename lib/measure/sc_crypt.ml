@@ -101,8 +101,8 @@ let paper_elapsed =
     (Path.Abort, 550.);
   ]
 
-let table ?iterations ?pool () =
-  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+let table ?iterations () =
+  Table.graft ~paper:paper_elapsed (measure ?iterations)
     ~increments:
       [
         (Path.Null, "Txn begin+commit (+ cache misses)");

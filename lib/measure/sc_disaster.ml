@@ -59,37 +59,29 @@ let measure_kind kind =
   | Error e -> failwith (Injector.name kind ^ ": unexpected load refusal: " ^ e)
   | Ok () -> drained_elapsed site ~contender:variant.Injector.wants_contender
 
-let table ?pool () =
-  (* one parallel unit per healthy-or-injector row; each builds its own
-     site/kernel, so rows are identical at any pool size *)
-  let items = None :: List.map Option.some Injector.all in
-  let measured =
-    Vino_par.Pool.map_scoped ?pool
-      (function None -> measure_healthy () | Some kind -> measure_kind kind)
-      items
-  in
+let table () =
+  let healthy = measure_healthy () in
   let rows =
-    List.map2
-      (fun kind v ->
-        match kind with
-        | None -> Table.elapsed "healthy graft (commit path)" v
-        | Some kind ->
-            Table.elapsed
-              (Printf.sprintf "detect+recover: %s" (Injector.name kind))
-              v)
-      items measured
+    Table.elapsed "healthy graft (commit path)" healthy
+    :: List.map
+         (fun kind ->
+           Table.elapsed
+             (Printf.sprintf "detect+recover: %s" (Injector.name kind))
+             (measure_kind kind))
+         Injector.all
   in
   (* Campaign throughput in virtual time: deterministic (every record's
      elapsed cycles are a pure function of seed and index), so the rows
-     are pinned like any other. [~fork:false]: forking warms one site per family
-     per domain, so the host-side trace counters emitted alongside the
-     bench JSON would depend on pool size; fresh sites keep the whole
-     report byte-identical at any -j. The virtual time is the same either
-     way — that is the forking contract. *)
+     are pinned like any other. [~fork:false]: a forked campaign reuses
+     sites warmed by an earlier campaign in the same domain, so the
+     host-side trace counters emitted alongside the bench JSON would
+     depend on what ran before; fresh sites keep them a function of this
+     table alone. The virtual time is the same either way — that is the
+     forking contract. *)
   let count = 40 in
   let campaign =
-    Vino_disaster.Campaign.run ?pool ~recheck_every:0 ~fork:false ~seed:42
-      ~count ()
+    Vino_disaster.Campaign.run ~recheck_every:0 ~fork:false ~seed:42 ~count
+      ()
   in
   let vtime_us =
     Vino_vm.Costs.us_of_cycles (Vino_disaster.Campaign.total_vtime campaign)

@@ -4,6 +4,4 @@
     campaign-throughput rows in virtual time. Deterministic — no
     [~iterations]; every run replays the same seeded variants. *)
 
-val table : ?pool:Vino_par.Pool.t -> unit -> Table.row list
-(** With [?pool], the healthy row and the per-injector rows fan out
-    across domains; rows are identical at any pool size. *)
+val table : unit -> Table.row list

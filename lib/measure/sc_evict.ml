@@ -187,8 +187,8 @@ let paper_elapsed =
     (Path.Abort, 348.);
   ]
 
-let table ?iterations ?pool () =
-  Table.graft ?pool ~paper:paper_elapsed (measure ?iterations)
+let table ?iterations () =
+  Table.graft ~paper:paper_elapsed (measure ?iterations)
     ~increments:
       [
         (Path.Vino, "Indirection cost");

@@ -3,13 +3,13 @@ module Stats = Vino_sim.Stats
 
 let tenant_counts = [ 1; 4; 12 ]
 
-let report ?pool ~tenants ~path () =
-  Serve.run ?pool { Serve.default with Serve.tenants; path }
+let report ~tenants ~path () =
+  Serve.run { Serve.default with Serve.tenants; path }
 
 (* Makespan and latency percentiles are elapsed-microsecond rows;
    throughput is not a time, so it rides along as an incremental line. *)
-let rows ?pool ~tenants ~path () =
-  let r = report ?pool ~tenants ~path () in
+let rows ~tenants ~path () =
+  let r = report ~tenants ~path () in
   let st = Stats.create () in
   List.iter (Stats.add st) (Serve.latencies r);
   let label s =
@@ -23,10 +23,8 @@ let rows ?pool ~tenants ~path () =
     Table.overhead (label "throughput (req/s)") r.Serve.throughput_rps;
   ]
 
-let table ?pool () =
+let table () =
   List.concat_map
     (fun tenants ->
-      List.concat_map
-        (fun path -> rows ?pool ~tenants ~path ())
-        Serve.all_paths)
+      List.concat_map (fun path -> rows ~tenants ~path ()) Serve.all_paths)
     tenant_counts

@@ -10,22 +10,13 @@
     intended recosting. *)
 
 val report :
-  ?pool:Vino_par.Pool.t ->
-  tenants:int ->
-  path:Vino_net.Serve.path ->
-  unit ->
-  Vino_net.Serve.report
+  tenants:int -> path:Vino_net.Serve.path -> unit -> Vino_net.Serve.report
 (** One cell's raw report ({!Vino_net.Serve.default} with [tenants] and
     [path] substituted). *)
 
-val rows :
-  ?pool:Vino_par.Pool.t ->
-  tenants:int ->
-  path:Vino_net.Serve.path ->
-  unit ->
-  Table.row list
+val rows : tenants:int -> path:Vino_net.Serve.path -> unit -> Table.row list
 (** The five rows of one cell. *)
 
-val table : ?pool:Vino_par.Pool.t -> unit -> Table.row list
+val table : unit -> Table.row list
 (** The full table over 1, 4 and 12 tenants and every path, tenant-count
     major, path minor. *)

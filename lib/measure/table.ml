@@ -41,10 +41,8 @@ let render ppf ~title ?notes rows =
 
 let print ~title ?notes rows = render Format.std_formatter ~title ?notes rows
 
-let graft ?pool ~paper ~increments measure =
-  let measured =
-    Vino_par.Pool.map_scoped ?pool (fun p -> (p, measure p)) Path.all
-  in
+let graft ~paper ~increments measure =
+  let measured = List.map (fun p -> (p, measure p)) Path.all in
   let value p = List.assoc p measured in
   let row p =
     elapsed ?paper:(List.assoc_opt p paper) (Path.name p) (value p)

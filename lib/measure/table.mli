@@ -14,14 +14,12 @@ val render : Format.formatter -> title:string -> ?notes:string -> row list -> un
 val print : title:string -> ?notes:string -> row list -> unit
 
 val graft :
-  ?pool:Vino_par.Pool.t ->
   paper:(Path.t * float) list ->
   increments:(Path.t * string) list ->
   (Path.t -> float) ->
   row list
 (** One graft's table in Table 2's layout (Tables 3–6). Measures every
-    path of {!Path.all} with [measure], fanned out over [pool] (the rows
-    are identical at any pool size), and lists each path's elapsed row in
+    path of {!Path.all} with [measure] and lists each path's elapsed row in
     the order Base, VINO, Null, Unsafe, Safe, Verified, FlowChecked, Abort,
     with its value from [paper] when there is one.
 

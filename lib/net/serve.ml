@@ -523,7 +523,7 @@ let run ?pool cfg =
       invalid_arg "Serve.run: runaway tenant out of range"
   | _ -> ());
   let outs =
-    Pool.map_scoped ?pool (run_shard cfg) (List.init cfg.shards Fun.id)
+    Pool.map ?pool (run_shard cfg) (List.init cfg.shards Fun.id)
   in
   (* each shard's samples are already in (tenant, request) order *)
   let samples =

@@ -133,8 +133,10 @@ val register_kcalls :
     caller's transaction commits. *)
 
 val run : ?pool:Vino_par.Pool.t -> config -> report
-(** Run the scenario. Deterministic: the report depends only on the
-    config, never on [pool] (shards are merged in index order).
+(** Run the scenario. With [?pool] and no trace sink installed, shards
+    fan out across domains ({!Vino_par.Pool.map}). Deterministic: the
+    report depends only on the config, never on [pool] (shards are
+    merged in index order).
     @raise Invalid_argument on a non-positive tenant/request/shard
     count. *)
 

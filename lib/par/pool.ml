@@ -4,7 +4,10 @@
    placement is static (slot array indexed by item position, read back in
    index order), so the output never depends on scheduling. The caller
    participates in every batch; [domains - 1] long-lived workers block on
-   a condition variable between batches. *)
+   a condition variable between batches. A caller with a trace sink
+   installed runs its items serially under that sink instead. *)
+
+module Trace = Vino_trace.Trace
 
 type batch = { run : unit -> unit }
 
@@ -70,7 +73,7 @@ let shutdown t =
 let map ?pool f items =
   match pool with
   | None -> List.map f items
-  | Some t when t.size = 1 || t.stop -> List.map f items
+  | Some t when t.size = 1 || t.stop || Trace.enabled () -> List.map f items
   | Some t ->
       if not (Atomic.compare_and_set t.in_batch false true) then
         invalid_arg "Pool.map: nested fan-out on the same pool";
@@ -128,24 +131,3 @@ let map ?pool f items =
                    | None -> assert false (* completed = n, no errors *))
                  slots)
           end)
-
-module Trace = Vino_trace.Trace
-
-let map_scoped ?pool f items =
-  match pool with
-  | None -> List.map f items
-  | Some t when t.size = 1 || t.stop -> List.map f items
-  | Some _ ->
-      let results =
-        map ?pool
-          (fun item ->
-            let sink = Trace.create () in
-            let v = Trace.with_t sink (fun () -> f item) in
-            (v, sink))
-          items
-      in
-      List.map
-        (fun (v, sink) ->
-          Trace.absorb sink;
-          v)
-        results

@@ -10,6 +10,11 @@
     atomic: {!map} is exactly [List.map], byte-for-byte the serial code
     path. This is what [-j 1] means on the CLIs.
 
+    Only untraced work fans out. When the calling domain has a
+    {!Vino_trace.Trace} sink installed, {!map} is [List.map] under that
+    sink, so a traced run records exactly what a serial run records, at
+    any pool size. Worker domains never see a sink: it is domain-local.
+
     {!map} is not reentrant: calling it from inside a worker of the same
     pool (a nested fan-out) raises [Invalid_argument]. The caller's
     domain participates in every batch, so a pool created with
@@ -29,24 +34,12 @@ val domains : t -> int
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~pool f items] applies [f] to every item, fanning out across the
     pool's domains, and returns the results in input order. Without
-    [?pool] (or with a 1-domain pool) this is exactly [List.map f items].
+    [?pool], with a 1-domain pool, or with a trace sink installed in the
+    calling domain, this is exactly [List.map f items].
 
     If any application raises, the exception of the lowest-indexed
     failing item is re-raised (with its backtrace) after the whole batch
     has drained; other results are discarded. *)
-
-val map_scoped : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map}, but each parallel item runs under a fresh private
-    {!Vino_trace.Trace} sink in its worker domain, and after the batch
-    the private sinks are absorbed — counters and profile aggregates
-    summed, spans appended — into the sink installed in the {e caller's}
-    domain, in item-index order. Because the per-item work is serial
-    within a domain and the merge is ordered, the caller's sink ends up
-    identical to what a serial run under one sink would record (span
-    streams included, as long as no per-item ring overflows).
-
-    Without [?pool] (or with a 1-domain pool) this is exactly
-    [List.map f items] — items run directly under the caller's sink. *)
 
 val shutdown : t -> unit
 (** Join the worker domains. The pool degrades to the serial path

@@ -85,12 +85,6 @@ let snapshot t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.tbl []
   |> List.sort compare
 
-(* Integer addition commutes, so summing per-worker counter tables in
-   any order reproduces the serial totals exactly. *)
-let absorb src ~into =
-  flush src;
-  Hashtbl.iter (fun name r -> incr into ~by:!r name) src.tbl
-
 let clear t =
   Hashtbl.reset t.tbl;
   Array.fill t.fast 0 (Array.length t.fast) 0

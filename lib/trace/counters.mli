@@ -44,9 +44,4 @@ val value : t -> string -> int
 val snapshot : t -> (string * int) list
 (** Sorted by name. *)
 
-val absorb : t -> into:t -> unit
-(** Add every counter of the first table into [into]. Addition commutes,
-    so absorbing per-worker tables in any order reproduces the totals a
-    single serial table would hold. *)
-
 val clear : t -> unit

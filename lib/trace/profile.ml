@@ -80,20 +80,6 @@ let pop_frame t ~ctx ~now =
       a.a_txn <- a.a_txn + f.f_txn;
       a.a_undo <- a.a_undo + f.f_undo
 
-(* Fold [src]'s closed-frame aggregates into [into]. Open frames (live
-   stacks) are not merged: absorb is only meaningful between runs, when
-   every invocation has popped. *)
-let absorb src ~into =
-  Hashtbl.iter
-    (fun point (a : agg) ->
-      let d = agg_for into point in
-      d.invocations <- d.invocations + a.invocations;
-      d.a_total <- d.a_total + a.a_total;
-      d.a_sandbox <- d.a_sandbox + a.a_sandbox;
-      d.a_txn <- d.a_txn + a.a_txn;
-      d.a_undo <- d.a_undo + a.a_undo)
-    src.aggs
-
 let rows t =
   Hashtbl.fold
     (fun point a acc ->

@@ -43,11 +43,6 @@ val pop_frame : t -> ctx:int -> now:int -> unit
     frame's full duration is subtracted from the parent frame's totals
     (as a nested invocation) if one is open. *)
 
-val absorb : t -> into:t -> unit
-(** Fold the first profile's per-point aggregates into [into]. Only
-    closed frames are merged; call it between runs, when every
-    invocation has popped. *)
-
 val rows : t -> row list
 (** Sorted by point name. *)
 

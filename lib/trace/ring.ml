@@ -54,14 +54,6 @@ let fold f init t =
 
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 
-(* Append [src]'s retained entries (oldest first) into [into], and carry
-   over entries [src] itself already dropped so total/dropped accounting
-   matches a single ring that saw the concatenated stream. *)
-let absorb src ~into =
-  into.n_total <- into.n_total + src.n_dropped;
-  into.n_dropped <- into.n_dropped + src.n_dropped;
-  iter (fun x -> push into x) src
-
 let clear t =
   Array.fill t.buf 0 t.cap None;
   t.writes <- t.writes + t.cap;

