@@ -73,6 +73,9 @@ let entry_facts ~payload_words =
     (2, Vino_verify.Verify.arg_at_most payload_words);
   ]
 
+let segment_words ~payload_words ~heap_words =
+  payload_words + heap_words + 256
+
 let add_handler t kernel ~cred ?order ?(payload_words = 2048)
     ?(heap_words = 1024) ?limits image =
   if t.erestricted && not (Cred.is_privileged cred) then
@@ -80,7 +83,7 @@ let add_handler t kernel ~cred ?order ?(payload_words = 2048)
       (Printf.sprintf "event point %S is restricted to privileged users"
          t.ename)
   else
-    let words = payload_words + heap_words + 256 in
+    let words = segment_words ~payload_words ~heap_words in
     match
       Linker.load
         ~entry:(entry_facts ~payload_words)

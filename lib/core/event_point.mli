@@ -41,6 +41,11 @@ val entry_facts :
     base, r2 <= [payload_words]. Seal a handler under these facts to get
     the raw accesses {!add_handler}'s load proves. *)
 
+val segment_words : payload_words:int -> heap_words:int -> int
+(** The segment {!add_handler} asks the linker for: the payload window,
+    the heap and 256 words of stack. The allocator rounds it up to a
+    power of two. *)
+
 val remove_handler : t -> Kernel.t -> int -> unit
 
 val dispatch : t -> Kernel.t -> payload:int array -> unit

@@ -306,6 +306,16 @@ let register_kcalls kernel ~tenants ~creds ~locks ~on_done =
   in
   ()
 
+(* Kernel memory for a shard of [n] tenants: an upper half that holds
+   each tenant's handler segment and the one a reinstall retires while
+   its last invocation finishes, and the lower, kernel-reserved half
+   below it. Both halves are powers of two, as the segment allocator
+   needs. *)
+let shard_words n =
+  let rec pow2 w k = if k >= w then k else pow2 w (2 * k) in
+  let seg = pow2 (Event_point.segment_words ~payload_words ~heap_words) 8 in
+  2 * pow2 (2 * n * seg) 1
+
 let run_shard cfg shard =
   let tenants =
     List.filter
@@ -321,8 +331,8 @@ let run_shard cfg shard =
       | Translated | Verified -> Vino_vm.Jit.Translated
     in
     let kernel =
-      Kernel.create ~mem_words:(1 lsl 17) ~jit_cache_cap:cfg.jit_cache_cap
-        ~exec_mode ()
+      Kernel.create ~mem_words:(shard_words n)
+        ~jit_cache_cap:cfg.jit_cache_cap ~exec_mode ()
     in
     let netout = Netout.create kernel () in
     (* the shard's server-wide account; every tenant gets a derived

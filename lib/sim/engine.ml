@@ -223,19 +223,21 @@ let resume t p =
    to another generation; it still moves the clock. *)
 let run ?(until = max_int) t =
   let q = t.queue in
-  while (not (Pqueue.is_empty q)) && Pqueue.peek_key q <= until do
-    let time = Pqueue.peek_key q and gen = Pqueue.peek_gen q in
-    let ev = Pqueue.pop q in
+  let s = ref (Pqueue.head q) in
+  while !s >= 0 && Pqueue.key q !s <= until do
+    let time = Pqueue.key q !s and gen = Pqueue.gen q !s in
+    let ev = Pqueue.pop_head q !s in
     t.has_run <- true;
     if time > t.clock then t.clock <- time;
-    match ev with
+    (match ev with
     | Timer r when r.fn != cancelled ->
         Trace.incr_h h_events_executed;
         r.fn ()
     | Wake p when gen = p.gen ->
         Trace.incr_h h_events_executed;
         resume t p
-    | Timer _ | Wake _ -> ()
+    | Timer _ | Wake _ -> ());
+    s := Pqueue.head q
   done
 
 let failures t = List.rev t.failures

@@ -93,24 +93,33 @@ let add t ~key ~gen v =
     sift_up t s (t.hsize - 1)
   end
 
-(* The slot that pops next: the run's head unless the heap's head has a
-   strictly smaller key (every heap entry is younger). *)
+(* The slot that pops next, or -1 on an empty queue: the run's head
+   unless the heap's head has a strictly smaller key (every heap entry is
+   younger). *)
 let head t =
-  if is_empty t then invalid_arg "Pqueue: empty queue";
-  if t.rpos < 0 then begin
-    t.run <- Array.init t.nslots Fun.id;
-    Array.stable_sort (fun a b -> compare t.keys.(a) t.keys.(b)) t.run;
-    t.rpos <- 0
-  end;
-  let r = if t.rpos < Array.length t.run then t.run.(t.rpos) else -1 in
-  if r >= 0 && (t.hsize = 0 || t.keys.(r) <= t.keys.(t.heap.(0))) then r
-  else t.heap.(0)
+  if is_empty t then -1
+  else begin
+    if t.rpos < 0 then begin
+      t.run <- Array.init t.nslots Fun.id;
+      Array.stable_sort (fun a b -> compare t.keys.(a) t.keys.(b)) t.run;
+      t.rpos <- 0
+    end;
+    let r = if t.rpos < Array.length t.run then t.run.(t.rpos) else -1 in
+    if r >= 0 && (t.hsize = 0 || t.keys.(r) <= t.keys.(t.heap.(0))) then r
+    else t.heap.(0)
+  end
 
-let peek_key t = t.keys.(head t)
-let peek_gen t = t.gens.(head t)
+let key t s = t.keys.(s)
+let gen t s = t.gens.(s)
 
-let pop t =
+let head_exn t =
   let s = head t in
+  if s < 0 then invalid_arg "Pqueue: empty queue" else s
+
+let peek_key t = t.keys.(head_exn t)
+let peek_gen t = t.gens.(head_exn t)
+
+let pop_head t s =
   if t.rpos < Array.length t.run && t.run.(t.rpos) = s then
     t.rpos <- t.rpos + 1
   else begin
@@ -120,6 +129,8 @@ let pop t =
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1;
   t.values.(s)
+
+let pop t = pop_head t (head_exn t)
 
 let clear t =
   t.nfree <- 0;

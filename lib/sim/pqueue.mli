@@ -22,6 +22,26 @@ val peek_key : 'a t -> int
 val peek_gen : 'a t -> int
 val pop : 'a t -> 'a
 
+(** {1 Reading one head}
+
+    {!peek_key}, {!peek_gen} and {!pop} each find the head again. A
+    consumer that needs all three finds it once. *)
+
+val head : 'a t -> int
+(** The slot of the entry the next {!pop} returns, or [-1] on an empty
+    queue. It names that entry until the next {!add}, {!pop_head},
+    {!pop} or {!clear}. *)
+
+val key : 'a t -> int -> int
+(** [key t (head t)] is [peek_key t]. *)
+
+val gen : 'a t -> int -> int
+(** [gen t (head t)] is [peek_gen t]. *)
+
+val pop_head : 'a t -> int -> 'a
+(** [pop_head t (head t)] is [pop t], without finding the head again.
+    The slot must be the current [head t]. *)
+
 val clear : 'a t -> unit
 (** Empty the queue and reset the insertion sequence, as if freshly
     [create]d. *)

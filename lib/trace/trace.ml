@@ -21,48 +21,61 @@ let create ?(span_capacity = default_span_capacity) () =
    kernels (the bench harness) from mixing streams. *)
 let sink : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let install t = Domain.DLS.set sink (Some t)
-let uninstall () = Domain.DLS.set sink None
-let current () = Domain.DLS.get sink
-let enabled () = Domain.DLS.get sink <> None
+(* The number of domains with a sink installed. While it is zero no
+   domain can have one, so every accessor answers from this one atomic
+   load, without the domain-local lookup. Installing a sink where none
+   was counts up, removing the last one counts down. *)
+let installed = Atomic.make 0
+
+let set_sink next =
+  let prev = Domain.DLS.get sink in
+  Domain.DLS.set sink next;
+  match (prev, next) with
+  | None, Some _ -> Atomic.incr installed
+  | Some _, None -> Atomic.decr installed
+  | None, None | Some _, Some _ -> ()
+
+let install t = set_sink (Some t)
+let uninstall () = set_sink None
+
+let[@inline] current () =
+  if Atomic.get installed = 0 then None else Domain.DLS.get sink
+
+let enabled () = match current () with None -> false | Some _ -> true
 
 let with_t t f =
   let saved = Domain.DLS.get sink in
-  Domain.DLS.set sink (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set sink saved) f
+  set_sink (Some t);
+  Fun.protect ~finally:(fun () -> set_sink saved) f
 
 let span kind ~label ~start ~dur =
-  match Domain.DLS.get sink with
+  match current () with
   | None -> ()
   | Some t -> Ring.push t.ring { Span.kind; label; start; dur }
 
 let incr ?by name =
-  match Domain.DLS.get sink with
+  match current () with
   | None -> ()
   | Some t -> Counters.incr t.ctrs ?by name
 
 let incr_h h =
-  match Domain.DLS.get sink with
-  | None -> ()
-  | Some t -> Counters.incr_h t.ctrs h
+  match current () with None -> () | Some t -> Counters.incr_h t.ctrs h
 
 let add_h h n =
-  match Domain.DLS.get sink with
-  | None -> ()
-  | Some t -> Counters.add_h t.ctrs h n
+  match current () with None -> () | Some t -> Counters.add_h t.ctrs h n
 
 let push_frame ~ctx ~point ~now =
-  match Domain.DLS.get sink with
+  match current () with
   | None -> ()
   | Some t -> Profile.push_frame t.prof ~ctx ~point ~now
 
 let charge ~ctx bucket n =
-  match Domain.DLS.get sink with
+  match current () with
   | None -> ()
   | Some t -> Profile.charge t.prof ~ctx bucket n
 
 let pop_frame ~ctx ~now =
-  match Domain.DLS.get sink with
+  match current () with
   | None -> ()
   | Some t -> Profile.pop_frame t.prof ~ctx ~now
 

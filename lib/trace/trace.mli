@@ -11,9 +11,10 @@
     Zero-cost when disabled: tracing never calls {!Vino_sim.Engine.delay}
     or charges any virtual cycles, so with no sink installed (and equally
     with any sink installed) every measured cycle count is bit-identical
-    to an uninstrumented build. The disabled path is one domain-local
-    load and branch of host work. The golden test in [test/test_trace.ml]
-    holds Table 3 to this.
+    to an uninstrumented build. While no domain has a sink installed,
+    the disabled path is one atomic load and branch of host work; while
+    some domain has one, it adds a domain-local lookup. The golden test
+    in [test/test_trace.ml] holds Table 3 to this.
 
     The installed sink is {e domain-local} ([Domain.DLS]): a worker
     domain spawned by {!Vino_par.Pool} sees no sink, so parallel kernels
@@ -51,7 +52,7 @@ val with_t : t -> (unit -> 'a) -> 'a
 val span : Span.kind -> label:string -> start:int -> dur:int -> unit
 val incr : ?by:int -> string -> unit
 
-(** Handle-based counter bumps: one domain-local load, one array add —
+(** Handle-based counter bumps: the sink lookup above, one array add —
     no hashing, no allocation. Intern the handle once at module load
     with {!Counters.handle}; [add_h] takes its non-negative amount as a
     bare [int] (no option boxing on the call site). *)

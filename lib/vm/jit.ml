@@ -18,12 +18,21 @@
    a straight-line self-loop it also follows the back edge. One table,
    [rows.(pc)], holds every window from [pc]: one slot and one cycle
    charge per length [k]. {!translate} does only the O(n) part, at link
-   time: leaders and a cycle-cost prefix sum. {!drive} builds a row the
-   first time it dispatches from its pc and compiles a slot the first
-   time it runs it, so a graft pays to compile only the code it runs. A
-   second table, [shapes.(pc)], keeps the fusion shape last found at [pc]
-   with the range end it was found under, so the chained copies of a loop
-   body find their shapes once.
+   time: leaders, each pc's run end and a cycle-cost prefix sum. {!drive}
+   builds a row the first time it dispatches from its pc, its charges
+   differences of the prefix sum, and compiles a slot the first time it
+   runs it, so a graft pays to compile only the code it runs. A second
+   table, [shapes.(pc)], keeps the fusion shape found at [pc] under its
+   run end, derived once: every chained copy of a loop body reads it, as
+   does a shorter range whose group ends inside it.
+
+   A loop keeps one chained window per poll phase. A window never
+   crosses a poll point, so a loop of [L] instructions entered every 32
+   needs a closure per (pc, instructions to the next poll): lcm(L, 32)
+   states, 224 for a 7-instruction loop, each of which would need a
+   run-time copy count to share a body closure. Windows assembled from a
+   body run [n] times, or windows that stop at the back edge, cut the
+   cold first run but slowed warm loops by 16-37% (DESIGN.md §11).
 
    Equivalence with the interpreter is maintained exactly; the argument
    (DESIGN.md §11) rests on two mechanisms:
@@ -111,10 +120,10 @@ type confined = {
 }
 
 (* The access group and the canonical loop pass that start at one pc
-   (see {!confined_at} and {!canonical_pass}), derived under the window
-   end [under]: both depend on where the compiled range stops. *)
+   (see {!confined_at} and {!canonical_pass}). Both depend on where the
+   compiled range stops; {!shape_at} derives them under the pc's run
+   end. *)
 type shape = {
-  under : int;
   group : confined option;
   pass : (confined * confined) option;
 }
@@ -126,19 +135,21 @@ type t = {
      unchecked register indexing. A program without it runs on
      {!Cpu.run}. *)
   regs_ok : bool;
-  (* [leader.(pc)]: a basic block starts at [pc]. [leader.(n)] is set, so
-     a scan stops at the end of the program. *)
-  leader : bool array;
+  (* [stops.(pc)]: the end of [pc]'s straight-line run, at most
+     {!max_window} instructions on. A run extends through a conditional
+     branch (its fall-through stays inline) and stops after any other
+     terminator or before a leader, so a basic block starts at [pc > 0]
+     exactly when [stops.(pc - 1) = pc]. *)
+  stops : int array;
   (* Cycle cost of instructions [0, pc): a straight run [lo, hi) costs
      [cost_prefix.(hi) - cost_prefix.(lo)]. *)
   cost_prefix : int array;
   (* Starts as {!unbuilt} everywhere; {!drive} builds a pc's row on its
      first dispatch from it. *)
   rows : row array;
-  (* Starts as {!no_shape} everywhere; a compile that reaches a pc under
-     a range end other than the slot's derives the pc's shape and replaces
-     the slot, and every later compile under that end (each chained copy
-     of a loop body, each window ending there) reads it back. *)
+  (* Starts as {!no_shape} everywhere; the first compile that reaches a
+     pc derives its shape under [stops.(pc)] and stores it, and every
+     later compile reads it back. *)
   shapes : shape array;
 }
 
@@ -306,33 +317,45 @@ let canonical_pass prog ~safe_at ~stop pc =
       | _ -> None)
   | _ -> None
 
-let no_shape = { under = -1; group = None; pass = None }
+let no_shape = { group = None; pass = None }
 
-(* [pc]'s shape for a range ending at [stop], from the table when it was
-   derived under the same end. Only an ALU op, a move, a sandbox, an
+(* [pc]'s shape for a range ending at [stop <= stops.(pc)]. The table
+   holds the shape derived under the run end, once; a derived shape is a
+   fresh record, so {!no_shape} in the table means underived. A shorter
+   range reuses it when its group ends inside the range: a group needs
+   only the instructions up to its end, so a fresh derivation would find
+   the same one, and a pc with no group under the run end has none under
+   any shorter end. Otherwise the group straddles [stop], and the range
+   gets an uncached derivation. The pass is read only by a chained copy,
+   whose range ends at the run end. Only an ALU op, a move, a sandbox, an
    access or a branch can start a group or a pass; every other pc gets
-   {!no_shape} without touching the table. Domains racing on a fill may
-   overwrite each other's entry, which only costs a later re-derivation,
-   as for {!rows}. *)
+   {!no_shape} without touching the table. Domains racing on a fill store
+   equal shapes, as for {!rows}. *)
 let shape_at t ~stop pc =
   match (t.source.(pc) : Insn.t) with
-  | (Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _ | Br _) as i ->
+  | (Alu _ | Alui _ | Mov _ | Sandbox _ | Ld _ | St _ | Br _) as i -> (
+      let safe_at = t.safe_at in
       let s = t.shapes.(pc) in
-      if s.under = stop then s
-      else
-        let safe_at = t.safe_at in
-        let s =
-          {
-            under = stop;
-            group = confined_at t.source ~safe_at ~stop pc;
-            pass =
-              (match i with
-              | Br _ -> canonical_pass t.source ~safe_at ~stop pc
-              | _ -> None);
-          }
-        in
-        t.shapes.(pc) <- s;
-        s
+      let s =
+        if s != no_shape then s
+        else
+          let stop = t.stops.(pc) in
+          let s =
+            {
+              group = confined_at t.source ~safe_at ~stop pc;
+              pass =
+                (match i with
+                | Br _ -> canonical_pass t.source ~safe_at ~stop pc
+                | _ -> None);
+            }
+          in
+          t.shapes.(pc) <- s;
+          s
+      in
+      match s.group with
+      | Some g when g.c_stop > stop ->
+          { group = confined_at t.source ~safe_at ~stop pc; pass = None }
+      | Some _ | None -> s)
   | Li _ | Jmp _ | Call _ | Callr _ | Ret | Kcall _ | Kcallr _ | Push _
   | Pop _ | Checkcall _ | Halt ->
       no_shape
@@ -372,31 +395,30 @@ module Fast_body = struct
     | Cpu.K_abort reason -> finish ctx (Cpu.Aborted reason)
     | Cpu.K_fault f -> finish ctx (Cpu.Faulted f)
 
-  (* Compile instructions [start, stop) into one closure chain. [pend_c] /
-     [pend_i] / [pend_a] are cycles/instructions/memory-accesses executed
-     since the last flush; they are added to the cpu before anything that
-     can fault, stop or observe it, together with that instruction's own
-     charge (the interpreter charges an instruction before executing
-     it). [pend_s] holds the sandbox cycles of fused access groups, dumped
-     at the same flush points. *)
-  let compile_block ?chain ?(extra_back = 0) ?(pend0 = (0, 0, 0, 0)) t
-      ~start ~stop ~fused ~elided =
-    (* [chain] turns this block into one copy of an unrolled self-loop:
-       the block-final [Jmp] (whose target is the loop head by
-       construction at the call site) falls straight into the next copy's
-       first closure instead of handing the target back to the driver. It
-       is a compile-time continuation: invoked once, during compilation,
-       with the pending cycle/insn/access/sandbox counts accumulated up to
-       and including the jump, and expected to return the next copy
-       compiled with those counts as its [pend0] — so a whole unrolled
-       window flushes once, at its final flush point, instead of once per
-       copy. Anything observable inside a copy (a fault, a kcall, a taken
-       branch) still flushes the carried pends first, exactly as within a
-       single block. [extra_back] is the instruction count of the copies
-       that follow, added to an inline branch's not-run remainder so the
-       driver's poll arithmetic covers the whole unrolled sequence. *)
+  (* Compile instructions [start, stop) into one closure chain, followed
+     by [rest] more instructions of a self-loop whose head is [head].
+     [pend_c] / [pend_i] / [pend_a] are cycles/instructions/memory-accesses
+     executed since the last flush; they are added to the cpu before
+     anything that can fault, stop or observe it, together with that
+     instruction's own charge (the interpreter charges an instruction
+     before executing it). [pend_s] holds the sandbox cycles of fused
+     access groups, dumped at the same flush points.
+
+     With [rest > 0] the range is one copy of an unrolled self-loop, and
+     its block-final [Jmp] (whose target is [head] by construction at the
+     call site) falls straight into the next copy's first closure instead
+     of handing the target back to {!drive}: [copy] compiles that copy
+     from the head, during compilation, with the pending counts up to and
+     including the jump, so a whole unrolled window flushes once, at its
+     final flush point, instead of once per copy. Anything observable
+     inside a copy (a fault, a kcall, a taken branch) still flushes the
+     carried pends first, exactly as within a single block. [rest] is
+     also added to an inline branch's not-run remainder, so the poll
+     arithmetic of {!drive} covers the whole unrolled sequence. Every count
+     passes as a bare int: chaining a copy allocates only its closures. *)
+  let compile_block t ~start ~stop ~head ~rest ~fused ~elided =
     let prog = t.source in
-    let rec comp pc pend_c pend_i pend_a pend_s : ctx -> int =
+    let rec comp pc stop rest pend_c pend_i pend_a pend_s : ctx -> int =
       if pc >= stop then fun ctx ->
         flush ctx.cpu pend_s pend_c pend_i pend_a;
         pc
@@ -409,7 +431,7 @@ module Fast_body = struct
         match (prog.(pc) : Insn.t) with
         (* ---- fused superinstructions ---- *)
         | Br (_, bra, brb, btarget)
-          when Option.is_some chain && Option.is_some shape.pass ->
+          when rest > 0 && Option.is_some shape.pass ->
             (* The canonical transform-loop pass (see {!canonical_pass})
                as one closure, when it is one copy of an unrolled window.
                Both groups are non-faulting (confined or proven, see
@@ -426,7 +448,7 @@ module Fast_body = struct
             let sb (g : confined) =
               if g.c_sb < 0 then 0 else cost t g.c_sb (g.c_sb + 1)
             in
-            let back = stop - next + extra_back in
+            let back = stop - next + rest in
             let taken ctx =
               flush ctx.cpu pend_s dc di pend_a;
               ctx.back <- back;
@@ -445,7 +467,7 @@ module Fast_body = struct
             let p1src = g1.c_src and p1dst = g1.c_dst and p1off = g1.c_off in
             let p2src = g2.c_src and p2dst = g2.c_dst and p2off = g2.c_off in
             let g =
-              (Option.get chain)
+              copy stop rest
                 (pend_c + cost t pc stop)
                 (pend_i + (stop - pc))
                 (pend_a + 2)
@@ -539,7 +561,9 @@ module Fast_body = struct
                 let off = c.c_off in
                 match ((prog.(c.c_acc) : Insn.t), jmp_target) with
                 | Ld (rd, _, _), None when not bare ->
-                    let after = comp c.c_stop pend_c pend_i pend_a ps in
+                    let after =
+                      comp c.c_stop stop rest pend_c pend_i pend_a ps
+                    in
                     fun ctx ->
                       let t : Cpu.t = ctx.cpu in
                       let r = t.regs in
@@ -552,7 +576,9 @@ module Fast_body = struct
                         r.(d2) <- eval_opc o2 r.(a2) (operand r imm2 x2);
                       after ctx
                 | St (rv, _, _), None when not bare ->
-                    let after = comp c.c_stop pend_c pend_i pend_a ps in
+                    let after =
+                      comp c.c_stop stop rest pend_c pend_i pend_a ps
+                    in
                     fun ctx ->
                       let t : Cpu.t = ctx.cpu in
                       let r = t.regs in
@@ -565,7 +591,9 @@ module Fast_body = struct
                         r.(d2) <- eval_opc o2 r.(a2) (operand r imm2 x2);
                       after ctx
                 | Ld (rd, _, _), None ->
-                    let after = comp c.c_stop pend_c pend_i pend_a ps in
+                    let after =
+                      comp c.c_stop stop rest pend_c pend_i pend_a ps
+                    in
                     fun ctx ->
                       let t : Cpu.t = ctx.cpu in
                       let r = t.regs in
@@ -576,7 +604,9 @@ module Fast_body = struct
                         r.(d2) <- eval_opc o2 r.(a2) (operand r imm2 x2);
                       after ctx
                 | St (rv, _, _), None ->
-                    let after = comp c.c_stop pend_c pend_i pend_a ps in
+                    let after =
+                      comp c.c_stop stop rest pend_c pend_i pend_a ps
+                    in
                     fun ctx ->
                       let t : Cpu.t = ctx.cpu in
                       let r = t.regs in
@@ -608,20 +638,19 @@ module Fast_body = struct
                     in
                     let dc = pend_c + cost t c.c_stop (c.c_stop + 1)
                     and di = pend_i + 1 in
-                    match chain with
-                    | None -> fun ctx ->
+                    if rest = 0 then fun ctx ->
+                      effects ctx;
+                      flush ctx.cpu ps dc di pend_a;
+                      target
+                    else
+                      let g = copy stop rest dc di pend_a ps in
+                      fun ctx ->
                         effects ctx;
-                        flush ctx.cpu ps dc di pend_a;
-                        target
-                    | Some kont ->
-                        let g = kont dc di pend_a ps in
-                        fun ctx ->
-                          effects ctx;
-                          g ctx)
+                        g ctx)
                 | _ -> assert false)
         (* ---- straight-line instructions ---- *)
         | Li (rd, v) ->
-            let after = comp next dc di pend_a pend_s in
+            let after = comp next stop rest dc di pend_a pend_s in
             fun ctx ->
               (ctx.cpu : Cpu.t).regs.(rd) <- v;
               after ctx
@@ -630,7 +659,7 @@ module Fast_body = struct
             match opcode op with
             | None ->
                 (* Div/Rem can fault: flush and store pc first. *)
-                let after = comp next 0 0 0 0 in
+                let after = comp next stop rest 0 0 0 0 in
                 fun ctx ->
                   let t : Cpu.t = ctx.cpu in
                   flush t pend_s dc di pend_a;
@@ -639,19 +668,19 @@ module Fast_body = struct
                   r.(rd) <- faulting_alu op r.(ra) (operand r imm x);
                   after ctx
             | Some o ->
-                let after = comp next dc di pend_a pend_s in
+                let after = comp next stop rest dc di pend_a pend_s in
                 fun ctx ->
                   let r = (ctx.cpu : Cpu.t).regs in
                   r.(rd) <- eval_opc o r.(ra) (operand r imm x);
                   after ctx)
         | Mov (rd, rs) ->
-            let after = comp next dc di pend_a pend_s in
+            let after = comp next stop rest dc di pend_a pend_s in
             fun ctx ->
               let r = (ctx.cpu : Cpu.t).regs in
               r.(rd) <- r.(rs);
               after ctx
         | Sandbox rr ->
-            let after = comp next dc di pend_a pend_s in
+            let after = comp next stop rest dc di pend_a pend_s in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               t.regs.(rr) <- Mem.sandbox t.seg t.regs.(rr);
@@ -659,7 +688,7 @@ module Fast_body = struct
               after ctx
         | Ld (rd, rb, off) ->
             let da = pend_a + 1 in
-            let after = comp next 0 0 0 0 in
+            let after = comp next stop rest 0 0 0 0 in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di da;
@@ -668,7 +697,7 @@ module Fast_body = struct
               after ctx
         | St (rv, rb, off) ->
             let da = pend_a + 1 in
-            let after = comp next 0 0 0 0 in
+            let after = comp next stop rest 0 0 0 0 in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di da;
@@ -677,7 +706,7 @@ module Fast_body = struct
               after ctx
         | Push rv ->
             let da = pend_a + 1 in
-            let after = comp next 0 0 0 0 in
+            let after = comp next stop rest 0 0 0 0 in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di da;
@@ -688,7 +717,7 @@ module Fast_body = struct
               after ctx
         | Pop rd ->
             let da = pend_a + 1 in
-            let after = comp next 0 0 0 0 in
+            let after = comp next stop rest 0 0 0 0 in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di da;
@@ -698,7 +727,7 @@ module Fast_body = struct
               r.(Insn.sp) <- r.(Insn.sp) + 1;
               after ctx
         | Checkcall rr ->
-            let after = comp next 0 0 0 0 in
+            let after = comp next stop rest 0 0 0 0 in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di pend_a;
@@ -713,8 +742,8 @@ module Fast_body = struct
                flush, record the unexecuted remainder for the driver's
                poll counter, and exit early. *)
             let cmp = cond_fn c in
-            let back = stop - next + extra_back in
-            let after = comp next dc di pend_a pend_s in
+            let back = stop - next + rest in
+            let after = comp next stop rest dc di pend_a pend_s in
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
               if cmp t.regs.(ra) t.regs.(rb) then begin
@@ -730,16 +759,15 @@ module Fast_body = struct
               let t : Cpu.t = ctx.cpu in
               flush t pend_s dc di pend_a;
               if cmp t.regs.(ra) t.regs.(rb) then target else next
-        | Jmp target -> (
-            match chain with
-            | None -> fun ctx ->
-                flush ctx.cpu pend_s dc di pend_a;
-                target
-            | Some kont ->
-                (* A chained loop-closing jump vanishes at compile time:
-                   the next copy's first closure IS this jump's closure,
-                   entered with the jump's counts still pending. *)
-                kont dc di pend_a pend_s)
+        | Jmp target ->
+            if rest = 0 then fun ctx ->
+              flush ctx.cpu pend_s dc di pend_a;
+              target
+            else
+              (* A chained loop-closing jump vanishes at compile time:
+                 the next copy's first closure IS this jump's closure,
+                 entered with the jump's counts still pending. *)
+              copy stop rest dc di pend_a pend_s
         | Call target ->
             fun ctx ->
               let t : Cpu.t = ctx.cpu in
@@ -784,9 +812,16 @@ module Fast_body = struct
               flush t pend_s dc di pend_a;
               t.pc <- pc;
               finish ctx Cpu.Halted
+    (* The copy after a full one, which ended at [stop]: another full
+       copy while more than a pass remains, else the first [rest]
+       instructions of the body. *)
+    and copy stop rest pend_c pend_i pend_a pend_s =
+      let body = stop - head in
+      if rest > body then
+        comp head stop (rest - body) pend_c pend_i pend_a pend_s
+      else comp head (head + rest) 0 pend_c pend_i pend_a pend_s
     in
-    let c0, i0, a0, s0 = pend0 in
-    comp start c0 i0 a0 s0
+    comp start stop rest 0 0 0 0
 end
 
 let compile_block = Fast_body.compile_block
@@ -812,71 +847,57 @@ let uncompiled : ctx -> int = fun _ -> invalid_arg "Jit: uncompiled slot"
 let unbuilt = { slots = [||]; charge = [||]; stop = 0; head = -1 }
 let scrap = ref 0
 
-let compile_range ?chain ?extra_back ?pend0 t start stop =
-  compile_block ?chain ?extra_back ?pend0 t ~start ~stop ~fused:scrap
-    ~elided:scrap
-
-(* The end of the straight-line run from [pc], at most [max_window]
-   instructions on: a run extends through a conditional branch (its
-   fall-through stays inline) and stops after any other terminator or
-   before a leader. *)
-let run_stop t pc =
-  let j = ref pc in
-  while
-    !j + 1 - pc < max_window
-    && (match (t.source.(!j) : Insn.t) with
-       | Br _ -> true
-       | i -> not (terminates i))
-    && not t.leader.(!j + 1)
-  do
-    incr j
-  done;
-  !j + 1
-
 (* [pc]'s row. Its run is a straight-line self-loop when it closes with a
    [Jmp] to a head [h <= pc] whose own run ends at the same place; then
    every window length up to [max_window] exists, and a window longer
    than the rest of the pass chains whole copies of the body and a prefix
-   of the last pass. Each charge adds one instruction's cost to the one
-   before it, walking the rest of the pass and then the body again from
-   the head. *)
+   of the last pass. Every charge is a difference of the cost prefix sum:
+   a window that stays in the pass costs the prefix over it; one that
+   wraps once into a body of [L] instructions costs a whole pass plus the
+   prefix from [pc] to the instruction [L] before its end; and one longer
+   than [L] costs a pass more than the window [L] shorter. *)
 let build_row t pc =
-  let stop = run_stop t pc in
+  let stop = t.stops.(pc) in
   let head =
     match (t.source.(stop - 1) : Insn.t) with
-    | Jmp h when h >= 0 && h <= pc && run_stop t h = stop -> h
+    | Jmp h when h >= 0 && h <= pc && t.stops.(h) = stop -> h
     | _ -> -1
   in
-  let reach = if head >= 0 then max_window else stop - pc in
+  let own = stop - pc in
+  let reach = if head >= 0 then max_window else own in
+  let prefix = t.cost_prefix in
+  let base = prefix.(pc) in
   let charge = Array.make (reach + 1) 0 in
-  let q = ref pc in
-  for k = 1 to reach do
-    charge.(k) <- charge.(k - 1) + cost t !q (!q + 1);
-    q := if !q + 1 = stop then head else !q + 1
+  for k = 1 to own do
+    charge.(k) <- prefix.(pc + k) - base
   done;
+  if head >= 0 then begin
+    let body = stop - head in
+    let pass = prefix.(stop) - prefix.(head) in
+    for k = own + 1 to body do
+      charge.(k) <- pass + prefix.(pc + k - body) - base
+    done;
+    for k = body + 1 to reach do
+      charge.(k) <- charge.(k - body) + pass
+    done
+  end;
   let row = { slots = Array.make (reach + 1) uncompiled; charge; stop; head } in
   t.rows.(pc) <- row;
   row
 
-(* The window of [k] instructions from [pc]. A loop window's copies are
-   compiled back-to-front through the [chain] continuation, threading the
-   pending accumulators across copy boundaries: each chained loop-closing
-   jump dissolves into the next copy at compile time, and the whole
-   window flushes once, at its end (or at whatever observable event — a
-   taken guard, a fault — cuts it short, which flushes the carried pends
-   first exactly as within a single block). [extra_back] extends an early
-   exit's not-run count over the chained copies, keeping the poll
-   arithmetic of {!drive} exact. *)
+(* The window of [k] instructions from [pc]: the first [k] of its run,
+   or the rest of its pass followed by [k - own] instructions of chained
+   copies of the loop body (see {!compile_block}). *)
 let compile_window t pc row k =
-  let rec window start k pend =
-    let p = row.stop - start in
-    if k <= p then compile_range ~pend0:pend t start (start + k)
+  let own = row.stop - pc in
+  let f =
+    if k <= own then
+      compile_block t ~start:pc ~stop:(pc + k) ~head:(-1) ~rest:0
+        ~fused:scrap ~elided:scrap
     else
-      compile_range ~pend0:pend ~extra_back:(k - p)
-        ~chain:(fun c i a s -> window row.head (k - p) (c, i, a, s))
-        t start row.stop
+      compile_block t ~start:pc ~stop:row.stop ~head:row.head
+        ~rest:(k - own) ~fused:scrap ~elided:scrap
   in
-  let f = window pc k (0, 0, 0, 0) in
   row.slots.(k) <- f;
   f
 
@@ -897,21 +918,26 @@ let translate ?(costs = Costs.default) ?safe prog =
      interpreter, which raises exactly what it raises. *)
   let regs_ok = Array.for_all Insn.registers_in_range source in
   let leader = Array.make (n + 1) false in
-  leader.(0) <- true;
   leader.(n) <- true;
-  Array.iteri
-    (fun pc i ->
-      (match (i : Insn.t) with
+  Array.iter
+    (fun (i : Insn.t) ->
+      match i with
       | Br (_, _, _, target) | Jmp target | Call target ->
           if target >= 0 && target < n then leader.(target) <- true
-      | _ -> ());
-      (* A conditional branch falls through into its block (the window
-         exits early when taken), so unlike the other terminators it
-         does not force a leader at pc + 1. *)
-      match (i : Insn.t) with
-      | Br _ -> ()
-      | i -> if terminates i then leader.(pc + 1) <- true)
+      | _ -> ())
     source;
+  (* Walking back, a run ends after [pc] when a leader follows it or it
+     is a terminator other than a conditional branch (the window exits
+     early when a branch is taken, so its fall-through stays inline). *)
+  let stops = Array.make n 0 in
+  let run_end = ref n in
+  for pc = n - 1 downto 0 do
+    (match (source.(pc) : Insn.t) with
+    | Br _ -> if leader.(pc + 1) then run_end := pc + 1
+    | i -> if terminates i || leader.(pc + 1) then run_end := pc + 1);
+    stops.(pc) <-
+      (if !run_end - pc < max_window then !run_end else pc + max_window)
+  done;
   let cost_prefix = Array.make (n + 1) 0 in
   for m = 0 to n - 1 do
     cost_prefix.(m + 1) <- cost_prefix.(m) + Costs.insn costs source.(m)
@@ -920,16 +946,18 @@ let translate ?(costs = Costs.default) ?safe prog =
     source;
     safe_at;
     regs_ok;
-    leader;
+    stops;
     cost_prefix;
     rows = Array.make n unbuilt;
     shapes = Array.make n no_shape;
   }
 
+let starts_block t pc = pc = 0 || t.stops.(pc - 1) = pc
+
 let block_count t =
   let c = ref 0 in
   for pc = 0 to Array.length t.source - 1 do
-    if t.leader.(pc) then incr c
+    if starts_block t pc then incr c
   done;
   !c
 
@@ -943,9 +971,10 @@ let census t =
   let fused = ref 0 and elided = ref 0 in
   if t.regs_ok then
     for pc = 0 to Array.length t.source - 1 do
-      if t.leader.(pc) then
+      if starts_block t pc then
         ignore
-          (compile_block t ~start:pc ~stop:(run_stop t pc) ~fused ~elided
+          (compile_block t ~start:pc ~stop:t.stops.(pc) ~head:(-1) ~rest:0
+             ~fused ~elided
             : ctx -> int)
     done;
   (!fused, !elided)

@@ -131,6 +131,24 @@ let prop_entries_rebuild =
          | _ -> false
          | exception Invalid_argument _ -> true))
 
+(* What {!Vino_sim.Engine.run} reads: one head's key, generation and
+   value, with adds and pops interleaved, agree with peek and pop on a
+   twin queue. *)
+let prop_head_reads_one_entry =
+  QCheck2.Test.make ~name:"head's key, gen and pop_head match peek and pop"
+    ~count:300 ~print:print_ops gen_ops (fun ops ->
+      let q = build ops and twin = build ops in
+      let rec go () =
+        let s = Pqueue.head q in
+        if s < 0 then Pqueue.is_empty twin
+        else
+          let k = Pqueue.key q s and g = Pqueue.gen q s in
+          let v = Pqueue.pop_head q s in
+          let k' = Pqueue.peek_key twin and g' = Pqueue.peek_gen twin in
+          k = k' && g = g' && v = Pqueue.pop twin && go ()
+      in
+      go ())
+
 let suite =
   [
     ( "pqueue",
@@ -140,5 +158,6 @@ let suite =
           prop_peek_consistent;
           prop_gens_travel;
           prop_entries_rebuild;
+          prop_head_reads_one_entry;
         ] );
   ]

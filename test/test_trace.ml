@@ -348,6 +348,62 @@ let report_json_shape () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "report does not re-parse: %s" e
 
+(* The install count behind the sink guard: a body that raises still
+   restores the outer state, nested scopes restore the outer sink, and a
+   sink one domain installs is not another domain's. *)
+let with_t_raise_uninstalls () =
+  Alcotest.(check bool) "no sink before" false (Trace.enabled ());
+  (try Trace.with_t (Trace.create ()) (fun () -> failwith "body")
+   with Failure _ -> ());
+  Alcotest.(check bool) "no sink after a raising body" false
+    (Trace.enabled ());
+  Alcotest.(check bool) "current is None" true
+    (Option.is_none (Trace.current ()))
+
+let is_current t =
+  match Trace.current () with Some c -> c == t | None -> false
+
+let with_t_nested_restores_outer () =
+  let outer = Trace.create () and inner = Trace.create () in
+  Trace.with_t outer (fun () ->
+      Trace.with_t inner (fun () ->
+          Alcotest.(check bool) "inner installed" true (is_current inner));
+      Alcotest.(check bool) "outer restored" true (is_current outer);
+      Trace.incr "nested.after";
+      Alcotest.(check int) "outer receives the bump" 1
+        (Trace.counter_value outer "nested.after");
+      Alcotest.(check int) "inner does not" 0
+        (Trace.counter_value inner "nested.after"));
+  Alcotest.(check bool) "none after both" false (Trace.enabled ())
+
+let sink_in_other_domain_unseen () =
+  let installed = Atomic.make false and release = Atomic.make false in
+  let theirs = Trace.create () in
+  let other =
+    Domain.spawn (fun () ->
+        Trace.install theirs;
+        Atomic.set installed true;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done;
+        let seen = Trace.enabled () in
+        Trace.uninstall ();
+        seen)
+  in
+  while not (Atomic.get installed) do
+    Domain.cpu_relax ()
+  done;
+  let here = Trace.enabled () and current = Trace.current () in
+  Trace.incr "other.domain";
+  Atomic.set release true;
+  let there = Domain.join other in
+  Alcotest.(check bool) "not enabled here" false here;
+  Alcotest.(check bool) "no current sink here" true (Option.is_none current);
+  Alcotest.(check bool) "enabled in the installing domain" true there;
+  Alcotest.(check int) "a bump here does not reach it" 0
+    (Trace.counter_value theirs "other.domain");
+  Alcotest.(check bool) "none after it uninstalls" false (Trace.enabled ())
+
 let suite =
   [
     ( "trace",
@@ -386,5 +442,11 @@ let suite =
           ring_restore_two_captures;
         Alcotest.test_case "json: control bytes round-trip through escape"
           `Quick json_escape_control_bytes;
+        Alcotest.test_case "with_t: a raising body leaves no sink" `Quick
+          with_t_raise_uninstalls;
+        Alcotest.test_case "with_t: nested scope restores the outer sink"
+          `Quick with_t_nested_restores_outer;
+        Alcotest.test_case "a sink in another domain is not seen here" `Quick
+          sink_in_other_domain_unseen;
       ] );
   ]
