@@ -1,8 +1,5 @@
 (* Table 6: the encryption (Stream) graft. *)
 
-module Cpu = Vino_vm.Cpu
-module Mem = Vino_vm.Mem
-module Engine = Vino_sim.Engine
 module Kernel = Vino_core.Kernel
 module Graft_point = Vino_core.Graft_point
 module Channel = Vino_stream.Channel
@@ -26,12 +23,12 @@ let fixture () =
 
 let segment_words = (2 * buffer_words) + 512
 
-(* Entry facts established by [setup]: r1 = segment base (source buffer),
-   r2 = base + buffer_words (destination), r3 = word count <= buffer_words.
-   The verifier's interval analysis bounds the loop counter by r3 and
-   proves every load and store of the transform loop in-segment — the
-   paper's worst SFI case (per-word load + store) drops to zero sandbox
-   instructions on the Verified path. *)
+(* Entry facts established by [Channel.copyin]: r1 = segment base (source
+   buffer), r2 = base + buffer_words (destination), r3 = word count <=
+   buffer_words. The verifier's interval analysis bounds the loop counter
+   by r3 and proves every load and store of the transform loop
+   in-segment — the paper's worst SFI case (per-word load + store) drops
+   to zero sandbox instructions on the Verified path. *)
 let verify_config =
   Vino_verify.Verify.config
     ~entry:
@@ -42,17 +39,6 @@ let verify_config =
       ]
     ~words:segment_words ()
 
-(* the kernel's copyin of the source buffer, then argument registers *)
-let setup fx cpu =
-  let seg = Cpu.segment cpu in
-  Engine.delay (Array.length fx.data * Channel.bcopy_cycles_per_word);
-  Array.iteri
-    (fun k v -> Mem.store fx.kernel.Kernel.mem (Mem.sandbox seg k) v)
-    fx.data;
-  Cpu.set_reg cpu 1 (Cpu.segment cpu).Vino_vm.Mem.base;
-  Cpu.set_reg cpu 2 ((Cpu.segment cpu).Vino_vm.Mem.base + buffer_words);
-  Cpu.set_reg cpu 3 (Array.length fx.data)
-
 (* The rig for [path], and one transfer through the graft. *)
 let rig_for fx path =
   let rig =
@@ -62,8 +48,9 @@ let rig_for fx path =
          ~full:(Sgrafts.xor_encrypt_source ~key)
          path)
   in
+  let setup cpu = Channel.copyin fx.channel cpu fx.data in
   let invoke ~commit _ =
-    Rig.run rig ~indirection:0 ~check_cost:0 ~setup:(setup fx) ~commit ()
+    Rig.run rig ~indirection:0 ~check_cost:0 ~setup ~commit ()
   in
   (rig, invoke)
 

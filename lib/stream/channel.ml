@@ -19,15 +19,14 @@ type t = {
 
 let bcopy_cost words = words * bcopy_cycles_per_word
 
-(* Input area at segment offset 0, output area right after it. *)
-let setup kernel ~buffer_words cpu (data : int array) =
+(* Input area at segment offset 0, output area right after it. Both lie
+   inside the segment: [install] reserves [2 * buffer_words] shared
+   words, so each area is copied in one bulk move. *)
+let copyin kernel ~buffer_words cpu (data : int array) =
   let seg = Cpu.segment cpu in
   let words = min (Array.length data) buffer_words in
-  (* the kernel's copyin of the source data into the graft segment *)
   Engine.delay (bcopy_cost words);
-  Array.iteri
-    (fun k v -> if k < words then Mem.store kernel.Kernel.mem (Mem.sandbox seg k) v)
-    data;
+  Mem.blit_in ~len:words kernel.Kernel.mem seg.Mem.base data;
   Cpu.set_reg cpu 1 seg.Mem.base;
   Cpu.set_reg cpu 2 (seg.Mem.base + buffer_words);
   Cpu.set_reg cpu 3 words
@@ -35,9 +34,7 @@ let setup kernel ~buffer_words cpu (data : int array) =
 let read_result kernel ~buffer_words cpu (data : int array) =
   let seg = Cpu.segment cpu in
   let words = min (Array.length data) buffer_words in
-  Ok
-    (Array.init words (fun k ->
-         Mem.load kernel.Kernel.mem (Mem.sandbox seg (buffer_words + k))))
+  Ok (Mem.blit_out kernel.Kernel.mem (seg.Mem.base + buffer_words) words)
 
 let create kernel ~name ?(buffer_words = buffer_words_8kb) ?budget () =
   let point =
@@ -47,7 +44,7 @@ let create kernel ~name ?(buffer_words = buffer_words_8kb) ?budget () =
       ~default:(fun data ->
         Engine.delay (bcopy_cost (Array.length data));
         Array.copy data)
-      ~setup:(setup kernel ~buffer_words)
+      ~setup:(copyin kernel ~buffer_words)
       ~read_result:(read_result kernel ~buffer_words)
       ()
   in
@@ -59,6 +56,7 @@ let create kernel ~name ?(buffer_words = buffer_words_8kb) ?budget () =
   t
 
 let point t = t.point
+let copyin t cpu data = copyin t.kernel ~buffer_words:t.buffer_words cpu data
 let grafted t = Graft_point.grafted t.point
 
 let install t ~cred ?limits image =

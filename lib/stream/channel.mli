@@ -28,6 +28,15 @@ val create :
     graft invocation's cycles. *)
 
 val point : t -> (int array, int array) Vino_core.Graft_point.t
+
+val copyin : t -> Vino_vm.Cpu.t -> int array -> unit
+(** [copyin t cpu data] is the graft point's setup: the kernel's copyin
+    of one transfer. It charges a bcopy of the first
+    [min (Array.length data) buffer_words] words, copies them to the
+    input area at the base of [cpu]'s segment and sets the argument
+    registers: r1 = input area, r2 = output area ([buffer_words] further
+    on), r3 = word count. *)
+
 val grafted : t -> bool
 
 val install :

@@ -122,6 +122,18 @@ let test_crashing_stream_graft_falls_back_to_bcopy () =
   Alcotest.(check (array int)) "fell back to plain copy" data out;
   Alcotest.(check bool) "graft removed" false (Channel.grafted channel)
 
+(* A transfer shorter than the buffer, after a full one has left words in
+   both areas: the copyin and the copyout move only the words handed
+   over. *)
+let test_partial_transfer () =
+  let kernel, channel = fixture ~buffer_words:64 () in
+  install_exn kernel channel (Grafts.xor_encrypt_source ~key:0xAB);
+  ignore (transfer_in_kernel kernel channel (Array.make 64 0x5A5A));
+  let data = Array.init 40 (fun k -> (k * 7) + 1) in
+  Alcotest.(check (array int)) "40 words, each xor-encrypted"
+    (Array.map (fun v -> v lxor 0xAB) data)
+    (transfer_in_kernel kernel channel data)
+
 let suite =
   [
     ( "stream",
@@ -138,5 +150,7 @@ let suite =
           test_oversized_transfer_rejected;
         Alcotest.test_case "crashing stream graft falls back to bcopy"
           `Quick test_crashing_stream_graft_falls_back_to_bcopy;
+        Alcotest.test_case "partial transfer moves only its words" `Quick
+          test_partial_transfer;
       ] );
   ]

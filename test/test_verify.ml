@@ -533,10 +533,15 @@ let site_words = function
   | Vino_disaster.Site.Stream_copy -> (2 * 64) + 1024 + 256
   | Vino_disaster.Site.Net_handler -> 2048 + 1024 + 256
 
-let examples_dir =
-  List.find Sys.file_exists [ "../examples/grafts"; "examples/grafts" ]
-
 let golden_corpus () =
+  let examples_dir =
+    let tried = [ "../examples/grafts"; "examples/grafts" ] in
+    match List.find_opt Sys.file_exists tried with
+    | Some dir -> dir
+    | None ->
+        Alcotest.failf "no examples directory: tried %s from %s"
+          (String.concat ", " tried) (Sys.getcwd ())
+  in
   let module Site = Vino_disaster.Site in
   let module Injector = Vino_disaster.Injector in
   let b = Buffer.create 65536 in
