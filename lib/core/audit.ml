@@ -1,5 +1,6 @@
 module Ring = Vino_trace.Ring
 module Trace = Vino_trace.Trace
+module Counters = Vino_trace.Counters
 
 type event =
   | Load_rejected of { point : string; reason : string }
@@ -17,18 +18,27 @@ type t = { ring : entry Ring.t }
 let default_capacity = 4096
 let create ?(capacity = default_capacity) () = { ring = Ring.create ~capacity }
 
-let counter_name = function
-  | Load_rejected _ -> "audit.load_rejected"
-  | Graft_installed _ -> "audit.graft_installed"
-  | Graft_removed _ -> "audit.graft_removed"
-  | Graft_failed _ -> "audit.graft_failed"
-  | Handler_added _ -> "audit.handler_added"
-  | Handler_failed _ -> "audit.handler_failed"
-  | Flow_violation _ -> "audit.flow_violation"
-  | Admission_rejected _ -> "audit.admission_rejected"
+let h_load_rejected = Counters.handle "audit.load_rejected"
+let h_graft_installed = Counters.handle "audit.graft_installed"
+let h_graft_removed = Counters.handle "audit.graft_removed"
+let h_graft_failed = Counters.handle "audit.graft_failed"
+let h_handler_added = Counters.handle "audit.handler_added"
+let h_handler_failed = Counters.handle "audit.handler_failed"
+let h_flow_violation = Counters.handle "audit.flow_violation"
+let h_admission_rejected = Counters.handle "audit.admission_rejected"
+
+let counter = function
+  | Load_rejected _ -> h_load_rejected
+  | Graft_installed _ -> h_graft_installed
+  | Graft_removed _ -> h_graft_removed
+  | Graft_failed _ -> h_graft_failed
+  | Handler_added _ -> h_handler_added
+  | Handler_failed _ -> h_handler_failed
+  | Flow_violation _ -> h_flow_violation
+  | Admission_rejected _ -> h_admission_rejected
 
 let record t ~now_us event =
-  Trace.incr (counter_name event);
+  Trace.incr_h (counter event);
   Ring.push t.ring { at_us = now_us; event }
 
 let entries t = Ring.to_list t.ring

@@ -12,7 +12,6 @@ type handler = {
   payload_words : int;
   txn_name : string;
   worker_name : string;
-  mutable dead : bool;
 }
 
 type t = {
@@ -40,14 +39,12 @@ let create ~name ?(restricted = false) ?(budget = Wrapper.default_budget) () =
 
 let saver t () =
   let handlers = t.handlers
-  and dead_flags = List.map (fun h -> (h, h.dead)) t.handlers
   and next_hid = t.next_hid
   and n_events = t.n_events
   and n_failures = t.n_failures
   and last_results = t.last_results in
   fun () ->
     t.handlers <- handlers;
-    List.iter (fun (h, dead) -> h.dead <- dead) dead_flags;
     t.next_hid <- next_hid;
     t.n_events <- n_events;
     t.n_failures <- n_failures;
@@ -113,7 +110,6 @@ let add_handler t kernel ~cred ?order ?(payload_words = 2048)
             payload_words;
             txn_name = Printf.sprintf "%s#%d" t.ename hid;
             worker_name = Printf.sprintf "%s-worker-%d" t.ename hid;
-            dead = false;
           }
         in
         t.handlers <- sort_handlers (h :: t.handlers);
@@ -154,7 +150,6 @@ let run_handler t kernel h payload =
   | Ok r0 -> t.last_results <- (h.hid, r0) :: t.last_results
   | Error reason ->
       t.n_failures <- t.n_failures + 1;
-      h.dead <- true;
       Kernel.audit_event kernel
         (Audit.Handler_failed { point = t.ename; handler = h.hid; reason });
       remove_handler t kernel h.hid
@@ -164,13 +159,11 @@ let dispatch t kernel ~payload =
   t.last_results <- [];
   List.iter
     (fun h ->
-      if not h.dead then begin
-        (* pinned from spawn, not from [invoke]: a removal between the two
-           must not free the segment the worker is about to run in *)
-        Linker.pin h.loaded;
-        ignore
-          (Engine.spawn kernel.Kernel.engine ~name:h.worker_name (fun () ->
-               run_handler t kernel h payload;
-               Linker.unpin kernel h.loaded))
-      end)
+      (* pinned from spawn, not from [invoke]: a removal between the two
+         must not free the segment the worker is about to run in *)
+      Linker.pin h.loaded;
+      ignore
+        (Engine.spawn kernel.Kernel.engine ~name:h.worker_name (fun () ->
+             run_handler t kernel h payload;
+             Linker.unpin kernel h.loaded)))
     t.handlers

@@ -49,9 +49,9 @@ val segment_words : payload_words:int -> heap_words:int -> int
 val remove_handler : t -> Kernel.t -> int -> unit
 
 val dispatch : t -> Kernel.t -> payload:int array -> unit
-(** Deliver one event: spawn one worker process per live handler (in
-    order), each running its handler inside a fresh transaction. Handler
-    entry convention: r1 = payload address, r2 = payload length. *)
+(** Deliver one event: spawn one worker process per handler (in order),
+    each running its handler inside a fresh transaction. Handler entry
+    convention: r1 = payload address, r2 = payload length. *)
 
 val events_delivered : t -> int
 val handler_failures : t -> int
@@ -60,6 +60,5 @@ val results : t -> (int * int) list
     order. *)
 
 val saver : t -> unit -> unit -> unit
-(** [saver t ()] captures the handler list (with per-handler liveness)
-    and statistics; the returned thunk restores them (re-runnable). For
-    kernel snapshots. *)
+(** [saver t ()] captures the handler list and statistics; the returned
+    thunk restores them (re-runnable). For kernel snapshots. *)

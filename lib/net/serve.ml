@@ -338,10 +338,7 @@ let run_shard cfg shard =
     (* the shard's server-wide account; every tenant gets a derived
        slice, so the shard's total grant is fixed up front *)
     let parent =
-      Rlimit.create
-        ~memory_words:(4096 * n)
-        ~io_slots:(64 * n)
-        ~net_packets:(cfg.net_quota * n)
+      Rlimit.create ~memory_words:(4096 * n) ~net_packets:(cfg.net_quota * n)
         ()
     in
     let slots = Array.make_matrix n cfg.requests (-1.0) in
@@ -370,7 +367,7 @@ let run_shard cfg shard =
       List.map
         (fun _ ->
           match
-            Rlimit.derive ~parent ~memory_words:4096 ~io_slots:64
+            Rlimit.derive ~parent ~memory_words:4096
               ~net_packets:cfg.net_quota ()
           with
           | Ok l -> l

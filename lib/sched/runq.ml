@@ -3,7 +3,6 @@ module Mem = Vino_vm.Mem
 module Engine = Vino_sim.Engine
 module Kernel = Vino_core.Kernel
 module Graft_point = Vino_core.Graft_point
-module Calltable = Vino_core.Calltable
 
 type delegate_request = { self : int; runnable : int list }
 
@@ -21,7 +20,6 @@ type t = {
   lock : Vino_txn.Lock.t;
   lock_name : string;
   tasks : (int, task) Hashtbl.t;
-  valid_tids : Calltable.t;
   queue : int Queue.t;
   mutable next_tid : int;
   mutable n_redirects : int;
@@ -57,14 +55,12 @@ let create kernel ?(switch_cost = Vino_txn.Tcosts.us 27.)
       lock;
       lock_name;
       tasks = Hashtbl.create 64;
-      valid_tids = Calltable.create ();
       queue = Queue.create ();
       next_tid = 1;
       n_redirects = 0;
       n_invalid = 0;
     }
   in
-  Kernel.on_snapshot kernel (Calltable.saver t.valid_tids);
   Kernel.on_snapshot kernel (fun () ->
       (* task records are shared across the capture (their [group] field
          is restored individually); the queue is rebuilt in FIFO order *)
@@ -116,7 +112,6 @@ let spawn_task t ~name =
   in
   let task = { tid; delegate; group = None } in
   Hashtbl.replace t.tasks tid task;
-  Calltable.add t.valid_tids tid;
   Queue.push tid t.queue;
   Kernel.on_snapshot t.kernel (Graft_point.saver delegate);
   task
@@ -126,7 +121,6 @@ let delegate_point task = task.delegate
 
 let remove_task t task =
   Hashtbl.remove t.tasks task.tid;
-  Calltable.remove t.valid_tids task.tid;
   (* lazy removal from the queue: skipped when popped *)
   ()
 
@@ -161,18 +155,14 @@ let schedule t ~cred =
       in
       let chosen =
         if suggestion = task.tid then task
-        else if not (Calltable.mem t.valid_tids suggestion) then begin
-          t.n_invalid <- t.n_invalid + 1;
-          task
-        end
         else
           match Hashtbl.find_opt t.tasks suggestion with
           | Some target when same_group task target ->
               t.n_redirects <- t.n_redirects + 1;
               target
           | Some _ | None ->
-              (* delegating outside the consenting group is antisocial
-                 (Rule 8): ignored *)
+              (* an unknown id, or delegating outside the consenting
+                 group, which is antisocial (Rule 8): ignored *)
               t.n_invalid <- t.n_invalid + 1;
               task
       in

@@ -6,8 +6,8 @@
     the database server, a UI thread handing off to the video thread). The
     default delegate returns the thread itself.
 
-    The id returned by a delegate is verified by probing a hash table of
-    valid thread ids, and must belong to a task that has joined the same
+    The id returned by a delegate is looked up in the queue's table of
+    live tasks, and must belong to a task that has joined the same
     scheduling group as the delegator — a graft can only affect processes
     that agreed to participate (Rule 8; Cao's principle). An invalid or
     foreign id falls back to the original choice. *)

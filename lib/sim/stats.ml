@@ -52,12 +52,41 @@ let stddev t =
     sqrt (!sq /. float_of_int (t.n - 1))
   end
 
+(* Heap sort in [Float.compare] order, which is [compare]'s order on
+   floats. Typed to float arrays, it reads and writes unboxed floats;
+   the polymorphic [Array.sort compare] boxes every element it reads. *)
+let rec sift_down (a : float array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c =
+      if l + 1 < n && Float.compare a.(l) a.(l + 1) < 0 then l + 1 else l
+    in
+    if Float.compare a.(i) a.(c) < 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a c n
+    end
+  end
+
+let sort_floats a =
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down a 0 last
+  done
+
 let sorted_view t =
   match t.sorted with
   | Some s -> s
   | None ->
       let s = Array.sub t.data 0 t.n in
-      Array.sort compare s;
+      sort_floats s;
       t.sorted <- Some s;
       s
 
@@ -96,17 +125,21 @@ let trimmed_stddev ?fraction t =
   let lo, hi = trim_bounds ?fraction t in
   stddev_range (sorted_view t) lo hi
 
+(* [Stdlib.min]/[max]'s rule, typed to floats so nothing is boxed
+   ([Float.min]/[max] differ on -0.0 and nan) *)
 let min_value t =
   let acc = ref infinity in
   for k = 0 to t.n - 1 do
-    acc := min !acc t.data.(k)
+    let a = !acc and x = t.data.(k) in
+    acc := if a <= x then a else x
   done;
   !acc
 
 let max_value t =
   let acc = ref neg_infinity in
   for k = 0 to t.n - 1 do
-    acc := max !acc t.data.(k)
+    let a = !acc and x = t.data.(k) in
+    acc := if a >= x then a else x
   done;
   !acc
 

@@ -29,62 +29,40 @@ let handle name =
 
 let handle_name h = Mutex.protect reg_lock (fun () -> !reg_names.(h))
 
-(* [fast] batches handle increments as plain array adds; they fold into
-   the string-keyed table the first time anything reads it ([flush]).
-   Each table lives in one domain (sinks are domain-local), so the two
-   representations never race. *)
-type t = { tbl : (string, int ref) Hashtbl.t; mutable fast : int array }
+(* One slot per handle, -1 for a counter never bumped, so a zero add
+   still lists the name. Each array lives in one domain (sinks are
+   domain-local), so bumps never race. *)
+type t = { mutable values : int array }
 
-let create () : t = { tbl = Hashtbl.create 64; fast = Array.make 16 0 }
-
-let tbl_incr tbl ?(by = 1) name =
-  if by < 0 then invalid_arg "Counters.incr: counters are monotonic";
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add tbl name (ref by)
-
-let incr t ?by name = tbl_incr t.tbl ?by name
+let create () : t = { values = Array.make 16 (-1) }
 
 let add_h t h n =
   if n < 0 then invalid_arg "Counters.add_h: counters are monotonic";
-  if n = 0 then
-    (* A zero add must still materialize the counter, exactly as the
-       string path does — [flush] cannot tell a zero-added slot from an
-       untouched one, so it lands in the table here instead. *)
-    tbl_incr t.tbl ~by:0 (handle_name h)
+  let v = t.values in
+  let cap = Array.length v in
+  if h < cap then begin
+    let old = v.(h) in
+    v.(h) <- (if old < 0 then n else old + n)
+  end
   else begin
-    let f = t.fast in
-    let cap = Array.length f in
-    if h < cap then f.(h) <- f.(h) + n
-    else begin
-      let bigger = Array.make (max (2 * cap) (h + 1)) 0 in
-      Array.blit f 0 bigger 0 cap;
-      bigger.(h) <- n;
-      t.fast <- bigger
-    end
+    let bigger = Array.make (max (2 * cap) (h + 1)) (-1) in
+    Array.blit v 0 bigger 0 cap;
+    bigger.(h) <- n;
+    t.values <- bigger
   end
 
 let incr_h t h = add_h t h 1
 
-let flush t =
-  let f = t.fast in
-  for h = 0 to Array.length f - 1 do
-    let v = f.(h) in
-    if v <> 0 then begin
-      tbl_incr t.tbl ~by:v (handle_name h);
-      f.(h) <- 0
-    end
-  done
-
 let value t name =
-  flush t;
-  match Hashtbl.find_opt t.tbl name with Some r -> !r | None -> 0
+  match Mutex.protect reg_lock (fun () -> Hashtbl.find_opt reg_ids name) with
+  | Some h when h < Array.length t.values -> Int.max 0 t.values.(h)
+  | Some _ | None -> 0
 
 let snapshot t =
-  flush t;
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.tbl []
-  |> List.sort compare
+  let named = ref [] in
+  Array.iteri
+    (fun h v -> if v >= 0 then named := (handle_name h, v) :: !named)
+    t.values;
+  List.sort compare !named
 
-let clear t =
-  Hashtbl.reset t.tbl;
-  Array.fill t.fast 0 (Array.length t.fast) 0
+let clear t = Array.fill t.values 0 (Array.length t.values) (-1)

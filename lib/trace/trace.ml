@@ -53,11 +53,6 @@ let span kind ~label ~start ~dur =
   | None -> ()
   | Some t -> Ring.push t.ring { Span.kind; label; start; dur }
 
-let incr ?by name =
-  match current () with
-  | None -> ()
-  | Some t -> Counters.incr t.ctrs ?by name
-
 let incr_h h =
   match current () with None -> () | Some t -> Counters.incr_h t.ctrs h
 

@@ -1,6 +1,6 @@
 (** The kernel-wide observability sink.
 
-    A {!t} bundles a fixed-capacity ring of {!Span.t}s, a table of
+    A {!t} bundles a fixed-capacity ring of {!Span.t}s, an array of
     monotonic {!Counters}, and a per-graft cycle {!Profile}. The
     instrumented hot paths ({!Vino_core.Graft_point}, {!Vino_core.Wrapper},
     {!Vino_txn.Txn}, {!Vino_txn.Lock}, {!Vino_sim.Engine}, the fs cache)
@@ -50,12 +50,11 @@ val with_t : t -> (unit -> 'a) -> 'a
     All of these are no-ops when no sink is installed. *)
 
 val span : Span.kind -> label:string -> start:int -> dur:int -> unit
-val incr : ?by:int -> string -> unit
 
-(** Handle-based counter bumps: the sink lookup above, one array add —
-    no hashing, no allocation. Intern the handle once at module load
-    with {!Counters.handle}; [add_h] takes its non-negative amount as a
-    bare [int] (no option boxing on the call site). *)
+(** Counter bumps: the sink lookup above, one array add — no hashing, no
+    allocation. Intern the handle once at module load with
+    {!Counters.handle}; [add_h] takes its non-negative amount as a bare
+    [int] (no option boxing on the call site). *)
 
 val incr_h : Counters.handle -> unit
 

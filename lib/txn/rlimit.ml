@@ -1,30 +1,21 @@
-type resource = Memory_words | Wired_pages | Io_slots | Net_packets
+type resource = Memory_words | Net_packets
 
-let all_resources = [ Memory_words; Wired_pages; Io_slots; Net_packets ]
+let all_resources = [ Memory_words; Net_packets ]
 
 let resource_name = function
   | Memory_words -> "memory-words"
-  | Wired_pages -> "wired-pages"
-  | Io_slots -> "io-slots"
   | Net_packets -> "net-packets"
 
-let index = function
-  | Memory_words -> 0
-  | Wired_pages -> 1
-  | Io_slots -> 2
-  | Net_packets -> 3
+let index = function Memory_words -> 0 | Net_packets -> 1
 
 type account = { limits : int array; uses : int array }
 type t = { account : account }
 
 let n = List.length all_resources
 
-let create ?(memory_words = 0) ?(wired_pages = 0) ?(io_slots = 0)
-    ?(net_packets = 0) () =
+let create ?(memory_words = 0) ?(net_packets = 0) () =
   let limits = Array.make n 0 in
   limits.(index Memory_words) <- memory_words;
-  limits.(index Wired_pages) <- wired_pages;
-  limits.(index Io_slots) <- io_slots;
   limits.(index Net_packets) <- net_packets;
   { account = { limits; uses = Array.make n 0 } }
 
@@ -32,7 +23,7 @@ let zero () = create ()
 
 let unlimited () =
   let big = max_int / 2 in
-  create ~memory_words:big ~wired_pages:big ~io_slots:big ~net_packets:big ()
+  create ~memory_words:big ~net_packets:big ()
 
 let delegate t = { account = t.account }
 let same_account a b = a.account == b.account
@@ -72,17 +63,9 @@ let transfer ~src ~dst r amount =
    never spend more than the slice it was granted, and the parent's
    remaining headroom shrinks by exactly that slice. On any denial the
    already-moved resources are returned and the parent is untouched. *)
-let derive ~parent ?(memory_words = 0) ?(wired_pages = 0) ?(io_slots = 0)
-    ?(net_packets = 0) () =
+let derive ~parent ?(memory_words = 0) ?(net_packets = 0) () =
   let child = create () in
-  let wants =
-    [
-      (Memory_words, memory_words);
-      (Wired_pages, wired_pages);
-      (Io_slots, io_slots);
-      (Net_packets, net_packets);
-    ]
-  in
+  let wants = [ (Memory_words, memory_words); (Net_packets, net_packets) ] in
   let rec fund granted = function
     | [] -> Ok child
     | (_, 0) :: rest -> fund granted rest

@@ -9,20 +9,14 @@
     limits for the graft's, so the ordinary enforcement path covers grafts
     with no extra machinery. *)
 
-type resource = Memory_words | Wired_pages | Io_slots | Net_packets
+type resource = Memory_words | Net_packets
 
 val all_resources : resource list
 val resource_name : resource -> string
 
 type t
 
-val create :
-  ?memory_words:int ->
-  ?wired_pages:int ->
-  ?io_slots:int ->
-  ?net_packets:int ->
-  unit ->
-  t
+val create : ?memory_words:int -> ?net_packets:int -> unit -> t
 (** Unspecified resources default to 0. *)
 
 val zero : unit -> t
@@ -55,8 +49,6 @@ val transfer : src:t -> dst:t -> resource -> int -> (unit, [ `Denied ]) result
 val derive :
   parent:t ->
   ?memory_words:int ->
-  ?wired_pages:int ->
-  ?io_slots:int ->
   ?net_packets:int ->
   unit ->
   (t, [ `Denied ]) result

@@ -13,24 +13,34 @@ let const_itv c = { lo = c; hi = c }
 let top_itv = { lo = neg_inf; hi = pos_inf }
 let is_const i = if i.lo = i.hi then Some i.lo else None
 
-(* Saturating arithmetic so infinities are absorbing. *)
-let sat_add a b =
-  if a = neg_inf || b = neg_inf then neg_inf
-  else if a = pos_inf || b = pos_inf then pos_inf
-  else
-    let s = a + b in
-    if a > 0 && b > 0 && s < 0 then pos_inf
-    else if a < 0 && b < 0 && s >= 0 then neg_inf
-    else s
+(* Bounds are machine ints and registers wrap, so [max_int] is a value
+   a register can hold, not an infinity: an addition or subtraction that
+   overflows either bound gives the full range. A sum overflows iff its
+   sign differs from both addends'; a difference, iff the operands' signs
+   differ and the result's differs from the minuend's. *)
+let itv_add a b =
+  let lo = a.lo + b.lo and hi = a.hi + b.hi in
+  if
+    (a.lo lxor lo) land (b.lo lxor lo) < 0
+    || (a.hi lxor hi) land (b.hi lxor hi) < 0
+  then top_itv
+  else { lo; hi }
 
-let sat_neg a = if a = neg_inf then pos_inf else if a = pos_inf then neg_inf else -a
-let sat_sub a b = sat_add a (sat_neg b)
+let itv_sub a b =
+  let lo = a.lo - b.hi and hi = a.hi - b.lo in
+  if
+    (a.lo lxor b.hi) land (a.lo lxor lo) < 0
+    || (a.hi lxor b.lo) land (a.hi lxor hi) < 0
+  then top_itv
+  else { lo; hi }
+
+let itv_neg a = itv_sub (const_itv 0) a
+
+(* Branch refinement only narrows, so it may clamp at the ends of the
+   range instead of wrapping. *)
 let sat_pred a = if a = neg_inf || a = pos_inf then a else a - 1
 let sat_succ a = if a = neg_inf || a = pos_inf then a else a + 1
 
-let itv_add a b = { lo = sat_add a.lo b.lo; hi = sat_add a.hi b.hi }
-let itv_sub a b = { lo = sat_sub a.lo b.hi; hi = sat_sub a.hi b.lo }
-let itv_neg a = { lo = sat_neg a.hi; hi = sat_neg a.lo }
 let itv_hull a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
 let itv_meet a b =

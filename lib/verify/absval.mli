@@ -8,8 +8,10 @@
     function ids, and addresses already forced into the segment by a
     [Sandbox] instruction.
 
-    Intervals use [min_int]/[max_int] as minus/plus infinity; arithmetic
-    saturates so widened bounds stay at infinity. *)
+    Interval bounds are machine ints, which wrap like the registers they
+    describe: [min_int..max_int] is the full range, which widening jumps
+    to, and an addition or subtraction that overflows either bound gives
+    the full range. *)
 
 type itv = { lo : int; hi : int }
 (** Inclusive interval. Invariant: [lo <= hi]. *)

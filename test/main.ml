@@ -1,4 +1,8 @@
-(* Aggregated alcotest runner for the whole repository. *)
+(* Aggregated alcotest runner for the whole repository.
+
+   Alcotest pads every suite name to the longest one and cuts each test
+   name to fit an 80-column line, so the longest suite name ("intervals",
+   nine characters) sets how every test name prints. *)
 
 let () =
   Alcotest.run "vino"
@@ -19,7 +23,6 @@ let () =
          Test_lock.suite;
          Test_txn.suite;
          Test_arena.suite;
-         Test_calltable.suite;
          Test_segalloc.suite;
          Test_core.suite;
          Test_linker.suite;

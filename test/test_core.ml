@@ -711,6 +711,7 @@ let test_event_point_handlers_run_in_order () =
 let test_event_handler_failure_isolated () =
   let fx = make_fixture () in
   let ep = Event_point.create ~name:"udp.port-2049" () in
+  let first_results = ref [] in
   ignore
     (Engine.spawn fx.kernel.Kernel.engine (fun () ->
          let good =
@@ -726,12 +727,22 @@ let test_event_handler_failure_isolated () =
          (match Event_point.add_handler ep fx.kernel ~cred:(user fx) ~order:2 good with
          | Ok _ -> ()
          | Error e -> Alcotest.fail e);
+         Event_point.dispatch ep fx.kernel ~payload:[||];
+         Engine.delay 100_000;
+         first_results := List.map snd (Event_point.results ep);
+         (* the failed handler is gone: the next event reaches only the
+            good one *)
          Event_point.dispatch ep fx.kernel ~payload:[||]));
   Kernel.run fx.kernel;
+  Alcotest.(check (list int)) "good handler answered the failing event"
+    [ 1 ] !first_results;
   Alcotest.(check int) "bad handler removed (Rule 8)" 1
     (Event_point.handler_count ep);
-  Alcotest.(check int) "failure recorded" 1 (Event_point.handler_failures ep);
-  Alcotest.(check (list int)) "good handler answered" [ 1 ]
+  Alcotest.(check int) "two events" 2 (Event_point.events_delivered ep);
+  Alcotest.(check int) "one failure recorded" 1
+    (Event_point.handler_failures ep);
+  Alcotest.(check (list int)) "good handler answered the second event"
+    [ 1 ]
     (List.map snd (Event_point.results ep))
 
 let test_nested_graft_transactions () =
@@ -1138,6 +1149,124 @@ let test_false_entry_fact_refused () =
             (Printf.sprintf "%S names the unproven store" e)
             true (contains e "pc 1 is not proven in-segment"))
 
+(* Interval bounds are machine ints that wrap like the registers
+   (Absval): [max_int + 3] is negative, so [Rem] by 256 leaves a value in
+   [-255, 255], and [sp - r5 - 1] may lie 253 words above the segment.
+   Honestly sealed for the point's segment, the store must keep its
+   sandbox and land inside. The probe answers r1: 0 at [fx.adder], and
+   the segment base at an event point. *)
+let wrap_probe_a : Asm.item list =
+  [
+    Li (Asm.r4, bad_word);
+    Li (Asm.r2, max_int);
+    Alui (Insn.Add, Asm.r2, Asm.r2, 3);
+    Alui (Insn.Rem, Asm.r5, Asm.r2, 256);
+    Alu (Insn.Sub, Asm.r7, Asm.sp, Asm.r5);
+    Alui (Insn.Sub, Asm.r7, Asm.r7, 1);
+    St (Asm.r4, Asm.r7, 0);
+    Mov (Asm.r0, Asm.r1);
+    Ret;
+  ]
+
+(* [max_int + 1 < 0] holds, so the raw store to kernel word 3 at pc 8 is
+   reachable; signed with the kernel's key without MiSFIT, the image must
+   be refused for an unprivileged installer. *)
+let wrap_probe_c : Asm.item list =
+  [
+    Li (Asm.r2, max_int);
+    Alui (Insn.Add, Asm.r2, Asm.r2, 1);
+    Li (Asm.r3, 0);
+    Br (Insn.Lt, Asm.r2, Asm.r3, "wild");
+    Li (Asm.r0, 0);
+    Ret;
+    Label "wild";
+    Li (Asm.r1, 3);
+    Li (Asm.r4, bad_word);
+    St (Asm.r4, Asm.r1, 0);
+    Li (Asm.r0, 0);
+    Ret;
+  ]
+
+(* The addresses of every word of kernel memory holding [bad_word]. *)
+let bad_word_addrs fx =
+  let mem = fx.kernel.Kernel.mem in
+  List.filter
+    (fun a -> Mem.load mem a = bad_word)
+    (List.init (Mem.size mem) Fun.id)
+
+(* sp is one past the segment's end, so the sandbox folds sp + 253 onto
+   the segment's word 253 *)
+let check_wrap_probe_a_confined fx ~base =
+  Alcotest.(check (list int)) "the store lands inside the segment, sandboxed"
+    [ base + 253 ] (bad_word_addrs fx)
+
+let check_wrap_probe_c_refused = function
+  | Ok _ -> Alcotest.fail "a store behind a wrapped branch loaded"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the store" e)
+        true (contains e "pc 8 is not proven in-segment")
+
+let test_wrap_probe_a_at_function_point () =
+  in_kernel (fun fx ->
+      install_exn fx
+        (seal_verified_exn fx.kernel wrap_probe_a
+           (Vino_verify.Verify.config ~words:1280 ()));
+      let answer = Graft_point.invoke fx.adder fx.kernel ~cred:(user fx) 0 in
+      Alcotest.(check int) "probe A committed" 0 answer;
+      let seg = Option.get (Graft_point.segment fx.adder) in
+      check_wrap_probe_a_confined fx ~base:seg.Mem.base)
+
+let test_wrap_probe_c_at_function_point () =
+  in_kernel (fun fx ->
+      let installed =
+        Graft_point.replace fx.adder fx.kernel ~cred:(user fx)
+          (Kernel.seal_unsafe fx.kernel (Asm.assemble_exn wrap_probe_c))
+      in
+      ignore (Graft_point.invoke fx.adder fx.kernel ~cred:(user fx) 0 : int);
+      Alcotest.(check int) "kernel word 3 untouched" 0 (kernel_word_3 fx);
+      check_wrap_probe_c_refused installed)
+
+(* An event point's handler has entry facts (r1 = the payload window,
+   r2 <= [payload_words]); the probes ignore them. *)
+let at_event_point image_of =
+  let fx = make_fixture () in
+  let ep = Event_point.create ~name:"wrap" () in
+  let payload_words = 16 and heap_words = 64 in
+  let verify =
+    Vino_verify.Verify.config
+      ~entry:(Event_point.entry_facts ~payload_words)
+      ~words:(Event_point.segment_words ~payload_words ~heap_words)
+      ()
+  in
+  let installed = ref (Error "not installed") in
+  ignore
+    (Engine.spawn fx.kernel.Kernel.engine ~name:"app" (fun () ->
+         installed :=
+           Event_point.add_handler ep fx.kernel ~cred:(user fx) ~payload_words
+             ~heap_words (image_of fx verify);
+         Event_point.dispatch ep fx.kernel ~payload:[| 0 |]));
+  Kernel.run fx.kernel;
+  (fx, ep, !installed)
+
+let test_wrap_probe_a_at_event_point () =
+  let fx, ep, installed =
+    at_event_point (fun fx verify ->
+        seal_verified_exn fx.kernel wrap_probe_a verify)
+  in
+  (match installed with Ok _ -> () | Error e -> Alcotest.fail e);
+  match Event_point.results ep with
+  | [ (_, base) ] -> check_wrap_probe_a_confined fx ~base
+  | _ -> Alcotest.fail "probe A should answer once"
+
+let test_wrap_probe_c_at_event_point () =
+  let fx, _, installed =
+    at_event_point (fun fx _ ->
+        Kernel.seal_unsafe fx.kernel (Asm.assemble_exn wrap_probe_c))
+  in
+  Alcotest.(check int) "kernel word 3 untouched" 0 (kernel_word_3 fx);
+  check_wrap_probe_c_refused installed
+
 (* An indirect call whose id the sealer proved constant and callable from
    an entry fact (r1 = 0, counter.incr), so its [Checkcall] was elided.
    The installer passes the same fact, and the linker's analysis, run
@@ -1326,5 +1455,16 @@ let suite =
           test_removed_handler_segment_outlives_pending_worker;
         Alcotest.test_case "freed segment zeroed before reuse" `Quick
           test_freed_segment_zeroed_before_reuse;
+      ] );
+    ( "intervals",
+      [
+        Alcotest.test_case "wrap probe A sandboxed at a function point"
+          `Quick test_wrap_probe_a_at_function_point;
+        Alcotest.test_case "wrap probe C refused at a function point" `Quick
+          test_wrap_probe_c_at_function_point;
+        Alcotest.test_case "wrap probe A sandboxed at an event point" `Quick
+          test_wrap_probe_a_at_event_point;
+        Alcotest.test_case "wrap probe C refused at an event point" `Quick
+          test_wrap_probe_c_at_event_point;
       ] );
   ]

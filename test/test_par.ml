@@ -6,6 +6,7 @@
 
 module Pool = Vino_par.Pool
 module Trace = Vino_trace.Trace
+module Counters = Vino_trace.Counters
 
 let with_pool domains f =
   let pool = Pool.create ~domains () in
@@ -62,13 +63,15 @@ let test_shutdown_degrades () =
 (* Under an installed sink, map must record exactly what a serial run
    records: the same counters, whatever the pool size. *)
 let traced_counters pool =
+  let h_work = Counters.handle "par.work" in
+  let h_items = Counters.handle "par.items" in
   let sink = Trace.create () in
   let out =
     Trace.with_t sink (fun () ->
         Pool.map ?pool
           (fun k ->
-            Trace.incr ~by:k "par.work";
-            Trace.incr "par.items";
+            Trace.add_h h_work k;
+            Trace.incr_h h_items;
             k)
           (List.init 25 Fun.id))
   in

@@ -67,15 +67,15 @@ let test_delegation_shares_account () =
     (granted (Rlimit.transfer ~src:installer ~dst:graft Memory_words 10))
 
 let test_pooling () =
-  (* Multiple processes pooling wired memory for a shared buffer pool. *)
-  let a = Rlimit.create ~wired_pages:10 () in
-  let b = Rlimit.create ~wired_pages:15 () in
+  (* Multiple processes pooling memory for a shared buffer pool. *)
+  let a = Rlimit.create ~memory_words:10 () in
+  let b = Rlimit.create ~memory_words:15 () in
   let pool = Rlimit.zero () in
-  ignore (Rlimit.transfer ~src:a ~dst:pool Wired_pages 10);
-  ignore (Rlimit.transfer ~src:b ~dst:pool Wired_pages 15);
-  Alcotest.(check int) "pooled" 25 (Rlimit.limit pool Wired_pages);
+  ignore (Rlimit.transfer ~src:a ~dst:pool Memory_words 10);
+  ignore (Rlimit.transfer ~src:b ~dst:pool Memory_words 15);
+  Alcotest.(check int) "pooled" 25 (Rlimit.limit pool Memory_words);
   Alcotest.(check bool) "pool usable" true
-    (granted (Rlimit.request pool Wired_pages 25))
+    (granted (Rlimit.request pool Memory_words 25))
 
 let test_invalid_amounts () =
   let t = Rlimit.unlimited () in

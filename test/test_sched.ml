@@ -95,14 +95,28 @@ let test_delegation_needs_group_consent () =
   Alcotest.(check int) "rejected as antisocial" 1
     (Runq.invalid_delegations fx.runq)
 
+(* A delegate that names no live task keeps its caller's slot: an id no
+   task ever had, -1, and the id of a removed task that had joined the
+   caller's group. *)
 let test_bogus_tid_rejected () =
-  let fx, tasks = fixture () in
-  let a = List.hd tasks in
-  Runq.join_group fx.runq a ~group:7;
-  install_delegate fx a (Grafts.handoff_source ~target:424242);
-  let ids = schedule_ids fx 1 in
-  Alcotest.(check int) "fallback to self" (Runq.task_id a) (List.hd ids);
-  Alcotest.(check int) "invalid counted" 1 (Runq.invalid_delegations fx.runq)
+  let bogus what target_of =
+    let fx, tasks = fixture () in
+    let a, b =
+      match tasks with a :: b :: _ -> (a, b) | _ -> assert false
+    in
+    Runq.join_group fx.runq a ~group:7;
+    Runq.join_group fx.runq b ~group:7;
+    Runq.remove_task fx.runq b;
+    install_delegate fx a (Grafts.handoff_source ~target:(target_of b));
+    let ids = schedule_ids fx 1 in
+    Alcotest.(check int) (what ^ ": fallback to self") (Runq.task_id a)
+      (List.hd ids);
+    Alcotest.(check int) (what ^ ": invalid counted") 1
+      (Runq.invalid_delegations fx.runq)
+  in
+  bogus "never issued" (fun _ -> 424242);
+  bogus "-1" (fun _ -> -1);
+  bogus "removed task" Runq.task_id
 
 let test_scan_delegate_returns_self () =
   let fx, tasks = fixture ~tasks:8 () in

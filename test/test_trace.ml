@@ -6,6 +6,7 @@
 module Ring = Vino_trace.Ring
 module Span = Vino_trace.Span
 module Trace = Vino_trace.Trace
+module Counters = Vino_trace.Counters
 module Json = Vino_trace.Json
 module Profile = Vino_trace.Profile
 module Audit = Vino_core.Audit
@@ -142,12 +143,13 @@ let span_ring_drops () =
 (* Counters must be monotonic: negative increments are refused, and a
    disaster campaign only ever moves them up. *)
 let counter_monotonic () =
+  let a = Counters.handle "a" in
   let sink = Trace.create () in
   Trace.with_t sink (fun () ->
-      Trace.incr "a";
+      Trace.incr_h a;
       Alcotest.check_raises "negative refused"
-        (Invalid_argument "Counters.incr: counters are monotonic") (fun () ->
-          Trace.incr ~by:(-1) "a"));
+        (Invalid_argument "Counters.add_h: counters are monotonic") (fun () ->
+          Trace.add_h a (-1)));
   Alcotest.(check int) "a" 1 (Trace.counter_value sink "a")
 
 let campaign_counters () =
@@ -369,7 +371,7 @@ let with_t_nested_restores_outer () =
       Trace.with_t inner (fun () ->
           Alcotest.(check bool) "inner installed" true (is_current inner));
       Alcotest.(check bool) "outer restored" true (is_current outer);
-      Trace.incr "nested.after";
+      Trace.incr_h (Counters.handle "nested.after");
       Alcotest.(check int) "outer receives the bump" 1
         (Trace.counter_value outer "nested.after");
       Alcotest.(check int) "inner does not" 0
@@ -394,7 +396,7 @@ let sink_in_other_domain_unseen () =
     Domain.cpu_relax ()
   done;
   let here = Trace.enabled () and current = Trace.current () in
-  Trace.incr "other.domain";
+  Trace.incr_h (Counters.handle "other.domain");
   Atomic.set release true;
   let there = Domain.join other in
   Alcotest.(check bool) "not enabled here" false here;
